@@ -1,0 +1,1 @@
+"""sectsum benchmark harness; run it with ``python3 perfbench/run.py``."""
