@@ -42,7 +42,6 @@ from .encoder import (
     base_features,
     encode_backward,
     encode_forward,
-    featurize,
     forward_document,
     heads_forward,
     init_params,
@@ -65,7 +64,6 @@ from .evaluation import (
 from .inference import (
     DEFAULT_BOUNDARY_THRESHOLD,
     Prediction,
-    RECOMMENDED_TOP_K,
     predict_boundaries,
     predict_corpus,
     predict_document,

@@ -324,17 +324,12 @@ def _cmd_train(args):
     return 0
 
 
-def _predict_one(doc, params, config, k, threshold, convention):
-    return predict_document(doc, params, config, k, threshold=threshold,
-                            convention=convention)
-
-
 def _cmd_predict(args):
     documents, _ = parse_corpus(args.corpus, strict=True)
     params, feature_config = load_checkpoint(args.checkpoint)
     convention = SegLabelConvention(args.seg_label)
     worker = functools.partial(
-        _predict_one, params=params, config=feature_config, k=args.k,
+        predict_document, params=params, config=feature_config, k=args.k,
         threshold=args.threshold, convention=convention,
     )
     if args.threads > 1:

@@ -31,7 +31,6 @@ __all__ = [
     "CheckpointError",
     "N_SCALAR_FEATURES",
     "base_features",
-    "featurize",
     "init_params",
     "position_encoding",
     "stable_sigmoid",
@@ -157,20 +156,11 @@ def _centroid_similarity(doc):
     return sims
 
 
-def featurize(doc, config, params):
-    """Projected sentence features, shape (n_sentences, dim).
-
-    The projection weights are trainable and live in ``params``; the raw
-    feature construction is :func:`base_features`.
-    """
-    return base_features(doc, config) @ params.w_proj
-
-
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
     w_q: np.ndarray
     w_k: np.ndarray
@@ -192,20 +182,27 @@ class LayerParams:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """All trainable weights, plus the head-count needed to shape attention.
+
+    ``vector`` holds every weight as one contiguous float64 array, block
+    after block in :meth:`blocks` order, and every array field (and every
+    :class:`LayerParams` field) is a view into it. Weights are mutated in
+    place, through the views or through ``vector``, and never rebound; the
+    dataclass is frozen to keep it so.
 
     Gradient containers reuse this class (same structure, zero-initialized).
     """
 
     w_proj: np.ndarray
-    layers: list
+    layers: tuple
     w_sum: np.ndarray
     b_sum: np.ndarray
     w_seg: np.ndarray
     b_seg: np.ndarray
     n_heads: int
+    vector: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
@@ -236,42 +233,59 @@ class ModelParams:
 
     @property
     def n_parameters(self):
-        return sum(arr.size for _, arr in self.blocks())
+        return self.vector.size
+
+    def _shapes(self):
+        return [(name, arr.shape) for name, arr in self.blocks()]
+
+    def _on(self, vector):
+        return _params_on(vector, self._shapes(), self.n_heads)
+
+    def __reduce__(self):
+        # Pickle the vector once and rebuild the views on it when unpickled.
+        return _params_on, (self.vector, self._shapes(), self.n_heads)
 
     def copy(self):
-        return ModelParams(
-            w_proj=self.w_proj.copy(),
-            layers=[
-                LayerParams(**{f: getattr(lp, f).copy() for f in LayerParams._FIELDS})
-                for lp in self.layers
-            ],
-            w_sum=self.w_sum.copy(),
-            b_sum=self.b_sum.copy(),
-            w_seg=self.w_seg.copy(),
-            b_seg=self.b_seg.copy(),
-            n_heads=self.n_heads,
-        )
+        return self._on(self.vector.copy())
 
     def zeros_like(self):
-        out = self.copy()
-        for _, arr in out.blocks():
-            arr[...] = 0.0
-        return out
+        return self._on(np.zeros_like(self.vector))
 
     def to_vector(self):
-        return np.concatenate([arr.ravel() for _, arr in self.blocks()])
+        return self.vector.copy()
 
     def from_vector(self, vector):
-        """New ModelParams with this structure, values taken from ``vector``."""
-        out = self.copy()
-        offset = 0
-        for _, arr in out.blocks():
-            size = arr.size
-            arr[...] = np.asarray(vector[offset:offset + size]).reshape(arr.shape)
-            offset += size
-        if offset != len(vector):
-            raise ValueError(f"vector length {len(vector)} != parameter count {offset}")
-        return out
+        """New ModelParams with this structure, values copied from ``vector``."""
+        return self._on(np.array(vector, dtype=float))
+
+
+def _block_shapes(n_features, dim, n_layers, ffn_hidden):
+    """(name, shape) of every parameter block, in vector order."""
+    d, h = dim, ffn_hidden
+    layer = [(d, d)] * 4 + [(d,)] * 4 + [(d, h), (h,), (h, d), (d,)]
+    shapes = [("proj.weight", (n_features, d))]
+    for i in range(n_layers):
+        shapes += [(f"layer{i}.{name}", shape)
+                   for name, shape in zip(LayerParams._FIELDS, layer)]
+    return shapes + [("head.sum.weight", (d,)), ("head.sum.bias", (1,)),
+                     ("head.seg.weight", (d,)), ("head.seg.bias", (1,))]
+
+
+def _params_on(vector, shapes, n_heads):
+    """ModelParams whose arrays are views into ``vector``, cut into the
+    ``(name, shape)`` blocks of ``shapes`` in order."""
+    sizes = [math.prod(shape) for _, shape in shapes]
+    if vector.shape != (sum(sizes),):
+        raise ValueError(f"vector shape {vector.shape} != parameter count {sum(sizes)}")
+    views = []
+    offset = 0
+    for (_, shape), size in zip(shapes, sizes):
+        views.append(vector[offset:offset + size].reshape(shape))
+        offset += size
+    per_layer = len(LayerParams._FIELDS)
+    layers = tuple(LayerParams(*views[i:i + per_layer])
+                   for i in range(1, len(views) - 4, per_layer))
+    return ModelParams(views[0], layers, *views[-4:], n_heads=n_heads, vector=vector)
 
 
 def init_params(config, n_layers=2, n_heads=4, ffn_hidden=None, rng_seed=0):
@@ -283,27 +297,21 @@ def init_params(config, n_layers=2, n_heads=4, ffn_hidden=None, rng_seed=0):
         ffn_hidden = 2 * d
     rng = np.random.default_rng(rng_seed)
 
-    def glorot(n_in, n_out):
-        return rng.normal(0.0, math.sqrt(2.0 / (n_in + n_out)), size=(n_in, n_out))
+    def glorot(weight):
+        n_in, n_out = weight.shape
+        weight[...] = rng.normal(0.0, math.sqrt(2.0 / (n_in + n_out)), size=(n_in, n_out))
 
-    layers = []
-    for _ in range(n_layers):
-        layers.append(LayerParams(
-            w_q=glorot(d, d), w_k=glorot(d, d), w_v=glorot(d, d), w_o=glorot(d, d),
-            ln1_gain=np.ones(d), ln1_bias=np.zeros(d),
-            ln2_gain=np.ones(d), ln2_bias=np.zeros(d),
-            w_ff1=glorot(d, ffn_hidden), b_ff1=np.zeros(ffn_hidden),
-            w_ff2=glorot(ffn_hidden, d), b_ff2=np.zeros(d),
-        ))
-    return ModelParams(
-        w_proj=glorot(config.n_features, d),
-        layers=layers,
-        w_sum=rng.normal(0.0, 1.0 / math.sqrt(d), size=d),
-        b_sum=np.zeros(1),
-        w_seg=rng.normal(0.0, 1.0 / math.sqrt(d), size=d),
-        b_seg=np.zeros(1),
-        n_heads=n_heads,
-    )
+    shapes = _block_shapes(config.n_features, d, n_layers, ffn_hidden)
+    params = _params_on(np.zeros(sum(math.prod(s) for _, s in shapes)), shapes, n_heads)
+    for lp in params.layers:
+        for weight in (lp.w_q, lp.w_k, lp.w_v, lp.w_o, lp.w_ff1, lp.w_ff2):
+            glorot(weight)
+        lp.ln1_gain[...] = 1.0
+        lp.ln2_gain[...] = 1.0
+    glorot(params.w_proj)
+    params.w_sum[...] = rng.normal(0.0, 1.0 / math.sqrt(d), size=d)
+    params.w_seg[...] = rng.normal(0.0, 1.0 / math.sqrt(d), size=d)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +416,20 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
     dk = d // n_heads
 
     # Feed-forward branch (out = mid + gelu(ln2(mid) @ w_ff1 + b) @ w_ff2 + b).
-    grad_lp.b_ff2 += d_out.sum(axis=0)
-    grad_lp.w_ff2 += cache["act"].T @ d_out
+    grad_lp.b_ff2[...] += d_out.sum(axis=0)
+    grad_lp.w_ff2[...] += cache["act"].T @ d_out
     d_act = d_out @ lp.w_ff2.T
     d_z = d_act * _gelu_grad(cache["z"])
-    grad_lp.b_ff1 += d_z.sum(axis=0)
-    grad_lp.w_ff1 += cache["normed2"].T @ d_z
+    grad_lp.b_ff1[...] += d_z.sum(axis=0)
+    grad_lp.w_ff1[...] += cache["normed2"].T @ d_z
     d_normed2 = d_z @ lp.w_ff1.T
     d_mid_ln, d_g2, d_b2 = _layernorm_backward(d_normed2, cache["ln2"], lp.ln2_gain)
-    grad_lp.ln2_gain += d_g2
-    grad_lp.ln2_bias += d_b2
+    grad_lp.ln2_gain[...] += d_g2
+    grad_lp.ln2_bias[...] += d_b2
     d_mid = d_out + d_mid_ln
 
     # Attention branch (mid = x + merge(attn @ v) @ w_o).
-    grad_lp.w_o += cache["merged"].T @ d_mid
+    grad_lp.w_o[...] += cache["merged"].T @ d_mid
     d_ctx = _split_heads(d_mid @ lp.w_o.T, n_heads)
     attn = cache["attn"]
     d_attn = d_ctx @ cache["vh"].transpose(0, 2, 1)
@@ -434,13 +442,13 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
     d_k = _merge_heads(d_kh)
     d_v = _merge_heads(d_vh)
     normed1 = cache["normed1"]
-    grad_lp.w_q += normed1.T @ d_q
-    grad_lp.w_k += normed1.T @ d_k
-    grad_lp.w_v += normed1.T @ d_v
+    grad_lp.w_q[...] += normed1.T @ d_q
+    grad_lp.w_k[...] += normed1.T @ d_k
+    grad_lp.w_v[...] += normed1.T @ d_v
     d_normed1 = d_q @ lp.w_q.T + d_k @ lp.w_k.T + d_v @ lp.w_v.T
     d_x_ln, d_g1, d_b1 = _layernorm_backward(d_normed1, cache["ln1"], lp.ln1_gain)
-    grad_lp.ln1_gain += d_g1
-    grad_lp.ln1_bias += d_b1
+    grad_lp.ln1_gain[...] += d_g1
+    grad_lp.ln1_bias[...] += d_b1
     return d_mid + d_x_ln
 
 
@@ -453,7 +461,6 @@ class EncodedDocument:
     """Activation record for one document's forward pass."""
 
     hidden: np.ndarray
-    features: np.ndarray
     layer_caches: list = field(repr=False)
     base_features: np.ndarray | None = None
     summary_probs: np.ndarray | None = None
@@ -481,7 +488,7 @@ def encode_forward(features, params):
                 f"(max |input| = {np.abs(features).max():.3e})"
             )
         caches.append(cache)
-    return EncodedDocument(hidden=x, features=features, layer_caches=caches)
+    return EncodedDocument(hidden=x, layer_caches=caches)
 
 
 def heads_forward(enc, params):
@@ -531,11 +538,11 @@ def encode_backward(enc, params, d_hidden=None, d_summary=None, d_boundary=None)
         weight = params.w_sum if which == "sum" else params.w_seg
         d_logit = np.asarray(upstream, dtype=float) * probs * (1.0 - probs)
         if which == "sum":
-            grads.w_sum += enc.hidden.T @ d_logit
-            grads.b_sum += d_logit.sum(keepdims=True)
+            grads.w_sum[...] += enc.hidden.T @ d_logit
+            grads.b_sum[...] += d_logit.sum(keepdims=True)
         else:
-            grads.w_seg += enc.hidden.T @ d_logit
-            grads.b_seg += d_logit.sum(keepdims=True)
+            grads.w_seg[...] += enc.hidden.T @ d_logit
+            grads.b_seg[...] += d_logit.sum(keepdims=True)
         d_x += np.outer(d_logit, weight)
 
     for lp, cache, grad_lp in zip(
@@ -545,10 +552,14 @@ def encode_backward(enc, params, d_hidden=None, d_summary=None, d_boundary=None)
     return grads, d_x
 
 
-def forward_document(doc, params, config):
+def forward_document(doc, params, config, raw_features=None):
     """Featurize + encode + score one document; returns the full activation
-    record (raw features cached for the projection gradient)."""
-    raw = base_features(doc, config)
+    record (raw features cached for the projection gradient).
+
+    ``raw_features`` is the document's :func:`base_features` matrix when the
+    caller has it already; it is computed here otherwise.
+    """
+    raw = base_features(doc, config) if raw_features is None else raw_features
     enc = encode_forward(raw @ params.w_proj, params)
     enc.base_features = raw
     heads_forward(enc, params)
@@ -563,7 +574,7 @@ def backward_document(enc, params, d_hidden=None, d_summary=None, d_boundary=Non
     grads, d_features = encode_backward(
         enc, params, d_hidden=d_hidden, d_summary=d_summary, d_boundary=d_boundary
     )
-    grads.w_proj += enc.base_features.T @ d_features
+    grads.w_proj[...] += enc.base_features.T @ d_features
     return grads
 
 
@@ -575,7 +586,6 @@ def save_checkpoint(path, params, config):
     """Write a deterministic checkpoint: one JSON header line describing the
     configuration and block layout, then raw row-major little-endian float64
     data for each block in order. Identical inputs give identical bytes."""
-    blocks = list(params.blocks())
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -589,13 +599,12 @@ def save_checkpoint(path, params, config):
         "n_heads": params.n_heads,
         "n_layers": params.n_layers,
         "ffn_hidden": params.ffn_hidden,
-        "blocks": [{"name": name, "shape": list(arr.shape)} for name, arr in blocks],
+        "blocks": [{"name": name, "shape": list(shape)} for name, shape in params._shapes()],
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.vector.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -622,21 +631,26 @@ def load_checkpoint(path):
             use_position_feature=fc["use_position_feature"],
             use_centroid_similarity=fc["use_centroid_similarity"],
         )
-        params = init_params(
-            config,
-            n_layers=header["n_layers"],
-            n_heads=header["n_heads"],
-            ffn_hidden=header["ffn_hidden"],
-            rng_seed=0,
-        )
-        for header_block, (name, arr) in zip(header["blocks"], params.blocks()):
-            if header_block["name"] != name or list(arr.shape) != header_block["shape"]:
+        shapes = _block_shapes(config.n_features, config.dim, header["n_layers"],
+                               header["ffn_hidden"])
+        for header_block, (name, shape) in zip(header["blocks"], shapes):
+            if header_block["name"] != name or header_block["shape"] != list(shape):
                 raise CheckpointError(
                     f"checkpoint block {header_block['name']!r} does not match "
-                    f"model structure (expected {name!r} {arr.shape})"
+                    f"model structure (expected {name!r} {shape})"
                 )
-            data = fh.read(arr.size * 8)
-            if len(data) != arr.size * 8:
-                raise CheckpointError(f"truncated checkpoint at block {name!r}")
-            arr[...] = np.frombuffer(data, dtype="<f8").reshape(arr.shape)
+        if config.dim % header["n_heads"] != 0:
+            raise CheckpointError(
+                f"dim {config.dim} not divisible by n_heads {header['n_heads']}")
+        body = fh.read()
+    size = 8 * sum(math.prod(shape) for _, shape in shapes)
+    if len(body) < size:
+        raise CheckpointError(f"truncated checkpoint: {len(body)} of {size} data bytes")
+    if len(body) > size:
+        raise CheckpointError(f"{len(body) - size} trailing bytes after the last block")
+    params = _params_on(np.frombuffer(body, dtype="<f8").astype(float), shapes,
+                        header["n_heads"])
+    for name, arr in params.blocks():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite value in checkpoint block {name!r}")
     return params, config

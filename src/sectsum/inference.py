@@ -23,7 +23,6 @@ from .oracle import SegLabelConvention
 
 __all__ = [
     "Prediction",
-    "RECOMMENDED_TOP_K",
     "select_top_k",
     "predict_boundaries",
     "render_summary",
@@ -32,10 +31,6 @@ __all__ = [
     "write_predictions",
     "read_predictions",
 ]
-
-# Summary sizes that work well per domain: long biomedical articles, physics
-# preprints, and lecture transcripts respectively.
-RECOMMENDED_TOP_K = {"pubmed": 7, "arxiv": 5, "lectures": 3}
 
 DEFAULT_BOUNDARY_THRESHOLD = 0.5
 

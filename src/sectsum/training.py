@@ -14,20 +14,19 @@ Training is deterministic for a fixed seed when run single-threaded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from . import evaluation, inference
 from .corpus import tokenize
-from .dpp import dpp_loss_and_grad
+from .dpp import build_kernel, dpp_log_prob, dpp_loss_and_grad
 from .encoder import (
     FeatureConfig,
     base_features,
-    encode_forward,
-    heads_forward,
     backward_document,
+    forward_document,
     init_params,
 )
 from .rouge import rouge_n
@@ -119,13 +118,15 @@ def _bce_grad(probs, labels):
 @dataclass
 class BatchLoss:
     """Batch-mean loss value, per-term means (``dpp`` unscaled by beta),
-    mean parameter gradients, and how many documents skipped the repulsion
-    term for lack of positive summary labels."""
+    mean parameter gradients, how many documents skipped the repulsion
+    term for lack of positive summary labels, and each document's
+    ``(summary_probs, boundary_probs)`` in batch order."""
 
     value: float
     parts: dict
     grads: object | None
     dpp_skipped: int
+    head_probs: list
 
 
 def _doc_arrays(doc):
@@ -134,18 +135,6 @@ def _doc_arrays(doc):
     y_sum = np.asarray(doc.labels.summary_labels, dtype=float)
     y_seg = np.asarray(doc.labels.boundary_labels, dtype=float)
     return y_sum, y_seg
-
-
-def _forward_cached(doc, params, feature_config, features):
-    raw = None
-    if features is not None:
-        raw = features.get(doc.id)
-    if raw is None:
-        raw = base_features(doc, feature_config)
-    enc = encode_forward(raw @ params.w_proj, params)
-    enc.base_features = raw
-    heads_forward(enc, params)
-    return enc
 
 
 def total_loss(documents, params, config, feature_config, features=None,
@@ -162,7 +151,8 @@ def total_loss(documents, params, config, feature_config, features=None,
     features : dict or None
         Optional cache mapping document id to its raw feature matrix.
     with_grads : bool
-        Skip the backward pass when False (evaluation only).
+        Skip the backward pass when False (evaluation only); the repulsion
+        term then needs log-determinants only.
     dpp_ridge : float
         Ridge for the repulsion term's subset minor.
 
@@ -177,11 +167,14 @@ def total_loss(documents, params, config, feature_config, features=None,
     value = 0.0
     parts = {"sum": 0.0, "seg": 0.0, "dpp": 0.0}
     skipped = 0
+    head_probs = []
 
     for doc in documents:
         y_sum, y_seg = _doc_arrays(doc)
-        enc = _forward_cached(doc, params, feature_config, features)
+        raw = None if features is None else features.get(doc.id)
+        enc = forward_document(doc, params, feature_config, raw)
         p_sum, p_seg = enc.summary_probs, enc.boundary_probs
+        head_probs.append((p_sum, p_seg))
 
         doc_value = bce_loss(p_sum, y_sum)
         parts["sum"] += doc_value
@@ -201,12 +194,16 @@ def total_loss(documents, params, config, feature_config, features=None,
             if subset.size == 0:
                 skipped += 1
             else:
-                rep = dpp_loss_and_grad(enc.hidden, p_sum, subset, ridge=dpp_ridge)
-                parts["dpp"] += rep.value
-                doc_value += config.beta * rep.value
                 if with_grads:
+                    rep = dpp_loss_and_grad(enc.hidden, p_sum, subset, ridge=dpp_ridge)
+                    dpp_value = rep.value
                     d_hidden = config.beta * rep.d_hidden
                     d_sum = d_sum + config.beta * rep.d_quality
+                else:
+                    kernel = build_kernel(enc.hidden, p_sum, ridge=dpp_ridge)
+                    dpp_value = -float(dpp_log_prob(kernel, subset))
+                parts["dpp"] += dpp_value
+                doc_value += config.beta * dpp_value
 
         if not np.isfinite(doc_value):
             raise TrainingError(f"non-finite loss on document {doc.id!r}")
@@ -216,17 +213,16 @@ def total_loss(documents, params, config, feature_config, features=None,
             doc_grads = backward_document(
                 enc, params, d_hidden=d_hidden, d_summary=d_sum, d_boundary=d_seg
             )
-            for (_, acc), (_, g) in zip(grads_total.blocks(), doc_grads.blocks()):
-                acc += g
+            grads_total.vector[...] += doc_grads.vector
 
     if with_grads:
-        for _, acc in grads_total.blocks():
-            acc /= n_docs
+        grads_total.vector[...] /= n_docs
     return BatchLoss(
         value=value / n_docs,
         parts={k: v / n_docs for k, v in parts.items()},
         grads=grads_total,
         dpp_skipped=skipped,
+        head_probs=head_probs,
     )
 
 
@@ -254,23 +250,21 @@ class FitResult:
 def _validation_metrics(val_docs, params, config, feature_config, features,
                         eval_top_k, boundary_threshold, dpp_ridge):
     loss = total_loss(val_docs, params, config, feature_config,
-                      features=features, with_grads=False,
-                      dpp_ridge=dpp_ridge).value
+                      features=features, with_grads=False, dpp_ridge=dpp_ridge)
     rouge_scores = []
     seg_scores = []
-    for doc in val_docs:
-        enc = _forward_cached(doc, params, feature_config, features)
+    for doc, (summary_probs, boundary_probs) in zip(val_docs, loss.head_probs):
         if doc.reference_summary:
-            picked = inference.select_top_k(enc.summary_probs, eval_top_k)
+            picked = inference.select_top_k(summary_probs, eval_top_k)
             summary = " ".join(doc.sentences[i].text for i in picked)
             rouge_scores.append(
                 rouge_n(tokenize(summary), tokenize(doc.reference_summary), 1).f1
             )
-        hyp = {int(i) for i in np.flatnonzero(enc.boundary_probs >= boundary_threshold)}
+        hyp = {int(i) for i in np.flatnonzero(boundary_probs >= boundary_threshold)}
         ref = {i for i, v in enumerate(doc.labels.boundary_labels) if v == 1}
         seg_scores.append(evaluation.seg_f1(hyp, ref).f1)
     return {
-        "val_loss": loss,
+        "val_loss": loss.value,
         "val_rouge1_f": float(np.mean(rouge_scores)) if rouge_scores else None,
         "val_seg_f1": float(np.mean(seg_scores)) if seg_scores else None,
     }
@@ -292,8 +286,8 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
         Optional labeled validation documents; per-epoch metrics are logged
         against them and the best-validation-loss parameters are retained.
     params : ModelParams or None
-        Warm start; by default parameters are initialized from the config
-        seed.
+        Warm start (copied, never modified); by default parameters are
+        initialized from the config seed.
     n_layers, n_heads, ffn_hidden
         Architecture knobs used only when ``params`` is None.
     eval_top_k, boundary_threshold
@@ -312,6 +306,8 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
     if params is None:
         params = init_params(feature_config, n_layers=n_layers, n_heads=n_heads,
                              ffn_hidden=ffn_hidden, rng_seed=config.rng_seed)
+    else:
+        params = params.copy()
     features = {
         doc.id: base_features(doc, feature_config)
         for doc in list(train_docs) + list(val_docs)
@@ -322,8 +318,7 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
     updates_per_epoch = math.ceil(batches_per_epoch / config.grad_accumulation)
     total_updates = config.epochs * updates_per_epoch
 
-    template = params
-    theta = params.to_vector()
+    theta = params.vector  # Adam updates the working copy in place
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     update = 0
@@ -338,11 +333,10 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
         pending_count = 0
         for start in range(0, n, config.batch_size):
             batch = [train_docs[i] for i in order[start:start + config.batch_size]]
-            current = template.from_vector(theta)
-            result = total_loss(batch, current, config, feature_config,
+            result = total_loss(batch, params, config, feature_config,
                                 features=features, dpp_ridge=dpp_ridge)
             epoch_losses.append(result.value)
-            pending += result.grads.to_vector()
+            pending += result.grads.vector
             pending_count += 1
             is_last = start + config.batch_size >= n
             if pending_count == config.grad_accumulation or is_last:
@@ -355,16 +349,15 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
                 adam_v = _ADAM_BETA2 * adam_v + (1.0 - _ADAM_BETA2) * grad * grad
                 m_hat = adam_m / (1.0 - _ADAM_BETA1 ** update)
                 v_hat = adam_v / (1.0 - _ADAM_BETA2 ** update)
-                theta = theta - rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+                theta -= rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
                 pending[...] = 0.0
                 pending_count = 0
 
-        current = template.from_vector(theta)
         record = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
                   "val_loss": None, "val_rouge1_f": None, "val_seg_f1": None}
         if val_docs:
             record.update(_validation_metrics(
-                val_docs, current, config, feature_config, features,
+                val_docs, params, config, feature_config, features,
                 eval_top_k, boundary_threshold, dpp_ridge))
         history.append(record)
         key = record["val_loss"] if val_docs else record["train_loss"]
@@ -373,8 +366,8 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
             best_theta = theta.copy()
 
     return FitResult(
-        params=template.from_vector(theta),
-        best_params=template.from_vector(best_theta),
+        params=params,
+        best_params=params.from_vector(best_theta),
         history=history,
     )
 
@@ -413,30 +406,24 @@ class GradCheckReport:
         return lines
 
 
-def _term_grad_norm(doc, params, config, feature_config, term, dpp_ridge):
-    """Norm of one loss term's parameter gradient (0.0 for inactive terms)."""
-    if term == "seg" and config.variant is Variant.BASE:
-        return 0.0
-    if term == "dpp" and (config.variant is not Variant.FULL or config.beta == 0.0):
-        return 0.0
-    y_sum, y_seg = _doc_arrays(doc)
-    enc = _forward_cached(doc, params, feature_config, None)
-    d_sum = d_seg = d_hidden = None
-    if term == "sum":
-        d_sum = _bce_grad(enc.summary_probs, y_sum)
-    elif term == "seg":
-        d_seg = _bce_grad(enc.boundary_probs, y_seg)
-    else:
-        subset = np.flatnonzero(y_sum == 1.0)
-        if subset.size == 0:
-            return 0.0
-        rep = dpp_loss_and_grad(enc.hidden, enc.summary_probs, subset,
-                                ridge=dpp_ridge)
-        d_hidden = config.beta * rep.d_hidden
-        d_sum = config.beta * rep.d_quality
-    grads = backward_document(enc, params, d_hidden=d_hidden,
-                              d_summary=d_sum, d_boundary=d_seg)
-    return float(np.linalg.norm(grads.to_vector()))
+def _term_grad_norms(doc, params, config, feature_config, dpp_ridge):
+    """Norm of each loss term's parameter gradient (0.0 for inactive terms).
+
+    The gradients of the cumulative objectives base, joint and full come from
+    :func:`total_loss`; each term's gradient is the difference between the
+    objective that adds it and the one before.
+    """
+    variants = [Variant.BASE, Variant.JOINT, Variant.FULL]
+    active = variants[:variants.index(config.variant) + 1]
+    grads = [
+        total_loss([doc], params, replace(config, variant=variant),
+                   feature_config, dpp_ridge=dpp_ridge).grads.vector
+        for variant in active
+    ]
+    norms = {"sum": float(np.linalg.norm(grads[0])), "seg": 0.0, "dpp": 0.0}
+    for term, lower, upper in zip(("seg", "dpp"), grads, grads[1:]):
+        norms[term] = float(np.linalg.norm(upper - lower))
+    return norms
 
 
 def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
@@ -453,40 +440,36 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
     if analytic is None:
         analytic = total_loss([doc], params, config, feature_config,
                               dpp_ridge=dpp_ridge).grads
+    probe = params.copy()
+    theta = probe.vector
+    features = {doc.id: base_features(doc, feature_config)}
 
-    def loss_at(vector):
-        candidate = params.from_vector(vector)
-        return total_loss([doc], candidate, config, feature_config,
+    def loss_at():
+        return total_loss([doc], probe, config, feature_config, features=features,
                           with_grads=False, dpp_ridge=dpp_ridge).value
 
-    theta = params.to_vector()
     block_errors = {}
     offset = 0
-    for (name, arr), (_, grad_arr) in zip(params.blocks(), analytic.blocks()):
-        flat_grad = grad_arr.ravel()
+    for name, arr in params.blocks():
         worst = 0.0
-        for j in range(arr.size):
-            idx = offset + j
+        for idx in range(offset, offset + arr.size):
             saved = theta[idx]
             theta[idx] = saved + step
-            up = loss_at(theta)
+            up = loss_at()
             theta[idx] = saved - step
-            down = loss_at(theta)
+            down = loss_at()
             theta[idx] = saved
             fd = (up - down) / (2.0 * step)
-            a = flat_grad[j]
+            a = analytic.vector[idx]
             rel = abs(a - fd) / max(abs(a), abs(fd), 1e-5)
             worst = max(worst, rel)
         block_errors[name] = worst
         offset += arr.size
 
-    term_norms = {
-        term: _term_grad_norm(doc, params, config, feature_config, term, dpp_ridge)
-        for term in ("sum", "seg", "dpp")
-    }
     return GradCheckReport(
         block_errors=block_errors,
-        term_grad_norms=term_norms,
+        term_grad_norms=_term_grad_norms(doc, params, config, feature_config,
+                                         dpp_ridge),
         max_error=max(block_errors.values()),
         tolerance=tolerance,
         step=step,

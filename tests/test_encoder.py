@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from sectsum import (
     base_features,
     encode_backward,
     encode_forward,
-    featurize,
     forward_document,
     heads_forward,
     init_params,
@@ -63,13 +63,6 @@ def test_cue_feature_flags_cue_sentences():
     assert cue_col[0] == 1.0 and cue_col[1] == 0.0
 
 
-def test_featurize_is_projected_base_features(small_model, tiny_corpus):
-    config, params = small_model
-    doc = tiny_corpus[1]
-    expected = base_features(doc, config) @ params.w_proj
-    np.testing.assert_array_equal(featurize(doc, config, params), expected)
-
-
 def test_position_encoding_first_row_and_values():
     pe = position_encoding(5, 8)
     assert pe.shape == (5, 8)
@@ -100,7 +93,7 @@ def test_zeroed_output_projections_pass_features_through(small_model, tiny_corpu
         lp.w_ff2[:] = 0.0
         lp.b_ff2[:] = 0.0
     doc = tiny_corpus[0]
-    x = featurize(doc, config, params)
+    x = base_features(doc, config) @ params.w_proj
     enc = encode_forward(x, params)
     np.testing.assert_array_equal(enc.hidden, x + position_encoding(len(doc), config.dim))
 
@@ -121,7 +114,7 @@ def test_backward_matches_finite_differences_on_features(small_model, tiny_corpu
     differences; exercises the attention stack backward pass directly."""
     config, params = small_model
     doc = tiny_corpus[2]
-    x0 = featurize(doc, config, params)
+    x0 = base_features(doc, config) @ params.w_proj
 
     def objective(x):
         enc = encode_forward(x, params)
@@ -147,7 +140,7 @@ def test_encode_forward_rejects_non_finite(small_model, tiny_corpus):
     config, params = small_model
     params = params.copy()
     params.layers[0].w_q[0, 0] = np.nan
-    x = featurize(tiny_corpus[0], config, params)
+    x = base_features(tiny_corpus[0], config) @ params.w_proj
     with pytest.raises(NumericsError, match="layer 0"):
         encode_forward(x, params)
 
@@ -170,6 +163,12 @@ def test_params_vector_round_trip(small_model):
     names = [name for name, _ in params.blocks()]
     assert len(names) == len(set(names))
     assert sum(a.size for _, a in params.blocks()) == params.n_parameters
+    # every block is a view into the one flat vector, also after pickling,
+    # and no field can be rebound away from it
+    for copy in (restored, pickle.loads(pickle.dumps(restored))):
+        assert all(np.shares_memory(a, copy.vector) for _, a in copy.blocks())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        restored.w_sum = np.zeros_like(restored.w_sum)
 
 
 def test_checkpoint_round_trip(tmp_path, small_model):
@@ -201,3 +200,11 @@ def test_checkpoint_rejects_corruption(tmp_path, small_model):
     (tmp_path / "garbled.ckpt").write_bytes(b"not a header\n" + raw)
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "garbled.ckpt")
+    (tmp_path / "trailing.ckpt").write_bytes(raw + b"\0" * 8)
+    with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(tmp_path / "trailing.ckpt")
+    poisoned = params.copy()
+    poisoned.layers[0].w_q[0, 0] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", poisoned, config)
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(tmp_path / "nan.ckpt")

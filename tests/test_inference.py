@@ -3,7 +3,6 @@ import pytest
 
 from sectsum import (
     CorpusError,
-    RECOMMENDED_TOP_K,
     SegLabelConvention,
     predict_boundaries,
     predict_corpus,
@@ -110,7 +109,3 @@ def test_read_predictions_reports_line(tmp_path):
     path.write_text('{"selected": [0]}\n')
     with pytest.raises(CorpusError, match="line 1"):
         read_predictions(path)
-
-
-def test_recommended_top_k_table():
-    assert RECOMMENDED_TOP_K == {"pubmed": 7, "arxiv": 5, "lectures": 3}

@@ -78,6 +78,13 @@ def test_total_loss_terms_compose(setup):
     assert full.value == pytest.approx(
         full.parts["sum"] + full.parts["seg"] + 0.1 * full.parts["dpp"])
     assert full.parts["dpp"] > 0.0 or full.dpp_skipped == len(docs)
+    # the gradient pass reports exactly the values of the value-only pass
+    for variant, beta, value_only in (("base", 0.0, base), ("joint", 0.0, joint),
+                                      ("full", 0.1, full)):
+        with_grads = total_loss(docs, params, TrainConfig(variant=variant, beta=beta),
+                                fconfig, with_grads=True)
+        assert with_grads.value == value_only.value
+        assert with_grads.parts == value_only.parts
 
 
 def test_full_with_zero_beta_equals_joint(setup):
@@ -213,7 +220,7 @@ def test_grad_check_flags_injected_fault(setup):
     config = TrainConfig(variant="joint")
     honest = total_loss([doc], params, config, fconfig, with_grads=True)
     broken = honest.grads.copy()
-    broken.w_sum *= 1.5  # a deliberately wrong analytic block
+    broken.w_sum[...] *= 1.5  # a deliberately wrong analytic block
     report = grad_check(params, doc, config, fconfig, analytic=broken)
     assert not report.passed
     assert report.block_errors["head.sum.weight"] > report.tolerance
