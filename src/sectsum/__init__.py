@@ -40,7 +40,6 @@ from .encoder import (
     NumericsError,
     backward_document,
     base_features,
-    encode_backward,
     encode_forward,
     forward_document,
     heads_forward,
@@ -56,8 +55,6 @@ from .evaluation import (
     approx_randomization_test,
     boundary_proximity_histogram,
     evaluate_full,
-    evaluate_rouge,
-    rouge_per_document,
     seg_f1,
     windowdiff,
 )
@@ -65,7 +62,6 @@ from .inference import (
     DEFAULT_BOUNDARY_THRESHOLD,
     Prediction,
     predict_boundaries,
-    predict_corpus,
     predict_document,
     read_predictions,
     render_summary,
@@ -79,7 +75,7 @@ from .oracle import (
     candidate_score,
     greedy_summary_labels,
 )
-from .rouge import RougeScore, lcs_length, prepare_tokens, rouge_l, rouge_n
+from .rouge import RougeScore, lcs_length, rouge_l, rouge_n
 from .training import (
     BatchLoss,
     DEFAULT_DPP_RIDGE,

@@ -32,8 +32,9 @@ from .corpus import (
     SynthConfig,
     generate_synthetic,
     parse_corpus,
-    write_corpus,
     split_corpus,
+    tokenize,
+    write_corpus,
 )
 from .dpp import SingularMinorError
 from .encoder import (
@@ -46,7 +47,6 @@ from .encoder import (
 )
 from .evaluation import boundary_proximity_histogram, evaluate_full
 from .inference import (
-    Prediction,
     predict_document,
     read_predictions,
     render_summary,
@@ -55,7 +55,6 @@ from .inference import (
 )
 from .oracle import SegLabelConvention, build_labels
 from .rouge import rouge_l, rouge_n
-from .corpus import tokenize
 from .training import TrainConfig, TrainingError, fit, grad_check
 
 __all__ = ["run", "main", "build_parser"]
@@ -209,6 +208,15 @@ def _cmd_synth(args):
     return 0
 
 
+def _map_documents(worker, documents, threads):
+    """``[worker(doc) for doc in documents]``, on ``threads`` worker processes
+    when ``threads`` is above 1; the result order is the same either way."""
+    if threads > 1:
+        with multiprocessing.Pool(threads) as pool:
+            return list(pool.imap(worker, documents, chunksize=8))
+    return [worker(doc) for doc in documents]
+
+
 def _label_one(doc, convention, max_sentences):
     labels = build_labels(doc, convention=convention, max_sentences=max_sentences)
     return dataclasses.replace(doc, labels=labels)
@@ -224,11 +232,7 @@ def _cmd_label(args):
     convention = SegLabelConvention(args.seg_label)
     worker = functools.partial(_label_one, convention=convention,
                                max_sentences=args.max_sentences)
-    if args.threads > 1:
-        with multiprocessing.Pool(args.threads) as pool:
-            labeled = list(pool.imap(worker, documents, chunksize=8))
-    else:
-        labeled = [worker(doc) for doc in documents]
+    labeled = _map_documents(worker, documents, args.threads)
     out_path = args.corpus if args.in_place else args.out
     write_corpus(labeled, out_path)
     print(f"labeled {len(labeled)} documents -> {out_path}")
@@ -332,11 +336,7 @@ def _cmd_predict(args):
         predict_document, params=params, config=feature_config, k=args.k,
         threshold=args.threshold, convention=convention,
     )
-    if args.threads > 1:
-        with multiprocessing.Pool(args.threads) as pool:
-            predictions = list(pool.imap(worker, documents, chunksize=8))
-    else:
-        predictions = [worker(doc) for doc in documents]
+    predictions = _map_documents(worker, documents, args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "predictions.jsonl"
@@ -369,14 +369,14 @@ def _score_vs_k_rows(predictions, documents, k_max):
     return rows
 
 
-def _selection_histogram(predictions, documents):
+def _selection_histogram(selections, documents):
+    """Boundary-proximity histogram summed over ``(doc_id, selected)`` pairs."""
     by_id = {doc.id: doc for doc in documents}
     counts = {}
-    for pred in predictions:
-        doc = by_id[pred.doc_id]
-        hist = boundary_proximity_histogram(
-            pred.selected, doc.section_starts, len(doc.sentences)
-        )
+    for doc_id, selected in selections:
+        doc = by_id[doc_id]
+        hist = boundary_proximity_histogram(selected, doc.section_starts,
+                                            len(doc.sentences))
         for offset, count in hist.items():
             counts[offset] = counts.get(offset, 0) + count
     return dict(sorted(counts.items()))
@@ -389,7 +389,7 @@ def _cmd_eval(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if args.plot_data:
         with open(out / "score_vs_k.csv", "w", encoding="utf-8", newline="") as fh:
@@ -402,7 +402,8 @@ def _cmd_eval(args):
                   newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["offset", "count"])
-            for offset, count in _selection_histogram(predictions, documents).items():
+            selections = ((p.doc_id, p.selected) for p in predictions)
+            for offset, count in _selection_histogram(selections, documents).items():
                 writer.writerow([offset, count])
     print(
         f"evaluated {report.n_documents} documents: "
@@ -416,23 +417,18 @@ def _cmd_eval(args):
 def _cmd_analyze(args):
     documents, _ = parse_corpus(args.corpus, strict=True)
     if args.predictions is not None:
-        predictions = read_predictions(args.predictions)
+        selections = [(p.doc_id, p.selected) for p in read_predictions(args.predictions)]
     else:
-        predictions = []
+        selections = []
         for doc in documents:
             if doc.labels is None:
                 raise CorpusError(
                     f"document {doc.id!r} has no labels; pass --predictions "
                     "or label the corpus first"
                 )
-            selected = tuple(
-                i for i, v in enumerate(doc.labels.summary_labels) if v == 1
-            )
-            predictions.append(Prediction(
-                doc_id=doc.id, selected=selected, boundaries=(0,),
-                scores_sum=(), scores_seg=(),
-            ))
-    histogram = _selection_histogram(predictions, documents)
+            selections.append(
+                (doc.id, [i for i, v in enumerate(doc.labels.summary_labels) if v == 1]))
+    histogram = _selection_histogram(selections, documents)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "boundary_histogram.json"

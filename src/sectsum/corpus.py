@@ -168,17 +168,6 @@ class Document:
                     f"document {self.id!r}: selection_order inconsistent with summary labels"
                 )
 
-    def section_of(self, index):
-        """Return (start, end) sentence indices (inclusive) of the section
-        containing ``index``."""
-        starts = list(self.section_starts)
-        n = len(self.sentences)
-        for k, start in enumerate(starts):
-            end = (starts[k + 1] - 1) if k + 1 < len(starts) else n - 1
-            if start <= index <= end:
-                return start, end
-        raise IndexError(f"sentence index {index} out of range for {self.id!r}")
-
 
 def _doc_to_record(doc):
     record = {
@@ -199,6 +188,13 @@ def _doc_to_record(doc):
     return record
 
 
+def _int_list(value, name):
+    """``value`` as a tuple; it must be a JSON list of integers (not booleans)."""
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise CorpusError(f"{name} must be a list of integers")
+    return tuple(value)
+
+
 def _record_to_doc(record):
     if not isinstance(record, dict):
         raise CorpusError("record must be a JSON object")
@@ -208,9 +204,7 @@ def _record_to_doc(record):
     sentences = record["sentences"]
     if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
         raise CorpusError("sentences must be a list of strings")
-    starts = record["section_starts"]
-    if not isinstance(starts, list) or not all(isinstance(b, int) for b in starts):
-        raise CorpusError("section_starts must be a list of integers")
+    starts = _int_list(record["section_starts"], "section_starts")
     labels = None
     raw_labels = record.get("labels")
     if raw_labels is not None:
@@ -218,9 +212,9 @@ def _record_to_doc(record):
             raise CorpusError("labels must be an object with 'sum' and 'seg'")
         order = raw_labels.get("order")
         labels = LabelSet(
-            summary_labels=tuple(raw_labels["sum"]),
-            boundary_labels=tuple(raw_labels["seg"]),
-            selection_order=None if order is None else tuple(order),
+            summary_labels=_int_list(raw_labels["sum"], "labels.sum"),
+            boundary_labels=_int_list(raw_labels["seg"], "labels.seg"),
+            selection_order=None if order is None else _int_list(order, "labels.order"),
         )
     return Document.build(
         record["id"],

@@ -36,7 +36,6 @@ __all__ = [
     "stable_sigmoid",
     "encode_forward",
     "heads_forward",
-    "encode_backward",
     "forward_document",
     "backward_document",
     "save_checkpoint",
@@ -74,8 +73,6 @@ class FeatureConfig:
     dim: int = 32
     hash_buckets: int = 64
     cue_lexicon: tuple = CUE_PHRASES
-    use_position_feature: bool = True
-    use_centroid_similarity: bool = True
 
     def __post_init__(self):
         if self.dim < 4 or self.dim % 2 != 0:
@@ -117,11 +114,9 @@ def base_features(doc, config):
         if norm > 0:
             out[i, :buckets] /= norm
 
-    if config.use_position_feature:
-        out[:, buckets] = np.arange(n) / n
+    out[:, buckets] = np.arange(n) / n
     out[:, buckets + 1] = [math.log1p(len(s.tokens)) for s in doc.sentences]
-    if config.use_centroid_similarity:
-        out[:, buckets + 2] = _centroid_similarity(doc)
+    out[:, buckets + 2] = _centroid_similarity(doc)
     lexicon = [phrase.lower() for phrase in config.cue_lexicon]
     for i, sent in enumerate(doc.sentences):
         text = sent.text.lower()
@@ -471,7 +466,7 @@ def encode_forward(features, params):
     """Run the attention stack over projected features (n, dim).
 
     Adds position encodings, applies every layer, and retains activations for
-    :func:`encode_backward`. Raises :class:`NumericsError` if any layer output
+    :func:`backward_document`. Raises :class:`NumericsError` if any layer output
     is non-finite.
     """
     features = np.asarray(features, dtype=float)
@@ -504,54 +499,6 @@ def heads_forward(enc, params):
     return enc.summary_probs, enc.boundary_probs
 
 
-def encode_backward(enc, params, d_hidden=None, d_summary=None, d_boundary=None):
-    """Exact reverse-mode gradients through heads and attention stack.
-
-    Parameters
-    ----------
-    enc : EncodedDocument
-        Activation record from :func:`encode_forward` (plus
-        :func:`heads_forward` if head gradients are supplied).
-    d_hidden : (n, dim) array or None
-        Upstream gradient on the encoded sentence matrix.
-    d_summary, d_boundary : (n,) arrays or None
-        Upstream gradients on the head output *probabilities*.
-
-    Returns
-    -------
-    (grads, d_features)
-        ``grads`` is a zero-initialized :class:`ModelParams` filled with
-        gradients for every stack and head parameter (the feature projection
-        entry stays zero here; see :func:`backward_document`).
-        ``d_features`` is the gradient on the projected input features.
-    """
-    grads = params.zeros_like()
-    n, d = enc.hidden.shape
-    d_x = np.zeros((n, d)) if d_hidden is None else np.array(d_hidden, dtype=float)
-
-    for which, upstream in (("sum", d_summary), ("seg", d_boundary)):
-        if upstream is None:
-            continue
-        probs = enc.summary_probs if which == "sum" else enc.boundary_probs
-        if probs is None:
-            raise RuntimeError("encode_backward needs heads_forward to run first")
-        weight = params.w_sum if which == "sum" else params.w_seg
-        d_logit = np.asarray(upstream, dtype=float) * probs * (1.0 - probs)
-        if which == "sum":
-            grads.w_sum[...] += enc.hidden.T @ d_logit
-            grads.b_sum[...] += d_logit.sum(keepdims=True)
-        else:
-            grads.w_seg[...] += enc.hidden.T @ d_logit
-            grads.b_seg[...] += d_logit.sum(keepdims=True)
-        d_x += np.outer(d_logit, weight)
-
-    for lp, cache, grad_lp in zip(
-        reversed(params.layers), reversed(enc.layer_caches), reversed(grads.layers)
-    ):
-        d_x = _layer_backward(d_x, cache, lp, params.n_heads, grad_lp)
-    return grads, d_x
-
-
 def forward_document(doc, params, config, raw_features=None):
     """Featurize + encode + score one document; returns the full activation
     record (raw features cached for the projection gradient).
@@ -567,14 +514,45 @@ def forward_document(doc, params, config, raw_features=None):
 
 
 def backward_document(enc, params, d_hidden=None, d_summary=None, d_boundary=None):
-    """Like :func:`encode_backward` but also fills the feature projection
-    gradient (requires ``enc`` from :func:`forward_document`)."""
+    """Exact reverse-mode gradients through the heads, the attention stack
+    and the feature projection.
+
+    Parameters
+    ----------
+    enc : EncodedDocument
+        Activation record from :func:`forward_document`.
+    d_hidden : (n, dim) array or None
+        Upstream gradient on the encoded sentence matrix.
+    d_summary, d_boundary : (n,) arrays or None
+        Upstream gradients on the head output *probabilities*.
+
+    Returns
+    -------
+    ModelParams
+        A zero-initialized gradient container filled for every parameter.
+    """
     if enc.base_features is None:
         raise RuntimeError("backward_document needs an EncodedDocument from forward_document")
-    grads, d_features = encode_backward(
-        enc, params, d_hidden=d_hidden, d_summary=d_summary, d_boundary=d_boundary
-    )
-    grads.w_proj[...] += enc.base_features.T @ d_features
+    grads = params.zeros_like()
+    n, d = enc.hidden.shape
+    d_x = np.zeros((n, d)) if d_hidden is None else np.array(d_hidden, dtype=float)
+
+    for upstream, probs, weight, d_weight, d_bias in (
+        (d_summary, enc.summary_probs, params.w_sum, grads.w_sum, grads.b_sum),
+        (d_boundary, enc.boundary_probs, params.w_seg, grads.w_seg, grads.b_seg),
+    ):
+        if upstream is None:
+            continue
+        d_logit = np.asarray(upstream, dtype=float) * probs * (1.0 - probs)
+        d_weight[...] += enc.hidden.T @ d_logit
+        d_bias[...] += d_logit.sum(keepdims=True)
+        d_x += np.outer(d_logit, weight)
+
+    for lp, cache, grad_lp in zip(
+        reversed(params.layers), reversed(enc.layer_caches), reversed(grads.layers)
+    ):
+        d_x = _layer_backward(d_x, cache, lp, params.n_heads, grad_lp)
+    grads.w_proj[...] += enc.base_features.T @ d_x
     return grads
 
 
@@ -593,8 +571,9 @@ def save_checkpoint(path, params, config):
             "dim": config.dim,
             "hash_buckets": config.hash_buckets,
             "cue_lexicon": list(config.cue_lexicon),
-            "use_position_feature": config.use_position_feature,
-            "use_centroid_similarity": config.use_centroid_similarity,
+            # both features are always on; the keys keep the format unchanged
+            "use_position_feature": True,
+            "use_centroid_similarity": True,
         },
         "n_heads": params.n_heads,
         "n_layers": params.n_layers,
@@ -605,6 +584,14 @@ def save_checkpoint(path, params, config):
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(params.vector.astype("<f8").tobytes())
+
+
+def _header_int(fields, key):
+    value = fields.get(key)
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"checkpoint header {key!r} must be a non-negative integer, "
+                              f"got {value!r}")
+    return value
 
 
 def load_checkpoint(path):
@@ -619,37 +606,48 @@ def load_checkpoint(path):
             header = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
-        fc = header["feature_config"]
-        config = FeatureConfig(
-            dim=fc["dim"],
-            hash_buckets=fc["hash_buckets"],
-            cue_lexicon=tuple(fc["cue_lexicon"]),
-            use_position_feature=fc["use_position_feature"],
-            use_centroid_similarity=fc["use_centroid_similarity"],
-        )
-        shapes = _block_shapes(config.n_features, config.dim, header["n_layers"],
-                               header["ffn_hidden"])
-        for header_block, (name, shape) in zip(header["blocks"], shapes):
-            if header_block["name"] != name or header_block["shape"] != list(shape):
+        fc = header.get("feature_config")
+        if not isinstance(fc, dict):
+            raise CheckpointError("checkpoint header 'feature_config' must be an object")
+        lexicon = fc.get("cue_lexicon")
+        if not isinstance(lexicon, list) or not all(isinstance(p, str) for p in lexicon):
+            raise CheckpointError("checkpoint header 'cue_lexicon' must be a list of strings")
+        for key in ("use_position_feature", "use_centroid_similarity"):
+            if fc.get(key) is not True:
                 raise CheckpointError(
-                    f"checkpoint block {header_block['name']!r} does not match "
+                    f"checkpoint header {key!r} must be true, got {fc.get(key)!r}")
+        try:
+            config = FeatureConfig(dim=_header_int(fc, "dim"),
+                                   hash_buckets=_header_int(fc, "hash_buckets"),
+                                   cue_lexicon=tuple(lexicon))
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint feature config: {exc}") from exc
+        n_heads = _header_int(header, "n_heads")
+        shapes = _block_shapes(config.n_features, config.dim, _header_int(header, "n_layers"),
+                               _header_int(header, "ffn_hidden"))
+        blocks = header.get("blocks")
+        if not isinstance(blocks, list) or len(blocks) != len(shapes):
+            raise CheckpointError(f"checkpoint header must list {len(shapes)} blocks")
+        for header_block, (name, shape) in zip(blocks, shapes):
+            if not isinstance(header_block, dict) or header_block.get("name") != name \
+                    or header_block.get("shape") != list(shape):
+                raise CheckpointError(
+                    f"checkpoint block {header_block!r} does not match "
                     f"model structure (expected {name!r} {shape})"
                 )
-        if config.dim % header["n_heads"] != 0:
-            raise CheckpointError(
-                f"dim {config.dim} not divisible by n_heads {header['n_heads']}")
+        if n_heads == 0 or config.dim % n_heads != 0:
+            raise CheckpointError(f"dim {config.dim} not divisible by n_heads {n_heads}")
         body = fh.read()
     size = 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(body) < size:
         raise CheckpointError(f"truncated checkpoint: {len(body)} of {size} data bytes")
     if len(body) > size:
         raise CheckpointError(f"{len(body) - size} trailing bytes after the last block")
-    params = _params_on(np.frombuffer(body, dtype="<f8").astype(float), shapes,
-                        header["n_heads"])
+    params = _params_on(np.frombuffer(body, dtype="<f8").astype(float), shapes, n_heads)
     for name, arr in params.blocks():
         if not np.isfinite(arr).all():
             raise CheckpointError(f"non-finite value in checkpoint block {name!r}")

@@ -24,9 +24,7 @@ __all__ = [
     "windowdiff",
     "boundary_proximity_histogram",
     "approx_randomization_test",
-    "evaluate_rouge",
     "evaluate_full",
-    "rouge_per_document",
 ]
 
 
@@ -138,107 +136,57 @@ def approx_randomization_test(scores_a, scores_b, iterations=1000, rng_seed=0):
     return (count + 1) / (iterations + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
-    """Aggregated corpus metrics; unevaluated fields stay None."""
+    """Aggregated corpus metrics; ``dataclasses.asdict`` gives its JSON form."""
 
-    rouge1: RougeScore | None = None
-    rouge2: RougeScore | None = None
-    rougeL: RougeScore | None = None
-    seg_precision: float | None = None
-    seg_recall: float | None = None
-    seg_f1: float | None = None
-    windowdiff: float | None = None
-    avg_summary_words: float | None = None
-    n_documents: int = 0
-
-    def to_dict(self):
-        def unpack(score):
-            if score is None:
-                return None
-            return {"precision": score.precision, "recall": score.recall,
-                    "f1": score.f1}
-
-        return {
-            "rouge1": unpack(self.rouge1),
-            "rouge2": unpack(self.rouge2),
-            "rougeL": unpack(self.rougeL),
-            "seg_precision": self.seg_precision,
-            "seg_recall": self.seg_recall,
-            "seg_f1": self.seg_f1,
-            "windowdiff": self.windowdiff,
-            "avg_summary_words": self.avg_summary_words,
-            "n_documents": self.n_documents,
-        }
+    rouge1: RougeScore
+    rouge2: RougeScore
+    rougeL: RougeScore
+    seg_precision: float
+    seg_recall: float
+    seg_f1: float
+    windowdiff: float | None
+    avg_summary_words: float
+    n_documents: int
 
 
-def _paired_docs(predictions, documents):
+def _mean_rouge(scores):
+    return RougeScore(
+        precision=float(np.mean([s.precision for s in scores])),
+        recall=float(np.mean([s.recall for s in scores])),
+        f1=float(np.mean([s.f1 for s in scores])),
+    )
+
+
+def evaluate_full(predictions, documents):
+    """Summary and segmentation metrics in one report.
+
+    Overlap scores and summary length are macro-averaged over the
+    predictions; every predicted document must carry a reference summary.
+    Boundary metrics compare predicted section starts against each
+    document's ``section_starts`` (index 0 excluded). WindowDiff averages
+    over the documents where it is defined (n > k); it is None if no
+    document qualifies.
+    """
+    if not predictions:
+        raise ValueError("no predictions to evaluate")
     by_id = {doc.id: doc for doc in documents}
-    pairs = []
+    r1, r2, rl, words = [], [], [], []
+    precisions, recalls, f1s, wds = [], [], [], []
     for pred in predictions:
         doc = by_id.get(pred.doc_id)
         if doc is None:
             raise CorpusError(f"prediction for unknown document {pred.doc_id!r}")
-        pairs.append((pred, doc))
-    return pairs
-
-
-def rouge_per_document(predictions, documents):
-    """Per-document overlap scores, aligned with ``predictions`` order.
-
-    Every referenced document must carry a reference summary.
-    """
-    rows = []
-    for pred, doc in _paired_docs(predictions, documents):
         if not doc.reference_summary:
             raise CorpusError(f"document {doc.id!r} has no reference summary")
         system = tokenize(render_summary(doc, pred.selected))
         reference = tokenize(doc.reference_summary)
-        rows.append({
-            "id": doc.id,
-            "rouge1": rouge_n(system, reference, 1),
-            "rouge2": rouge_n(system, reference, 2),
-            "rougeL": rouge_l(system, reference),
-            "n_words": len(system),
-        })
-    return rows
+        r1.append(rouge_n(system, reference, 1))
+        r2.append(rouge_n(system, reference, 2))
+        rl.append(rouge_l(system, reference))
+        words.append(len(system))
 
-
-def _mean_rouge(rows, key):
-    return RougeScore(
-        precision=float(np.mean([r[key].precision for r in rows])),
-        recall=float(np.mean([r[key].recall for r in rows])),
-        f1=float(np.mean([r[key].f1 for r in rows])),
-    )
-
-
-def evaluate_rouge(predictions, documents):
-    """Macro-averaged overlap scores over the corpus."""
-    if not predictions:
-        raise ValueError("no predictions to evaluate")
-    rows = rouge_per_document(predictions, documents)
-    return EvalReport(
-        rouge1=_mean_rouge(rows, "rouge1"),
-        rouge2=_mean_rouge(rows, "rouge2"),
-        rougeL=_mean_rouge(rows, "rougeL"),
-        avg_summary_words=float(np.mean([r["n_words"] for r in rows])),
-        n_documents=len(rows),
-    )
-
-
-def evaluate_full(predictions, documents, with_rouge=True):
-    """Summary and segmentation metrics in one report.
-
-    Boundary metrics compare predicted section starts against each document's
-    ``section_starts`` (index 0 excluded). WindowDiff averages over the
-    documents where it is defined (n > k); it is None if no document
-    qualifies.
-    """
-    if not predictions:
-        raise ValueError("no predictions to evaluate")
-    report = evaluate_rouge(predictions, documents) if with_rouge else EvalReport()
-    precisions, recalls, f1s, wds = [], [], [], []
-    for pred, doc in _paired_docs(predictions, documents):
         n = len(doc.sentences)
         hyp = set(pred.boundaries)
         ref = set(doc.section_starts)
@@ -250,9 +198,14 @@ def evaluate_full(predictions, documents, with_rouge=True):
             wds.append(windowdiff(hyp, ref, n))
         except ValueError:
             pass
-    report.seg_precision = float(np.mean(precisions))
-    report.seg_recall = float(np.mean(recalls))
-    report.seg_f1 = float(np.mean(f1s))
-    report.windowdiff = float(np.mean(wds)) if wds else None
-    report.n_documents = len(predictions)
-    return report
+    return EvalReport(
+        rouge1=_mean_rouge(r1),
+        rouge2=_mean_rouge(r2),
+        rougeL=_mean_rouge(rl),
+        seg_precision=float(np.mean(precisions)),
+        seg_recall=float(np.mean(recalls)),
+        seg_f1=float(np.mean(f1s)),
+        windowdiff=float(np.mean(wds)) if wds else None,
+        avg_summary_words=float(np.mean(words)),
+        n_documents=len(predictions),
+    )

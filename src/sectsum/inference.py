@@ -27,7 +27,6 @@ __all__ = [
     "predict_boundaries",
     "render_summary",
     "predict_document",
-    "predict_corpus",
     "write_predictions",
     "read_predictions",
 ]
@@ -103,17 +102,6 @@ def predict_document(doc, params, config, k,
         scores_sum=tuple(float(v) for v in enc.summary_probs),
         scores_seg=tuple(float(v) for v in enc.boundary_probs),
     )
-
-
-def predict_corpus(documents, params, config, k,
-                   threshold=DEFAULT_BOUNDARY_THRESHOLD,
-                   convention=SegLabelConvention.FIRST):
-    """Predictions for every document, in corpus order."""
-    return [
-        predict_document(doc, params, config, k, threshold=threshold,
-                         convention=convention)
-        for doc in documents
-    ]
 
 
 def write_predictions(predictions, documents, path):

@@ -2,8 +2,7 @@
 
 All functions take token lists (see :func:`sectsum.corpus.tokenize`) and
 return precision/recall/F1. Counts are clipped per n-gram type, matching the
-standard recall-oriented overlap definition. No stemming or stopword removal
-happens unless the caller opts in via :func:`prepare_tokens`.
+standard recall-oriented overlap definition.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-__all__ = ["RougeScore", "rouge_n", "rouge_l", "lcs_length", "prepare_tokens"]
+__all__ = ["RougeScore", "rouge_n", "rouge_l", "lcs_length"]
 
 
 @dataclass(frozen=True)
@@ -31,20 +30,6 @@ def _score(overlap, n_system, n_reference):
     precision = overlap / n_system if n_system else 0.0
     recall = overlap / n_reference if n_reference else 0.0
     return RougeScore(precision, recall, _f1(precision, recall))
-
-
-def prepare_tokens(tokens, stopwords=None, stemmer=None):
-    """Optional preprocessing hook: drop stopwords, apply a stemmer callable.
-
-    Both default to off; scoring is fully deterministic either way.
-    """
-    out = list(tokens)
-    if stopwords is not None:
-        drop = frozenset(stopwords)
-        out = [t for t in out if t not in drop]
-    if stemmer is not None:
-        out = [stemmer(t) for t in out]
-    return out
 
 
 def _ngrams(tokens, n):

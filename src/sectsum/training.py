@@ -138,7 +138,7 @@ def _doc_arrays(doc):
 
 
 def total_loss(documents, params, config, feature_config, features=None,
-               with_grads=True, dpp_ridge=DEFAULT_DPP_RIDGE):
+               with_grads=True):
     """Variant-dependent loss over a batch of labeled documents.
 
     Parameters
@@ -152,9 +152,8 @@ def total_loss(documents, params, config, feature_config, features=None,
         Optional cache mapping document id to its raw feature matrix.
     with_grads : bool
         Skip the backward pass when False (evaluation only); the repulsion
-        term then needs log-determinants only.
-    dpp_ridge : float
-        Ridge for the repulsion term's subset minor.
+        term then needs log-determinants only. Its subset minor gets the
+        ridge ``DEFAULT_DPP_RIDGE``.
 
     Returns
     -------
@@ -195,12 +194,13 @@ def total_loss(documents, params, config, feature_config, features=None,
                 skipped += 1
             else:
                 if with_grads:
-                    rep = dpp_loss_and_grad(enc.hidden, p_sum, subset, ridge=dpp_ridge)
+                    rep = dpp_loss_and_grad(enc.hidden, p_sum, subset,
+                                            ridge=DEFAULT_DPP_RIDGE)
                     dpp_value = rep.value
                     d_hidden = config.beta * rep.d_hidden
                     d_sum = d_sum + config.beta * rep.d_quality
                 else:
-                    kernel = build_kernel(enc.hidden, p_sum, ridge=dpp_ridge)
+                    kernel = build_kernel(enc.hidden, p_sum, ridge=DEFAULT_DPP_RIDGE)
                     dpp_value = -float(dpp_log_prob(kernel, subset))
                 parts["dpp"] += dpp_value
                 doc_value += config.beta * dpp_value
@@ -248,9 +248,9 @@ class FitResult:
 
 
 def _validation_metrics(val_docs, params, config, feature_config, features,
-                        eval_top_k, boundary_threshold, dpp_ridge):
+                        eval_top_k):
     loss = total_loss(val_docs, params, config, feature_config,
-                      features=features, with_grads=False, dpp_ridge=dpp_ridge)
+                      features=features, with_grads=False)
     rouge_scores = []
     seg_scores = []
     for doc, (summary_probs, boundary_probs) in zip(val_docs, loss.head_probs):
@@ -260,7 +260,8 @@ def _validation_metrics(val_docs, params, config, feature_config, features,
             rouge_scores.append(
                 rouge_n(tokenize(summary), tokenize(doc.reference_summary), 1).f1
             )
-        hyp = {int(i) for i in np.flatnonzero(boundary_probs >= boundary_threshold)}
+        hits = np.flatnonzero(boundary_probs >= inference.DEFAULT_BOUNDARY_THRESHOLD)
+        hyp = {int(i) for i in hits}
         ref = {i for i, v in enumerate(doc.labels.boundary_labels) if v == 1}
         seg_scores.append(evaluation.seg_f1(hyp, ref).f1)
     return {
@@ -271,8 +272,7 @@ def _validation_metrics(val_docs, params, config, feature_config, features,
 
 
 def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
-        n_layers=2, n_heads=4, ffn_hidden=None, eval_top_k=3,
-        boundary_threshold=0.5, dpp_ridge=DEFAULT_DPP_RIDGE):
+        n_layers=2, n_heads=4, ffn_hidden=None, eval_top_k=3):
     """Train a model with Adam and linear warmup.
 
     Parameters
@@ -290,8 +290,9 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
         initialized from the config seed.
     n_layers, n_heads, ffn_hidden
         Architecture knobs used only when ``params`` is None.
-    eval_top_k, boundary_threshold
-        Settings for the per-epoch validation metrics.
+    eval_top_k
+        Summary size for the per-epoch validation ROUGE-1; validation
+        boundaries use ``inference.DEFAULT_BOUNDARY_THRESHOLD``.
 
     Returns
     -------
@@ -334,7 +335,7 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
         for start in range(0, n, config.batch_size):
             batch = [train_docs[i] for i in order[start:start + config.batch_size]]
             result = total_loss(batch, params, config, feature_config,
-                                features=features, dpp_ridge=dpp_ridge)
+                                features=features)
             epoch_losses.append(result.value)
             pending += result.grads.vector
             pending_count += 1
@@ -357,8 +358,7 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
                   "val_loss": None, "val_rouge1_f": None, "val_seg_f1": None}
         if val_docs:
             record.update(_validation_metrics(
-                val_docs, params, config, feature_config, features,
-                eval_top_k, boundary_threshold, dpp_ridge))
+                val_docs, params, config, feature_config, features, eval_top_k))
         history.append(record)
         key = record["val_loss"] if val_docs else record["train_loss"]
         if key < best_key:
@@ -406,7 +406,7 @@ class GradCheckReport:
         return lines
 
 
-def _term_grad_norms(doc, params, config, feature_config, dpp_ridge):
+def _term_grad_norms(doc, params, config, feature_config):
     """Norm of each loss term's parameter gradient (0.0 for inactive terms).
 
     The gradients of the cumulative objectives base, joint and full come from
@@ -417,7 +417,7 @@ def _term_grad_norms(doc, params, config, feature_config, dpp_ridge):
     active = variants[:variants.index(config.variant) + 1]
     grads = [
         total_loss([doc], params, replace(config, variant=variant),
-                   feature_config, dpp_ridge=dpp_ridge).grads.vector
+                   feature_config).grads.vector
         for variant in active
     ]
     norms = {"sum": float(np.linalg.norm(grads[0])), "seg": 0.0, "dpp": 0.0}
@@ -427,7 +427,7 @@ def _term_grad_norms(doc, params, config, feature_config, dpp_ridge):
 
 
 def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
-               analytic=None, dpp_ridge=DEFAULT_DPP_RIDGE):
+               analytic=None):
     """Certify analytic gradients against central finite differences.
 
     Every parameter entry is perturbed by ``step`` in both directions. The
@@ -438,15 +438,14 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
     default they are computed from :func:`total_loss` on the document.
     """
     if analytic is None:
-        analytic = total_loss([doc], params, config, feature_config,
-                              dpp_ridge=dpp_ridge).grads
+        analytic = total_loss([doc], params, config, feature_config).grads
     probe = params.copy()
     theta = probe.vector
     features = {doc.id: base_features(doc, feature_config)}
 
     def loss_at():
         return total_loss([doc], probe, config, feature_config, features=features,
-                          with_grads=False, dpp_ridge=dpp_ridge).value
+                          with_grads=False).value
 
     block_errors = {}
     offset = 0
@@ -468,8 +467,7 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
 
     return GradCheckReport(
         block_errors=block_errors,
-        term_grad_norms=_term_grad_norms(doc, params, config, feature_config,
-                                         dpp_ridge),
+        term_grad_norms=_term_grad_norms(doc, params, config, feature_config),
         max_error=max(block_errors.values()),
         tolerance=tolerance,
         step=step,

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from sectsum import parse_corpus, read_predictions
+from sectsum import (
+    FeatureConfig, init_params, parse_corpus, read_predictions, save_checkpoint,
+)
 from sectsum.cli import run
 
 
@@ -173,6 +175,21 @@ def test_predict_threads_match_sequential(tmp_path, labeled_corpus):
                     "--threads", threads]) == 0
     assert (p_seq / "predictions.jsonl").read_bytes() == \
         (p_par / "predictions.jsonl").read_bytes()
+
+
+def test_predict_rejects_mistyped_checkpoint_header(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _synth(corpus, docs=2)
+    checkpoint = tmp_path / "model.ckpt"
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2), config)
+    head, body = checkpoint.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["n_layers"] = "1"
+    checkpoint.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    assert run(["predict", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "p")]) == 2
+    assert "n_layers" in capsys.readouterr().err
 
 
 def test_analyze_histogram_from_labels(tmp_path, labeled_corpus):

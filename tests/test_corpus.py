@@ -10,6 +10,7 @@ from sectsum import (
     LabelSet,
     Sentence,
     SynthConfig,
+    boundary_proximity_histogram,
     generate_synthetic,
     parse_corpus,
     relabel_boundaries,
@@ -71,14 +72,6 @@ def test_document_validate_rejects_bad_labels():
         bad.validate()
 
 
-def test_section_of_returns_inclusive_span():
-    doc = make_doc(texts=["a"] * 6, section_starts=(0, 3))
-    assert [doc.section_of(i) for i in range(3)] == [(0, 2)] * 3
-    assert [doc.section_of(i) for i in range(3, 6)] == [(3, 5)] * 3
-    with pytest.raises(IndexError):
-        doc.section_of(6)
-
-
 def test_corpus_round_trip(tmp_path, tiny_corpus):
     path = tmp_path / "corpus.jsonl"
     write_corpus(tiny_corpus, path)
@@ -104,6 +97,33 @@ def test_parse_corpus_rejects_missing_fields(tmp_path):
     path.write_text(json.dumps({"id": "a"}) + "\n")
     with pytest.raises(CorpusError, match="line 1"):
         parse_corpus(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("section_starts", [0, True]),
+    ("section_starts", [False, 1]),
+    ("sum", [True, 0]),
+    ("seg", [1, False]),
+    ("order", [False]),
+])
+def test_parse_corpus_rejects_booleans(tmp_path, field, value):
+    # JSON true/false compare equal to 1/0 in Python; the schema wants integers
+    record = {"id": "a", "sentences": ["x y", "z w"], "section_starts": [0, 1],
+              "labels": {"sum": [1, 0], "seg": [1, 1], "order": [0]}}
+    path = tmp_path / "good.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    assert len(parse_corpus(path)[0]) == 1
+    if field == "section_starts":
+        record[field] = value
+    else:
+        record["labels"][field] = value
+    path = tmp_path / "bool.jsonl"
+    path.write_text(json.dumps({"id": "ok", "sentences": ["x"], "section_starts": [0]})
+                    + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(CorpusError, match=f"line 2: .*{field}"):
+        parse_corpus(path)
+    docs, skipped = parse_corpus(path, strict=False)
+    assert [d.id for d in docs] == ["ok"] and skipped == 1
 
 
 def test_split_corpus_sizes_and_disjointness(tiny_corpus):
@@ -161,12 +181,13 @@ def test_generate_synthetic_cue_phrases():
 
 def test_generate_synthetic_bias_one_puts_salients_on_boundaries():
     # a boundary slot is the first or the last sentence of its section
+    # (offset +1 is a section's first sentence, -1 its last)
     config = SynthConfig(n_documents=30, salience_boundary_bias=1.0, rng_seed=7)
     for doc in generate_synthetic(config):
-        for i, v in enumerate(doc.labels.summary_labels):
-            if v:
-                start, end = doc.section_of(i)
-                assert i in (start, end)
+        salient = [i for i, v in enumerate(doc.labels.summary_labels) if v]
+        hist = boundary_proximity_histogram(salient, doc.section_starts, len(doc))
+        assert set(hist) <= {-1, 1}
+        assert sum(hist.values()) == len(salient)
 
 
 def test_generate_synthetic_bias_zero_rarely_hits_section_starts():

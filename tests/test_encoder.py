@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import pickle
 
@@ -11,8 +12,8 @@ from sectsum import (
     ModelParams,
     NumericsError,
     N_SCALAR_FEATURES,
+    backward_document,
     base_features,
-    encode_backward,
     encode_forward,
     forward_document,
     heads_forward,
@@ -110,30 +111,31 @@ def test_heads_forward_formula(small_model, tiny_corpus):
 
 
 def test_backward_matches_finite_differences_on_features(small_model, tiny_corpus):
-    """Feature-level gradient of sum(summary probs) checked by central
-    differences; exercises the attention stack backward pass directly."""
+    """Gradient of sum(summary probs) with respect to the feature projection
+    w_proj, checked by central differences; every entry of it flows back
+    through the heads and the whole attention stack."""
     config, params = small_model
     doc = tiny_corpus[2]
-    x0 = base_features(doc, config) @ params.w_proj
+    probe = params.copy()
 
-    def objective(x):
-        enc = encode_forward(x, params)
-        p_sum, _ = heads_forward(enc, params)
-        return float(np.sum(p_sum))
+    def objective():
+        return float(np.sum(forward_document(doc, probe, config).summary_probs))
 
-    enc = encode_forward(x0, params)
-    heads_forward(enc, params)
-    _, d_features = encode_backward(enc, params, d_summary=np.ones(len(doc)))
+    enc = forward_document(doc, params, config)
+    grads = backward_document(enc, params, d_summary=np.ones(len(doc)))
 
     rng = np.random.default_rng(0)
     step = 1e-6
     for _ in range(12):
-        i = int(rng.integers(x0.shape[0]))
-        j = int(rng.integers(x0.shape[1]))
-        bump = np.zeros_like(x0)
-        bump[i, j] = step
-        fd = (objective(x0 + bump) - objective(x0 - bump)) / (2 * step)
-        assert fd == pytest.approx(d_features[i, j], rel=1e-4, abs=1e-8)
+        i = int(rng.integers(params.w_proj.shape[0]))
+        j = int(rng.integers(params.w_proj.shape[1]))
+        probe.w_proj[i, j] = params.w_proj[i, j] + step
+        up = objective()
+        probe.w_proj[i, j] = params.w_proj[i, j] - step
+        down = objective()
+        probe.w_proj[i, j] = params.w_proj[i, j]
+        fd = (up - down) / (2 * step)
+        assert fd == pytest.approx(grads.w_proj[i, j], rel=1e-4, abs=1e-8)
 
 
 def test_encode_forward_rejects_non_finite(small_model, tiny_corpus):
@@ -208,3 +210,33 @@ def test_checkpoint_rejects_corruption(tmp_path, small_model):
     save_checkpoint(tmp_path / "nan.ckpt", poisoned, config)
     with pytest.raises(CheckpointError, match="non-finite"):
         load_checkpoint(tmp_path / "nan.ckpt")
+
+    head, body = raw.split(b"\n", 1)
+    header = json.loads(head)
+    # the header's two feature flags (position, centroid) must stay true
+    flags = [key for key, value in header["feature_config"].items() if value is True]
+    assert len(flags) == 2
+    cases = [(f"feature_config.{key}", value, key) for key in flags for value in (False, None)]
+    for key, value, match in cases + [
+        ("n_layers", "1", "n_layers"),
+        ("n_heads", 0, "n_heads"),
+        ("ffn_hidden", 16.0, "ffn_hidden"),
+        ("feature_config.dim", True, "dim"),
+        ("feature_config.hash_buckets", None, "hash_buckets"),
+        ("feature_config.dim", 5, "even"),
+        ("feature_config.cue_lexicon", ["ok", 3], "cue_lexicon"),
+        ("feature_config", [], "feature_config"),
+        ("blocks", header["blocks"][:-1], "blocks"),
+        ("blocks", header["blocks"] + [{"name": "extra", "shape": [1]}], "blocks"),
+        ("blocks", [*header["blocks"][:-1], "head.seg.bias"], "does not match"),
+    ]:
+        tampered = json.loads(head)
+        owner, _, field = key.rpartition(".")
+        (tampered[owner] if owner else tampered)[field] = value
+        path = tmp_path / "header.ckpt"
+        path.write_bytes(json.dumps(tampered, sort_keys=True).encode() + b"\n" + body)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+    (tmp_path / "list.ckpt").write_bytes(b"[]\n" + body)
+    with pytest.raises(CheckpointError, match="not a"):
+        load_checkpoint(tmp_path / "list.ckpt")

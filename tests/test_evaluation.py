@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,6 @@ from sectsum import (
     approx_randomization_test,
     boundary_proximity_histogram,
     evaluate_full,
-    evaluate_rouge,
-    rouge_per_document,
     seg_f1,
     windowdiff,
 )
@@ -124,23 +124,24 @@ def _prediction_for(doc, selected, boundaries=(0,)):
                       scores_seg=tuple(0.5 for _ in doc.sentences))
 
 
-def test_rouge_per_document_and_macro_average():
+def test_evaluate_full_macro_averages_rouge():
     doc_a = make_doc(doc_id="a", texts=["x y", "q r"], section_starts=(0,),
                      reference="x y")
     doc_b = make_doc(doc_id="b", texts=["u v", "u w"], section_starts=(0,),
                      reference="u v")
+    docs = [doc_a, doc_b]
     preds = [_prediction_for(doc_a, (0,)), _prediction_for(doc_b, (1,))]
-    rows = rouge_per_document(preds, [doc_a, doc_b])
-    assert rows[0]["rouge1"].f1 == 1.0
-    assert rows[1]["rouge1"].f1 == pytest.approx(0.5)
-    report = evaluate_rouge(preds, [doc_a, doc_b])
+    assert evaluate_full(preds[:1], docs).rouge1.f1 == 1.0
+    assert evaluate_full(preds[1:], docs).rouge1.f1 == pytest.approx(0.5)
+    report = evaluate_full(preds, docs)
     assert report.rouge1.f1 == pytest.approx(0.75)
+    assert report.avg_summary_words == 2.0
 
 
-def test_rouge_per_document_needs_reference():
+def test_evaluate_full_needs_reference():
     doc = make_doc(reference=None)
     with pytest.raises(Exception, match="reference"):
-        rouge_per_document([_prediction_for(doc, (0,))], [doc])
+        evaluate_full([_prediction_for(doc, (0,))], [doc])
 
 
 def test_evaluate_full_report(tiny_corpus):
@@ -158,14 +159,6 @@ def test_evaluate_full_report(tiny_corpus):
     assert report.seg_f1 == pytest.approx(1.0)
     assert report.windowdiff == pytest.approx(0.0)
     assert report.n_documents == len(docs)
-    payload = report.to_dict()
-    assert payload["rouge1"]["f1"] == pytest.approx(1.0)
+    payload = dataclasses.asdict(report)
+    assert payload["rouge1"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
     assert payload["seg_f1"] == pytest.approx(1.0)
-
-
-def test_evaluate_full_without_rouge(tiny_corpus):
-    docs = list(tiny_corpus)[:3]
-    preds = [_prediction_for(d, (0,), boundaries=(0,)) for d in docs]
-    report = evaluate_full(preds, docs, with_rouge=False)
-    assert report.rouge1 is None
-    assert report.n_documents == 3

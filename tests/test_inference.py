@@ -5,7 +5,6 @@ from sectsum import (
     CorpusError,
     SegLabelConvention,
     predict_boundaries,
-    predict_corpus,
     predict_document,
     read_predictions,
     render_summary,
@@ -71,15 +70,9 @@ def test_predict_document_fields(small_model, tiny_corpus):
     assert pred.selected == top
 
 
-def test_predict_corpus_order(small_model, tiny_corpus):
-    config, params = small_model
-    preds = predict_corpus(tiny_corpus, params, config, k=2)
-    assert [p.doc_id for p in preds] == [d.id for d in tiny_corpus]
-
-
 def test_predictions_round_trip(tmp_path, small_model, tiny_corpus):
     config, params = small_model
-    preds = predict_corpus(tiny_corpus, params, config, k=2)
+    preds = [predict_document(doc, params, config, k=2) for doc in tiny_corpus]
     path = tmp_path / "predictions.jsonl"
     write_predictions(preds, tiny_corpus, path)
     loaded = read_predictions(path)

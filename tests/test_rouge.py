@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sectsum import lcs_length, prepare_tokens, rouge_l, rouge_n
+from sectsum import lcs_length, rouge_l, rouge_n
 
 
 def test_rouge1_fixture():
@@ -92,11 +92,3 @@ def test_lcs_symmetry_and_bounds():
         l = lcs_length(a, b)
         assert l == lcs_length(b, a)
         assert 0 <= l <= min(len(a), len(b))
-
-
-def test_prepare_tokens_hooks():
-    tokens = ["the", "cats", "sat"]
-    assert prepare_tokens(tokens) == list(tokens)
-    assert prepare_tokens(tokens, stopwords={"the"}) == ["cats", "sat"]
-    stemmed = prepare_tokens(tokens, stemmer=lambda t: t.rstrip("s"))
-    assert stemmed == ["the", "cat", "sat"]
