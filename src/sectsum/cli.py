@@ -10,8 +10,10 @@ schema-invalid inputs), 3 numeric failure (non-finite losses, singular
 factorizations).
 
 All randomness flows from ``--seed``; when omitted the documented default
-seed 0 is used. ``--threads 1`` (the default) guarantees bitwise-identical
-outputs across runs.
+seed 0 is used. Outputs are bitwise identical across runs at a fixed BLAS
+thread count (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``): the reductions
+inside matrix products, and so ``train`` checkpoints, depend on it.
+``--threads`` of ``label`` and ``predict`` does not change their output.
 """
 
 from __future__ import annotations

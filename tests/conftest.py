@@ -1,6 +1,9 @@
 import pytest
 
-from sectsum import Document, FeatureConfig, SynthConfig, generate_synthetic, init_params
+from sectsum import (
+    Document, FeatureConfig, SynthConfig, candidate_score, generate_synthetic,
+    init_params, tokenize,
+)
 
 # Lines appended by the acceptance tests; replayed after the run so they
 # stay visible even though pytest captures per-test stdout.
@@ -19,6 +22,27 @@ def make_doc(doc_id="doc0", texts=("alpha beta", "gamma delta", "alpha beta gamm
     """Small handcrafted document used across the suite."""
     return Document.build(doc_id, list(texts), section_starts=section_starts,
                           reference_summary=reference)
+
+
+def rescoring_greedy_labels(doc, max_sentences=None):
+    """The greedy oracle by definition: every step rescores every candidate
+    selection from scratch with ``candidate_score`` (cubic in the document
+    length). ``greedy_summary_labels`` must return exactly this."""
+    reference_tokens = tokenize(doc.reference_summary)
+    n = len(doc.sentences)
+    limit = n if max_sentences is None else min(max_sentences, n)
+    selected, best_score = [], 0.0
+    while len(selected) < limit:
+        best_idx = None
+        for i in range(n):
+            if i not in selected:
+                score = candidate_score(selected + [i], doc, reference_tokens)
+                if score > best_score:
+                    best_score, best_idx = score, i
+        if best_idx is None:
+            break
+        selected.append(best_idx)
+    return tuple(int(i in selected) for i in range(n)), tuple(selected)
 
 
 @pytest.fixture(scope="session")

@@ -225,3 +225,36 @@ def test_exit_codes(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "COMMAND" in capsys.readouterr().out
+
+
+def test_label_degenerate_documents(tmp_path):
+    long_texts = [f"w{i % 37} w{i * 7 % 53} topic{i // 10}" for i in range(420)]
+    records = [
+        {"id": "single", "sentences": ["Only one sentence here."],
+         "section_starts": [0], "reference_summary": "one sentence"},
+        {"id": "duplicates", "sentences": ["same words again"] * 6,
+         "section_starts": [0, 3], "reference_summary": "same words again"},
+        {"id": "punctuation", "sentences": ["...", "alpha beta.", "!!", "?", "beta"],
+         "section_starts": [0, 2], "reference_summary": "alpha beta beta"},
+        {"id": "long", "sentences": long_texts,
+         "section_starts": list(range(0, 420, 10)),
+         "reference_summary": "w1 w7 topic0 w30 w14 topic30 w5 w35 topic41"},
+    ]
+    path, out = tmp_path / "raw.jsonl", tmp_path / "labeled.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(["label", "--corpus", str(path), "--out", str(out)]) == 0
+    docs, skipped = parse_corpus(out)
+    assert skipped == 0 and [d.id for d in docs] == [r["id"] for r in records]
+    for doc in docs:
+        n = len(doc.sentences)
+        labels = doc.labels
+        assert len(labels.summary_labels) == n == len(labels.boundary_labels)
+        assert sorted(labels.selection_order) == \
+            [i for i, v in enumerate(labels.summary_labels) if v == 1]
+        assert len(set(labels.selection_order)) == len(labels.selection_order)
+    single, duplicates, punctuation, long_doc = (d.labels for d in docs)
+    assert single.selection_order == (0,)
+    assert duplicates.selection_order == (0,)
+    # the bigram "beta beta" spans the punctuation-only sentences 2 and 3
+    assert punctuation.selection_order == (1, 4)
+    assert len(long_doc.selection_order) >= 3

@@ -13,7 +13,7 @@ from sectsum import (
     rouge_n,
 )
 
-from conftest import make_doc
+from conftest import make_doc, rescoring_greedy_labels
 
 
 def test_worked_three_sentence_fixture():
@@ -128,3 +128,16 @@ def test_oracle_labels_consistent_on_synthetic(tiny_corpus):
         assert sum(labels) == len(order)
         for pick in order:
             assert labels[pick] == 1
+
+
+def test_incremental_oracle_matches_full_rescoring_on_long_documents():
+    """Bit for bit against the rescoring definition on ~200-sentence
+    documents, where junction bigrams between selected sentences matter."""
+    docs = generate_synthetic(SynthConfig(
+        n_documents=3, sections_per_document=(20, 20),
+        sentences_per_section=(10, 10), rng_seed=13))
+    for doc in docs:
+        assert len(doc.sentences) >= 200
+        for cap in (None, 5):
+            assert greedy_summary_labels(doc, max_sentences=cap) == \
+                rescoring_greedy_labels(doc, max_sentences=cap)

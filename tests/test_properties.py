@@ -1,10 +1,15 @@
-"""Property tests of the metric and selection invariants."""
+"""Property tests of the metric, selection and oracle invariants."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectsum import rouge_l, rouge_n, seg_f1, select_top_k, windowdiff
+from sectsum import (
+    Document, candidate_score, greedy_summary_labels, rouge_l, rouge_n, seg_f1,
+    select_top_k, tokenize, windowdiff,
+)
+
+from conftest import rescoring_greedy_labels
 
 # derandomize: the same examples on every run, and no example database on disk
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
@@ -59,3 +64,38 @@ def test_windowdiff_bounds_and_identity(case, other_bits):
     hyp = {i for i in range(1, n) if other_bits >> i & 1}
     assert 0.0 <= windowdiff(hyp, ref, n) <= 1.0
     assert windowdiff(ref, set(ref), n) == 0.0
+
+
+# sentences of a small vocabulary, with punctuation-only (no tokens),
+# single-token and repeated-token sentences
+sentence_texts = st.one_of(
+    st.sampled_from(["...", "!", "-- ?"]),
+    st.sampled_from(["a", "b", "a."]),
+    st.lists(st.sampled_from(["a", "b", "c", "d", "a,"]), min_size=1,
+             max_size=6).map(" ".join),
+)
+oracle_docs = st.builds(
+    lambda texts, ref: Document.build("d", texts, section_starts=[0],
+                                      reference_summary=ref),
+    st.lists(sentence_texts, min_size=1, max_size=10),
+    st.lists(st.sampled_from(["a", "b", "c", "e"]), min_size=1,
+             max_size=12).map(" ".join))
+
+
+@settings(FAST, max_examples=300)
+@given(oracle_docs, st.one_of(st.none(), st.integers(1, 4)))
+def test_greedy_oracle_properties(doc, max_sentences):
+    labels, order = greedy_summary_labels(doc, max_sentences=max_sentences)
+    assert (labels, order) == rescoring_greedy_labels(doc, max_sentences)
+    reference_tokens = tokenize(doc.reference_summary)
+    prev = 0.0
+    for k in range(1, len(order) + 1):
+        score = candidate_score(order[:k], doc, reference_tokens)
+        assert score > prev
+        prev = score
+    singles = [candidate_score([i], doc, reference_tokens)
+               for i in range(len(doc.sentences))]
+    if max(singles) > 0.0:
+        assert order[0] == singles.index(max(singles))
+    else:
+        assert order == ()
