@@ -26,6 +26,7 @@ from .dpp import (
     DppKernel,
     DppLoss,
     SingularMinorError,
+    ZeroNormError,
     build_kernel,
     brute_force_subset_sum,
     dpp_log_prob,

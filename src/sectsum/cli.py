@@ -38,7 +38,7 @@ from .corpus import (
     tokenize,
     write_corpus,
 )
-from .dpp import SingularMinorError
+from .dpp import SingularMinorError, ZeroNormError
 from .encoder import (
     CheckpointError,
     FeatureConfig,
@@ -51,7 +51,6 @@ from .evaluation import boundary_proximity_histogram, evaluate_full
 from .inference import (
     predict_document,
     read_predictions,
-    render_summary,
     select_top_k,
     write_predictions,
 )
@@ -348,27 +347,26 @@ def _cmd_predict(args):
 
 
 def _score_vs_k_rows(predictions, documents, k_max):
+    """Mean top-k ROUGE F1 and length for k = 1..k_max, one visit per document."""
     by_id = {doc.id: doc for doc in documents}
-    rows = []
-    for k in range(1, k_max + 1):
-        r1, r2, rl, words = [], [], [], []
-        for pred in predictions:
-            doc = by_id[pred.doc_id]
-            selected = select_top_k(np.asarray(pred.scores_sum), k)
-            system = tokenize(render_summary(doc, selected))
-            reference = tokenize(doc.reference_summary)
+    columns = {k: ([], [], [], []) for k in range(1, k_max + 1)}
+    for pred in predictions:
+        doc = by_id[pred.doc_id]
+        scores = np.asarray(pred.scores_sum)
+        reference = tokenize(doc.reference_summary)
+        for k, (r1, r2, rl, words) in columns.items():
+            system = doc.summary_tokens(select_top_k(scores, k))
             r1.append(rouge_n(system, reference, 1).f1)
             r2.append(rouge_n(system, reference, 2).f1)
             rl.append(rouge_l(system, reference).f1)
             words.append(len(system))
-        rows.append({
-            "k": k,
-            "rouge1_f": float(np.mean(r1)),
-            "rouge2_f": float(np.mean(r2)),
-            "rougeL_f": float(np.mean(rl)),
-            "avg_words": float(np.mean(words)),
-        })
-    return rows
+    return [{
+        "k": k,
+        "rouge1_f": float(np.mean(r1)),
+        "rouge2_f": float(np.mean(r2)),
+        "rougeL_f": float(np.mean(rl)),
+        "avg_words": float(np.mean(words)),
+    } for k, (r1, r2, rl, words) in columns.items()]
 
 
 def _selection_histogram(selections, documents):
@@ -489,7 +487,7 @@ def run(argv=None):
     except (CorpusError, CheckpointError, OSError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingError, NumericsError, SingularMinorError,
+    except (TrainingError, NumericsError, SingularMinorError, ZeroNormError,
             FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -106,6 +106,10 @@ class Document:
     def __len__(self):
         return len(self.sentences)
 
+    def summary_tokens(self, selected):
+        """``tokenize`` of the selected sentences' text in document order."""
+        return [tok for i in sorted(selected) for tok in self.sentences[i].tokens]
+
     @classmethod
     def build(cls, doc_id, sentence_texts, section_starts=(0,),
               reference_summary=None, labels=None):

@@ -23,6 +23,7 @@ __all__ = [
     "DppKernel",
     "DppLoss",
     "SingularMinorError",
+    "ZeroNormError",
     "build_kernel",
     "dpp_log_prob",
     "dpp_loss_and_grad",
@@ -36,6 +37,10 @@ _BRUTE_FORCE_LIMIT = 16
 class SingularMinorError(Exception):
     """Raised when a subset minor cannot be factorized (even after ridge
     escalation when a positive ridge was requested)."""
+
+
+class ZeroNormError(ValueError):
+    """Raised when an encoded sentence has zero norm (cosine undefined)."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ def build_kernel(hidden, quality, ridge=0.0):
         raise ValueError("hidden must be (n, d) and quality (n,)")
     norms = np.linalg.norm(hidden, axis=1)
     if np.any(norms == 0):
-        raise ValueError("zero-norm sentence representation; cosine undefined")
+        raise ZeroNormError("zero-norm sentence representation; cosine undefined")
     if np.any(quality <= 0):
         raise ValueError("quality scores must be positive")
     unit = hidden / norms[:, None]

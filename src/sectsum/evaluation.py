@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusError, tokenize
-from .inference import render_summary
-from .rouge import RougeScore, rouge_l, rouge_n
+from .rouge import RougeScore, _f1, rouge_l, rouge_n
 
 __all__ = [
     "F1Score",
@@ -33,12 +32,6 @@ class F1Score:
     precision: float
     recall: float
     f1: float
-
-
-def _harmonic(precision, recall):
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
 
 
 def seg_f1(predicted, reference, n=None):
@@ -59,7 +52,7 @@ def seg_f1(predicted, reference, n=None):
     tp = len(pred & ref)
     precision = tp / len(pred) if pred else 0.0
     recall = tp / len(ref) if ref else 0.0
-    return F1Score(precision, recall, _harmonic(precision, recall))
+    return F1Score(precision, recall, _f1(precision, recall))
 
 
 def windowdiff(predicted, reference, n):
@@ -180,7 +173,7 @@ def evaluate_full(predictions, documents):
             raise CorpusError(f"prediction for unknown document {pred.doc_id!r}")
         if not doc.reference_summary:
             raise CorpusError(f"document {doc.id!r} has no reference summary")
-        system = tokenize(render_summary(doc, pred.selected))
+        system = doc.summary_tokens(pred.selected)
         reference = tokenize(doc.reference_summary)
         r1.append(rouge_n(system, reference, 1))
         r2.append(rouge_n(system, reference, 2))

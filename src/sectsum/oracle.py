@@ -41,9 +41,7 @@ def candidate_score(selected_indices, doc, reference_tokens):
     Candidate sentences are concatenated in document order regardless of the
     order they were picked in.
     """
-    tokens = []
-    for i in sorted(selected_indices):
-        tokens.extend(doc.sentences[i].tokens)
+    tokens = doc.summary_tokens(selected_indices)
     r1 = rouge_n(tokens, reference_tokens, 1).f1
     r2 = rouge_n(tokens, reference_tokens, 2).f1
     return 0.5 * (r1 + r2)

@@ -1,8 +1,11 @@
 """N-gram overlap (ROUGE-1/2) and longest-common-subsequence (ROUGE-L) scores.
 
-All functions take token lists (see :func:`sectsum.corpus.tokenize`) and
+All functions take token sequences (see :func:`sectsum.corpus.tokenize`) and
 return precision/recall/F1. Counts are clipped per n-gram type, matching the
-standard recall-oriented overlap definition.
+standard recall-oriented overlap definition. ROUGE-L uses the exact
+bit-parallel LCS of Allison & Dix (1986) and Hyyrö (2004), one integer
+bitmask over the reference updated once per system token: O(|sys| *
+ceil(|ref| / 64)) word operations instead of a |sys| x |ref| table.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def _score(overlap, n_system, n_reference):
 
 
 def _ngrams(tokens, n):
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def rouge_n(system_tokens, reference_tokens, n):
@@ -63,21 +66,20 @@ def rouge_n(system_tokens, reference_tokens, n):
 def lcs_length(a, b):
     """Length of the longest common subsequence of two token sequences.
 
-    Iterative two-row dynamic program, O(len(a) * len(b)) time, O(len(b))
-    memory.
+    Bit-parallel and exact (Allison & Dix 1986; Hyyrö 2004): ``v`` is one row
+    of the LCS table over ``b``, bit j clear where the row steps up at j, and
+    each token ``x`` of ``a`` updates it with ``u = v & mask[x]``,
+    ``v = (v + u) | (v - u)``. O(len(a) * ceil(len(b) / 64)) word operations.
     """
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    masks = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(system_tokens, reference_tokens):
@@ -86,5 +88,5 @@ def rouge_l(system_tokens, reference_tokens):
     Precision = LCS / system length, recall = LCS / reference length, F1 the
     harmonic mean. Zero when either side is empty.
     """
-    lcs = lcs_length(list(system_tokens), list(reference_tokens))
+    lcs = lcs_length(system_tokens, reference_tokens)
     return _score(lcs, len(system_tokens), len(reference_tokens))

@@ -256,10 +256,8 @@ def _validation_metrics(val_docs, params, config, feature_config, features,
     for doc, (summary_probs, boundary_probs) in zip(val_docs, loss.head_probs):
         if doc.reference_summary:
             picked = inference.select_top_k(summary_probs, eval_top_k)
-            summary = " ".join(doc.sentences[i].text for i in picked)
-            rouge_scores.append(
-                rouge_n(tokenize(summary), tokenize(doc.reference_summary), 1).f1
-            )
+            rouge_scores.append(rouge_n(doc.summary_tokens(picked),
+                                        tokenize(doc.reference_summary), 1).f1)
         hits = np.flatnonzero(boundary_probs >= inference.DEFAULT_BOUNDARY_THRESHOLD)
         hyp = {int(i) for i in hits}
         ref = {i for i, v in enumerate(doc.labels.boundary_labels) if v == 1}

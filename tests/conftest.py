@@ -24,6 +24,23 @@ def make_doc(doc_id="doc0", texts=("alpha beta", "gamma delta", "alpha beta gamm
                           reference_summary=reference)
 
 
+def dp_lcs_length(a, b):
+    """Longest common subsequence by the two-row dynamic program, O(len(a) *
+    len(b)) time: the reference for the bit-parallel ``lcs_length``."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
 def rescoring_greedy_labels(doc, max_sentences=None):
     """The greedy oracle by definition: every step rescores every candidate
     selection from scratch with ``candidate_score`` (cubic in the document

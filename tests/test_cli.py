@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from sectsum import (
-    FeatureConfig, init_params, parse_corpus, read_predictions, save_checkpoint,
+    FeatureConfig, Prediction, SynthConfig, generate_synthetic, init_params,
+    parse_corpus, read_predictions, render_summary, rouge_l, rouge_n,
+    save_checkpoint, select_top_k, tokenize, training,
 )
-from sectsum.cli import run
+from sectsum.cli import _score_vs_k_rows, run
 
 
 def _synth(path, docs=8, seed=5, bias=0.8):
@@ -162,6 +165,52 @@ def test_predict_and_eval_pipeline(tmp_path, labeled_corpus):
     assert len(sweep) == 4  # header + k in 1..3
     hist = (eval_dir / "boundary_histogram.csv").read_text().splitlines()
     assert hist[0] == "offset,count"
+
+
+def test_score_vs_k_rows_match_the_per_k_loop():
+    docs = generate_synthetic(SynthConfig(
+        n_documents=7, sections_per_document=(1, 3),
+        sentences_per_section=(1, 4), duplicate_rate=0.6, rng_seed=3))
+    rng = np.random.default_rng(0)
+    # scores on a coarse grid, so select_top_k breaks ties
+    predictions = [Prediction(doc.id, (), (0,), tuple(
+        float(v) for v in rng.integers(0, 4, len(doc.sentences)) / 4), ())
+        for doc in reversed(docs)]
+    # past the longest document, so every document runs out of sentences
+    k_max = max(len(doc.sentences) for doc in docs) + 2
+    by_id = {doc.id: doc for doc in docs}
+    expected = []
+    for k in range(1, k_max + 1):
+        r1, r2, rl, words = [], [], [], []
+        for pred in predictions:
+            doc = by_id[pred.doc_id]
+            selected = select_top_k(np.asarray(pred.scores_sum), k)
+            system = tokenize(render_summary(doc, selected))
+            reference = tokenize(doc.reference_summary)
+            r1.append(rouge_n(system, reference, 1).f1)
+            r2.append(rouge_n(system, reference, 2).f1)
+            rl.append(rouge_l(system, reference).f1)
+            words.append(len(system))
+        expected.append({"k": k, "rouge1_f": float(np.mean(r1)),
+                         "rouge2_f": float(np.mean(r2)),
+                         "rougeL_f": float(np.mean(rl)),
+                         "avg_words": float(np.mean(words))})
+    assert _score_vs_k_rows(predictions, docs, k_max) == expected
+
+
+def test_train_zero_norm_sentence_is_numeric_failure(tmp_path, labeled_corpus,
+                                                     monkeypatch, capsys):
+    forward = training.forward_document
+
+    def zero_first_sentence(*args, **kwargs):
+        enc = forward(*args, **kwargs)
+        enc.hidden[0] = 0.0
+        return enc
+
+    monkeypatch.setattr(training, "forward_document", zero_first_sentence)
+    assert _train(tmp_path, labeled_corpus, tmp_path / "run",
+                  ["--variant", "full", "--beta", "0.1"]) == 3
+    assert "zero-norm" in capsys.readouterr().err
 
 
 def test_predict_threads_match_sequential(tmp_path, labeled_corpus):

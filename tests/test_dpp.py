@@ -6,6 +6,7 @@ import pytest
 
 from sectsum import (
     SingularMinorError,
+    ZeroNormError,
     build_kernel,
     brute_force_subset_sum,
     dpp_log_prob,
@@ -44,6 +45,16 @@ def test_build_kernel_input_validation():
         build_kernel(hidden, quality)
     with pytest.raises(ValueError):
         build_kernel(hidden, quality[:2])
+
+
+def test_zero_norm_sentence_raises_zero_norm_error():
+    rng = np.random.default_rng(2)
+    hidden, quality = random_instance(rng, 4, 3)
+    hidden[2] = 0.0
+    with pytest.raises(ZeroNormError, match="zero-norm"):
+        build_kernel(hidden, quality)
+    with pytest.raises(ZeroNormError):
+        dpp_loss_and_grad(hidden, quality, [0, 1])
 
 
 def test_normalizer_identity_over_random_kernels():

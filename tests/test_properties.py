@@ -1,15 +1,19 @@
-"""Property tests of the metric, selection and oracle invariants."""
+"""Property tests of the metric, selection, oracle and DPP invariants."""
+
+from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectsum import (
-    Document, candidate_score, greedy_summary_labels, rouge_l, rouge_n, seg_f1,
-    select_top_k, tokenize, windowdiff,
+    DEFAULT_DPP_RIDGE, Document, brute_force_subset_sum, build_kernel,
+    candidate_score, dpp_log_prob, greedy_summary_labels, lcs_length, rouge_l,
+    rouge_n, seg_f1, select_top_k, tokenize, windowdiff,
 )
 
-from conftest import rescoring_greedy_labels
+from conftest import dp_lcs_length, rescoring_greedy_labels
 
 # derandomize: the same examples on every run, and no example database on disk
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
@@ -31,6 +35,21 @@ def test_rouge_self_score_is_one(text):
     assert rouge_n(text, text, 1).f1 == 1.0
     assert rouge_n(text, text, 2).f1 == 1.0
     assert rouge_l(text, text).f1 == 1.0
+
+
+# up to 150 tokens of four types: heavy repetition, and bitmasks of up to
+# three 64-bit words
+long_tokens = st.integers(0, 150).flatmap(
+    lambda n: st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+
+
+@FAST
+@given(long_tokens, long_tokens)
+def test_lcs_length_matches_dynamic_program(a, b):
+    assert lcs_length(a, b) == dp_lcs_length(a, b)
+    assert lcs_length(b, a) == lcs_length(a, b)
+    assert lcs_length(a, []) == lcs_length([], a) == 0
+    assert lcs_length(a, a) == len(a)
 
 
 @FAST
@@ -99,3 +118,28 @@ def test_greedy_oracle_properties(doc, max_sentences):
         assert order[0] == singles.index(max(singles))
     else:
         assert order == ()
+
+
+# n <= 8 encoded sentences of width 1-4, so minors wider than that are
+# singular and lean on the training ridge; every coordinate away from zero (no
+# zero-norm row), qualities in [0.05, 1]
+dpp_instances = st.tuples(st.integers(1, 8), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.lists(st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+                          min_size=shape[1], max_size=shape[1]),
+                 min_size=shape[0], max_size=shape[0]),
+        st.lists(st.floats(0.05, 1.0), min_size=shape[0], max_size=shape[0])))
+
+
+@FAST
+@given(dpp_instances)
+def test_dpp_normalizer_and_subset_log_probs(instance):
+    hidden, quality = instance
+    kern = build_kernel(np.array(hidden), np.array(quality),
+                        ridge=DEFAULT_DPP_RIDGE)
+    n = len(quality)
+    assert brute_force_subset_sum(kern.kernel) == pytest.approx(
+        np.linalg.det(kern.kernel + np.eye(n)), rel=1e-9)
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            assert dpp_log_prob(kern, subset) <= 0.0
