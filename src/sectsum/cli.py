@@ -122,11 +122,12 @@ def build_parser():
     p.add_argument("--variant", choices=["base", "joint", "full"], default=None)
     p.add_argument("--beta", type=float, default=None, help="repulsion weight")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None, help="learning rate")
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None,
+                   help="learning rate")
     p.add_argument("--warmup-fraction", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--grad-accumulation", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", dest="rng_seed", type=int, default=None,
                    help="training seed (default 0 unless the config file says otherwise)")
     p.add_argument("--dim", type=int, default=32, help="encoder width")
     p.add_argument("--hash-buckets", type=int, default=64)
@@ -241,16 +242,6 @@ def _cmd_label(args):
 
 
 _TRAIN_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
-_FLAG_TO_FIELD = {
-    "variant": "variant",
-    "beta": "beta",
-    "epochs": "epochs",
-    "lr": "learning_rate",
-    "warmup_fraction": "warmup_fraction",
-    "batch_size": "batch_size",
-    "grad_accumulation": "grad_accumulation",
-    "seed": "rng_seed",
-}
 
 
 def _load_train_config(args):
@@ -269,10 +260,9 @@ def _load_train_config(args):
                 f"config file {args.config}: unknown keys {sorted(unknown)}"
             )
         settings.update(loaded)
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag)
-        if value is not None:
-            settings[field_name] = value
+    for name in _TRAIN_CONFIG_FIELDS:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
     return TrainConfig(**settings)
 
 
@@ -309,9 +299,7 @@ def _cmd_train(args):
         for record in result.history:
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
-    effective = {field.name: getattr(config, field.name)
-                 for field in dataclasses.fields(TrainConfig)}
-    effective["variant"] = config.variant.value
+    effective = dataclasses.asdict(config)
     effective.update({
         "dim": args.dim, "hash_buckets": args.hash_buckets,
         "n_layers": args.layers, "n_heads": args.heads,

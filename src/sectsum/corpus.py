@@ -4,10 +4,12 @@ A corpus is a JSON Lines file with one document per line:
 
     {"id": "...", "sentences": ["...", ...], "section_starts": [0, ...],
      "reference_summary": "..." | null,
-     "labels": {"sum": [0|1, ...], "seg": [0|1, ...]} | null}
+     "labels": {"sum": [0|1, ...], "seg": [0|1, ...], "order": [int, ...]}
+               | null}
 
 ``section_starts`` always contains 0 and is strictly increasing. Labels, when
-present, have one entry per sentence.
+present, have one entry per sentence; the optional ``order`` lists the
+summary sentences in the order the labeler picked them.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ class LabelSet:
         0/1 per sentence under a segment labeling convention (first or last
         sentence of each section).
     selection_order
-        Order in which the labeler picked summary sentences, when known.
-        ``None`` for labels loaded from disk (the wire format does not keep it).
+        Order in which the labeler picked summary sentences, when known;
+        the corpus format keeps it as ``labels.order``. ``None`` for a
+        record without ``order``.
     """
 
     summary_labels: tuple

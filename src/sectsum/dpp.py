@@ -108,16 +108,22 @@ def _minor_logdet(kernel_matrix, subset, ridge):
             eps = min(eps * 10.0, _MAX_RIDGE)
 
 
+def _subset_indices(subset, n):
+    """Sorted distinct indices of ``subset``; IndexError unless all lie in [0, n)."""
+    subset = sorted(set(int(i) for i in subset))
+    if subset and (subset[0] < 0 or subset[-1] >= n):
+        raise IndexError(f"subset indices out of range for n = {n}")
+    return subset
+
+
 def dpp_log_prob(kernel, subset):
     """log P(Y) = log det(L_Y + ridge I) - log det(L + I).
 
     The empty subset is valid (numerator term 0). Duplicate rows with a zero
     ridge raise :class:`SingularMinorError`.
     """
-    subset = sorted(set(int(i) for i in subset))
     n = kernel.kernel.shape[0]
-    if subset and (subset[0] < 0 or subset[-1] >= n):
-        raise IndexError(f"subset indices out of range for n = {n}")
+    subset = _subset_indices(subset, n)
     log_norm = _chol_logdet(kernel.kernel + np.eye(n))
     if not subset:
         return -log_norm
@@ -146,7 +152,7 @@ def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8):
     quality : (n,) array
         Summary probabilities, strictly inside (0, 1).
     subset : iterable of int
-        Ground-truth summary indices Y (must be non-empty).
+        Ground-truth summary indices Y (non-empty, each in [0, n)).
     ridge : float
         Diagonal ridge on the subset minor, applied consistently in the value
         and the gradients.
@@ -155,13 +161,13 @@ def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8):
     -------
     DppLoss
     """
-    subset = sorted(set(int(i) for i in subset))
-    if not subset:
-        raise ValueError("subset must be non-empty; skip the loss term instead")
     hidden = np.asarray(hidden, dtype=float)
     quality = np.asarray(quality, dtype=float)
     kern = build_kernel(hidden, quality, ridge=ridge)
     n = hidden.shape[0]
+    subset = _subset_indices(subset, n)
+    if not subset:
+        raise ValueError("subset must be non-empty; skip the loss term instead")
 
     # Value: log det(L + I) - log det(L_Y + eps I).
     full = kern.kernel + np.eye(n)

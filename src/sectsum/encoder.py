@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
@@ -170,12 +170,6 @@ class LayerParams:
     w_ff2: np.ndarray
     b_ff2: np.ndarray
 
-    _FIELDS = (
-        "w_q", "w_k", "w_v", "w_o",
-        "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-        "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-    )
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -216,22 +210,15 @@ class ModelParams:
         return self.w_proj.shape[0]
 
     def blocks(self):
-        """Yield (name, array) pairs in a fixed order; arrays are live views."""
-        yield "proj.weight", self.w_proj
-        for i, lp in enumerate(self.layers):
-            for name in LayerParams._FIELDS:
-                yield f"layer{i}.{name}", getattr(lp, name)
-        yield "head.sum.weight", self.w_sum
-        yield "head.sum.bias", self.b_sum
-        yield "head.seg.weight", self.w_seg
-        yield "head.seg.bias", self.b_seg
+        """Yield (name, array) pairs in vector order; arrays are live views."""
+        return _cut(self.vector, self._shapes())
 
     @property
     def n_parameters(self):
         return self.vector.size
 
     def _shapes(self):
-        return [(name, arr.shape) for name, arr in self.blocks()]
+        return _block_shapes(self.n_features, self.dim, self.n_layers, self.ffn_hidden)
 
     def _on(self, vector):
         return _params_on(vector, self._shapes(), self.n_heads)
@@ -255,29 +242,34 @@ class ModelParams:
 
 
 def _block_shapes(n_features, dim, n_layers, ffn_hidden):
-    """(name, shape) of every parameter block, in vector order."""
+    """(name, shape) of every parameter block in vector order: the layout table."""
     d, h = dim, ffn_hidden
     layer = [(d, d)] * 4 + [(d,)] * 4 + [(d, h), (h,), (h, d), (d,)]
     shapes = [("proj.weight", (n_features, d))]
     for i in range(n_layers):
-        shapes += [(f"layer{i}.{name}", shape)
-                   for name, shape in zip(LayerParams._FIELDS, layer)]
+        shapes += [(f"layer{i}.{f.name}", shape)
+                   for f, shape in zip(fields(LayerParams), layer)]
     return shapes + [("head.sum.weight", (d,)), ("head.sum.bias", (1,)),
                      ("head.seg.weight", (d,)), ("head.seg.bias", (1,))]
+
+
+def _cut(vector, shapes):
+    """Yield (name, view) of each (name, shape) block, cut from ``vector`` in order."""
+    offset = 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        yield name, vector[offset:offset + size].reshape(shape)
+        offset += size
 
 
 def _params_on(vector, shapes, n_heads):
     """ModelParams whose arrays are views into ``vector``, cut into the
     ``(name, shape)`` blocks of ``shapes`` in order."""
-    sizes = [math.prod(shape) for _, shape in shapes]
-    if vector.shape != (sum(sizes),):
-        raise ValueError(f"vector shape {vector.shape} != parameter count {sum(sizes)}")
-    views = []
-    offset = 0
-    for (_, shape), size in zip(shapes, sizes):
-        views.append(vector[offset:offset + size].reshape(shape))
-        offset += size
-    per_layer = len(LayerParams._FIELDS)
+    size = sum(math.prod(shape) for _, shape in shapes)
+    if vector.shape != (size,):
+        raise ValueError(f"vector shape {vector.shape} != parameter count {size}")
+    views = [view for _, view in _cut(vector, shapes)]
+    per_layer = len(fields(LayerParams))
     layers = tuple(LayerParams(*views[i:i + per_layer])
                    for i in range(1, len(views) - 4, per_layer))
     return ModelParams(views[0], layers, *views[-4:], n_heads=n_heads, vector=vector)
@@ -451,23 +443,23 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
 # Public forward / backward
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EncodedDocument:
-    """Activation record for one document's forward pass."""
+    """One document's forward activations; built only by :func:`forward_document`."""
 
+    base_features: np.ndarray
     hidden: np.ndarray
     layer_caches: list = field(repr=False)
-    base_features: np.ndarray | None = None
-    summary_probs: np.ndarray | None = None
-    boundary_probs: np.ndarray | None = None
+    summary_probs: np.ndarray
+    boundary_probs: np.ndarray
 
 
 def encode_forward(features, params):
     """Run the attention stack over projected features (n, dim).
 
-    Adds position encodings, applies every layer, and retains activations for
-    :func:`backward_document`. Raises :class:`NumericsError` if any layer output
-    is non-finite.
+    Adds position encodings, applies every layer, and returns ``(hidden,
+    layer_caches)``, the caches holding what :func:`backward_document` needs.
+    Raises :class:`NumericsError` if any layer output is non-finite.
     """
     features = np.asarray(features, dtype=float)
     n, d = features.shape
@@ -483,20 +475,15 @@ def encode_forward(features, params):
                 f"(max |input| = {np.abs(features).max():.3e})"
             )
         caches.append(cache)
-    return EncodedDocument(hidden=x, layer_caches=caches)
+    return x, caches
 
 
-def heads_forward(enc, params):
-    """Summary and boundary probabilities from the encoded sentences.
-
-    Stores the probabilities on ``enc`` so the backward pass can reuse them.
-    Outputs are strictly inside (0, 1).
-    """
-    z_sum = enc.hidden @ params.w_sum + params.b_sum[0]
-    z_seg = enc.hidden @ params.w_seg + params.b_seg[0]
-    enc.summary_probs = stable_sigmoid(z_sum)
-    enc.boundary_probs = stable_sigmoid(z_seg)
-    return enc.summary_probs, enc.boundary_probs
+def heads_forward(hidden, params):
+    """Summary and boundary probabilities of the encoded sentences
+    ``hidden`` (n, dim); both are strictly inside (0, 1)."""
+    z_sum = hidden @ params.w_sum + params.b_sum[0]
+    z_seg = hidden @ params.w_seg + params.b_seg[0]
+    return stable_sigmoid(z_sum), stable_sigmoid(z_seg)
 
 
 def forward_document(doc, params, config, raw_features=None):
@@ -507,10 +494,10 @@ def forward_document(doc, params, config, raw_features=None):
     caller has it already; it is computed here otherwise.
     """
     raw = base_features(doc, config) if raw_features is None else raw_features
-    enc = encode_forward(raw @ params.w_proj, params)
-    enc.base_features = raw
-    heads_forward(enc, params)
-    return enc
+    hidden, caches = encode_forward(raw @ params.w_proj, params)
+    summary_probs, boundary_probs = heads_forward(hidden, params)
+    return EncodedDocument(base_features=raw, hidden=hidden, layer_caches=caches,
+                           summary_probs=summary_probs, boundary_probs=boundary_probs)
 
 
 def backward_document(enc, params, d_hidden=None, d_summary=None, d_boundary=None):
@@ -531,8 +518,6 @@ def backward_document(enc, params, d_hidden=None, d_summary=None, d_boundary=Non
     ModelParams
         A zero-initialized gradient container filled for every parameter.
     """
-    if enc.base_features is None:
-        raise RuntimeError("backward_document needs an EncodedDocument from forward_document")
     grads = params.zeros_like()
     n, d = enc.hidden.shape
     d_x = np.zeros((n, d)) if d_hidden is None else np.array(d_hidden, dtype=float)

@@ -13,6 +13,7 @@ Prediction records look like:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,8 @@ def predict_boundaries(scores, threshold=DEFAULT_BOUNDARY_THRESHOLD,
     the following index (a label on the final sentence opens nothing).
     Index 0 is always a section start.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"boundary threshold must be finite, got {threshold}")
     convention = SegLabelConvention(convention)
     scores = np.asarray(scores, dtype=float)
     n = scores.shape[0]
@@ -134,13 +137,16 @@ def read_predictions(path):
                 continue
             try:
                 record = json.loads(line)
-                predictions.append(Prediction(
+                pred = Prediction(
                     doc_id=record["id"],
                     selected=tuple(record["selected"]),
                     boundaries=tuple(record["boundaries"]),
                     scores_sum=tuple(record["scores_sum"]),
                     scores_seg=tuple(record["scores_seg"]),
-                ))
+                )
+                if not all(map(math.isfinite, pred.scores_sum + pred.scores_seg)):
+                    raise CorpusError(f"line {line_no}: non-finite score in prediction record")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise CorpusError(f"line {line_no}: bad prediction record: {exc}") from exc
+            predictions.append(pred)
     return predictions

@@ -70,7 +70,7 @@ def greedy_summary_labels(doc, max_sentences=None):
     doc : Document
         Must carry a non-empty ``reference_summary``.
     max_sentences : int or None
-        Optional cap on the number of selected sentences.
+        Optional non-negative cap on the number of selected sentences.
 
     Returns
     -------
@@ -90,6 +90,8 @@ def greedy_summary_labels(doc, max_sentences=None):
     :func:`candidate_score`, which rescores every accepted pick once and
     must agree exactly. A step costs O(total tokens of the document).
     """
+    if max_sentences is not None and max_sentences < 0:
+        raise ValueError(f"max_sentences must be non-negative, got {max_sentences}")
     if not doc.reference_summary:
         raise ValueError(f"document {doc.id!r} has no reference summary to label against")
     reference_tokens = tokenize(doc.reference_summary)

@@ -82,10 +82,10 @@ class TrainConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be finite and non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and non-negative")
         if not (0.0 <= self.warmup_fraction <= 1.0):
             raise ValueError("warmup_fraction must be in [0, 1]")
         for name in ("epochs", "batch_size", "grad_accumulation"):
@@ -435,10 +435,13 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
     ``analytic`` lets callers supply (possibly tampered) gradients; by
     default they are computed from :func:`total_loss` on the document.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     if analytic is None:
         analytic = total_loss([doc], params, config, feature_config).grads
     probe = params.copy()
-    theta = probe.vector
     features = {doc.id: base_features(doc, feature_config)}
 
     def loss_at():
@@ -446,22 +449,20 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
                           with_grads=False).value
 
     block_errors = {}
-    offset = 0
-    for name, arr in params.blocks():
+    for (name, arr), (_, grad) in zip(probe.blocks(), analytic.blocks()):
         worst = 0.0
-        for idx in range(offset, offset + arr.size):
-            saved = theta[idx]
-            theta[idx] = saved + step
+        for idx in np.ndindex(arr.shape):
+            saved = arr[idx]
+            arr[idx] = saved + step
             up = loss_at()
-            theta[idx] = saved - step
+            arr[idx] = saved - step
             down = loss_at()
-            theta[idx] = saved
+            arr[idx] = saved
             fd = (up - down) / (2.0 * step)
-            a = analytic.vector[idx]
+            a = grad[idx]
             rel = abs(a - fd) / max(abs(a), abs(fd), 1e-5)
             worst = max(worst, rel)
         block_errors[name] = worst
-        offset += arr.size
 
     return GradCheckReport(
         block_errors=block_errors,

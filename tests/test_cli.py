@@ -271,6 +271,29 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()  # silence accumulated stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--beta", "nan"],
+    ["train", "--lr", "nan"],
+    ["gradcheck", "--step", "0"],
+    ["gradcheck", "--tolerance", "nan"],
+    ["predict", "--threshold", "nan"],
+    ["label", "--max-sentences", "-1"],
+], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
+    checkpoint = tmp_path / "model.ckpt"
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2), config)
+    inputs = {
+        "train": ["--corpus", str(labeled_corpus), "--out", str(tmp_path / "run")],
+        "gradcheck": [],
+        "predict": ["--corpus", str(labeled_corpus), "--checkpoint", str(checkpoint),
+                    "--out", str(tmp_path / "pred")],
+        "label": ["--corpus", str(labeled_corpus), "--out", str(tmp_path / "l.jsonl")],
+    }[argv[0]]
+    assert run(argv + inputs) == 1
+    assert "invalid arguments" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "COMMAND" in capsys.readouterr().out

@@ -173,6 +173,15 @@ def test_empty_subset_rejected():
         dpp_loss_and_grad(np.eye(2), np.array([0.5, 0.5]), [])
 
 
+@pytest.mark.parametrize("index", [-1, 5])
+def test_out_of_range_subset_index_raises(index):
+    hidden, quality = random_instance(np.random.default_rng(6), 5, 3)
+    with pytest.raises(IndexError, match="out of range"):
+        dpp_log_prob(build_kernel(hidden, quality), [index])
+    with pytest.raises(IndexError, match="out of range"):
+        dpp_loss_and_grad(hidden, quality, [index])
+
+
 def test_brute_force_limit():
     with pytest.raises(ValueError):
         brute_force_subset_sum(np.eye(17))

@@ -23,6 +23,7 @@ from sectsum import (
     save_checkpoint,
     stable_sigmoid,
 )
+from sectsum.encoder import _block_shapes
 
 from conftest import make_doc
 
@@ -95,19 +96,34 @@ def test_zeroed_output_projections_pass_features_through(small_model, tiny_corpu
         lp.b_ff2[:] = 0.0
     doc = tiny_corpus[0]
     x = base_features(doc, config) @ params.w_proj
-    enc = encode_forward(x, params)
-    np.testing.assert_array_equal(enc.hidden, x + position_encoding(len(doc), config.dim))
+    hidden, caches = encode_forward(x, params)
+    np.testing.assert_array_equal(hidden, x + position_encoding(len(doc), config.dim))
+    assert len(caches) == params.n_layers
 
 
 def test_heads_forward_formula(small_model, tiny_corpus):
     config, params = small_model
     enc = forward_document(tiny_corpus[0], params, config)
-    p_sum, p_seg = heads_forward(enc, params)
+    hidden = enc.hidden.copy()
+    p_sum, p_seg = heads_forward(enc.hidden, params)
     np.testing.assert_allclose(
         p_sum, stable_sigmoid(enc.hidden @ params.w_sum + params.b_sum[0]))
     np.testing.assert_allclose(
         p_seg, stable_sigmoid(enc.hidden @ params.w_seg + params.b_seg[0]))
     assert np.all((p_sum > 0) & (p_sum < 1))
+    # the record holds the same probabilities, and the heads changed nothing
+    np.testing.assert_array_equal(enc.summary_probs, p_sum)
+    np.testing.assert_array_equal(enc.boundary_probs, p_seg)
+    np.testing.assert_array_equal(enc.hidden, hidden)
+
+
+def test_encoded_document_fields_cannot_be_rebound(small_model, tiny_corpus):
+    config, params = small_model
+    enc = forward_document(tiny_corpus[0], params, config)
+    for name in ("base_features", "hidden", "layer_caches", "summary_probs",
+                 "boundary_probs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(enc, name, None)
 
 
 def test_backward_matches_finite_differences_on_features(small_model, tiny_corpus):
@@ -171,6 +187,31 @@ def test_params_vector_round_trip(small_model):
         assert all(np.shares_memory(a, copy.vector) for _, a in copy.blocks())
     with pytest.raises(dataclasses.FrozenInstanceError):
         restored.w_sum = np.zeros_like(restored.w_sum)
+
+
+def test_blocks_follow_the_block_table(small_model):
+    """``blocks()`` gives the names and shapes of ``_block_shapes``, and each
+    block shares memory with the dataclass field it names."""
+    config, params = small_model
+    table = _block_shapes(config.n_features, config.dim, params.n_layers,
+                          params.ffn_hidden)
+    blocks = list(params.blocks())
+    assert [(name, arr.shape) for name, arr in blocks] == table
+    heads = {"sum.weight": params.w_sum, "sum.bias": params.b_sum,
+             "seg.weight": params.w_seg, "seg.bias": params.b_seg}
+    for name, arr in blocks:
+        owner, _, attr = name.partition(".")
+        if owner == "proj":
+            named = params.w_proj
+        elif owner == "head":
+            named = heads[attr]
+        else:
+            named = getattr(params.layers[int(owner.removeprefix("layer"))], attr)
+        assert named.shape == arr.shape
+        assert np.shares_memory(named, arr)
+        np.testing.assert_array_equal(named, arr)
+    np.testing.assert_array_equal(np.concatenate([a.ravel() for _, a in blocks]),
+                                  params.vector)
 
 
 def test_checkpoint_round_trip(tmp_path, small_model):
