@@ -52,7 +52,6 @@ from .encoder import (
 )
 from .evaluation import (
     EvalReport,
-    F1Score,
     approx_randomization_test,
     boundary_proximity_histogram,
     evaluate_full,

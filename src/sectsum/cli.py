@@ -35,7 +35,6 @@ from .corpus import (
     generate_synthetic,
     parse_corpus,
     split_corpus,
-    tokenize,
     write_corpus,
 )
 from .dpp import SingularMinorError, ZeroNormError
@@ -47,15 +46,9 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .evaluation import boundary_proximity_histogram, evaluate_full
-from .inference import (
-    predict_document,
-    read_predictions,
-    select_top_k,
-    write_predictions,
-)
+from .evaluation import evaluate_full, score_vs_k, selection_histogram
+from .inference import paired, predict_document, read_predictions, write_predictions
 from .oracle import SegLabelConvention, build_labels
-from .rouge import rouge_l, rouge_n
 from .training import TrainConfig, TrainingError, fit, grad_check
 
 __all__ = ["run", "main", "build_parser"]
@@ -241,7 +234,10 @@ def _cmd_label(args):
     return 0
 
 
-_TRAIN_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+_TRAIN_CONFIG_TYPES = {  # JSON value types each field accepts from a config file
+    f.name: {int: (int,), float: (int, float)}.get(type(f.default), (str,))
+    for f in dataclasses.fields(TrainConfig)
+}
 
 
 def _load_train_config(args):
@@ -254,13 +250,17 @@ def _load_train_config(args):
                 raise CorpusError(f"config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise CorpusError(f"config file {args.config}: expected a JSON object")
-        unknown = set(loaded) - _TRAIN_CONFIG_FIELDS
+        unknown = loaded.keys() - _TRAIN_CONFIG_TYPES
         if unknown:
             raise CorpusError(
                 f"config file {args.config}: unknown keys {sorted(unknown)}"
             )
+        for name, value in loaded.items():
+            if type(value) not in _TRAIN_CONFIG_TYPES[name]:
+                raise CorpusError(f"config file {args.config}: {name} has the wrong "
+                                  f"type ({value!r})")
         settings.update(loaded)
-    for name in _TRAIN_CONFIG_FIELDS:
+    for name in _TRAIN_CONFIG_TYPES:
         if getattr(args, name) is not None:
             settings[name] = getattr(args, name)
     return TrainConfig(**settings)
@@ -334,42 +334,6 @@ def _cmd_predict(args):
     return 0
 
 
-def _score_vs_k_rows(predictions, documents, k_max):
-    """Mean top-k ROUGE F1 and length for k = 1..k_max, one visit per document."""
-    by_id = {doc.id: doc for doc in documents}
-    columns = {k: ([], [], [], []) for k in range(1, k_max + 1)}
-    for pred in predictions:
-        doc = by_id[pred.doc_id]
-        scores = np.asarray(pred.scores_sum)
-        reference = tokenize(doc.reference_summary)
-        for k, (r1, r2, rl, words) in columns.items():
-            system = doc.summary_tokens(select_top_k(scores, k))
-            r1.append(rouge_n(system, reference, 1).f1)
-            r2.append(rouge_n(system, reference, 2).f1)
-            rl.append(rouge_l(system, reference).f1)
-            words.append(len(system))
-    return [{
-        "k": k,
-        "rouge1_f": float(np.mean(r1)),
-        "rouge2_f": float(np.mean(r2)),
-        "rougeL_f": float(np.mean(rl)),
-        "avg_words": float(np.mean(words)),
-    } for k, (r1, r2, rl, words) in columns.items()]
-
-
-def _selection_histogram(selections, documents):
-    """Boundary-proximity histogram summed over ``(doc_id, selected)`` pairs."""
-    by_id = {doc.id: doc for doc in documents}
-    counts = {}
-    for doc_id, selected in selections:
-        doc = by_id[doc_id]
-        hist = boundary_proximity_histogram(selected, doc.section_starts,
-                                            len(doc.sentences))
-        for offset, count in hist.items():
-            counts[offset] = counts.get(offset, 0) + count
-    return dict(sorted(counts.items()))
-
-
 def _cmd_eval(args):
     documents, _ = parse_corpus(args.corpus, strict=True)
     predictions = read_predictions(args.predictions)
@@ -385,14 +349,13 @@ def _cmd_eval(args):
                 fh, fieldnames=["k", "rouge1_f", "rouge2_f", "rougeL_f", "avg_words"]
             )
             writer.writeheader()
-            writer.writerows(_score_vs_k_rows(predictions, documents, args.k_max))
+            writer.writerows(score_vs_k(predictions, documents, args.k_max))
         with open(out / "boundary_histogram.csv", "w", encoding="utf-8",
                   newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["offset", "count"])
-            selections = ((p.doc_id, p.selected) for p in predictions)
-            for offset, count in _selection_histogram(selections, documents).items():
-                writer.writerow([offset, count])
+            selections = ((doc, p.selected) for p, doc in paired(predictions, documents))
+            writer.writerows(selection_histogram(selections).items())
     print(
         f"evaluated {report.n_documents} documents: "
         f"rouge1_f={report.rouge1.f1:.4f} seg_f1={report.seg_f1:.4f} "
@@ -405,7 +368,8 @@ def _cmd_eval(args):
 def _cmd_analyze(args):
     documents, _ = parse_corpus(args.corpus, strict=True)
     if args.predictions is not None:
-        selections = [(p.doc_id, p.selected) for p in read_predictions(args.predictions)]
+        selections = [(doc, p.selected) for p, doc in
+                      paired(read_predictions(args.predictions), documents)]
     else:
         selections = []
         for doc in documents:
@@ -415,8 +379,8 @@ def _cmd_analyze(args):
                     "or label the corpus first"
                 )
             selections.append(
-                (doc.id, [i for i, v in enumerate(doc.labels.summary_labels) if v == 1]))
-    histogram = _selection_histogram(selections, documents)
+                (doc, [i for i, v in enumerate(doc.labels.summary_labels) if v == 1]))
+    histogram = selection_histogram(selections)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "boundary_histogram.json"

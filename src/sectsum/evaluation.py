@@ -1,6 +1,6 @@
-"""Corpus-level evaluation: macro-averaged overlap scores, exact boundary
-F1, WindowDiff, boundary-proximity histograms, and a paired approximate
-randomization significance test.
+"""Corpus-level evaluation: macro-averaged overlap scores, the score-vs-k
+sweep, exact boundary F1, WindowDiff, boundary-proximity histograms, and a
+paired approximate randomization significance test.
 
 Boundary evaluation always excludes index 0 (every document trivially starts
 a section there).
@@ -9,29 +9,25 @@ a section there).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import CorpusError, tokenize
-from .rouge import RougeScore, _f1, rouge_l, rouge_n
+from .inference import paired, select_top_k
+from .rouge import RougeScore, _score, rouge_l, rouge_n
 
 __all__ = [
-    "F1Score",
     "EvalReport",
     "seg_f1",
     "windowdiff",
     "boundary_proximity_histogram",
+    "selection_histogram",
     "approx_randomization_test",
     "evaluate_full",
+    "score_vs_k",
 ]
-
-
-@dataclass(frozen=True)
-class F1Score:
-    precision: float
-    recall: float
-    f1: float
 
 
 def seg_f1(predicted, reference, n=None):
@@ -48,11 +44,8 @@ def seg_f1(predicted, reference, n=None):
             if not (0 < b < n):
                 raise ValueError(f"boundary {b} out of range for n = {n}")
     if not pred and not ref:
-        return F1Score(1.0, 1.0, 1.0)
-    tp = len(pred & ref)
-    precision = tp / len(pred) if pred else 0.0
-    recall = tp / len(ref) if ref else 0.0
-    return F1Score(precision, recall, _f1(precision, recall))
+        return RougeScore(1.0, 1.0, 1.0)
+    return _score(len(pred & ref), len(pred), len(ref))
 
 
 def windowdiff(predicted, reference, n):
@@ -104,6 +97,15 @@ def boundary_proximity_histogram(summary_indices, section_starts, n):
     return dict(sorted(counts.items()))
 
 
+def selection_histogram(selections):
+    """Boundary-proximity histogram summed over ``(document, selected)`` pairs."""
+    counts = Counter()
+    for doc, selected in selections:
+        counts.update(boundary_proximity_histogram(selected, doc.section_starts,
+                                                   len(doc.sentences)))
+    return dict(sorted(counts.items()))
+
+
 def approx_randomization_test(scores_a, scores_b, iterations=1000, rng_seed=0):
     """Two-sided paired approximate randomization test.
 
@@ -152,6 +154,20 @@ def _mean_rouge(scores):
     )
 
 
+def _reference_tokens(doc):
+    if not doc.reference_summary:
+        raise CorpusError(f"document {doc.id!r} has no reference summary")
+    return tokenize(doc.reference_summary)
+
+
+def _score_summary(doc, selected, reference):
+    """ROUGE-1, ROUGE-2 and ROUGE-L of the selected sentences against the
+    reference tokens, and the summary's token count."""
+    system = doc.summary_tokens(selected)
+    return (rouge_n(system, reference, 1), rouge_n(system, reference, 2),
+            rouge_l(system, reference), len(system))
+
+
 def evaluate_full(predictions, documents):
     """Summary and segmentation metrics in one report.
 
@@ -164,41 +180,48 @@ def evaluate_full(predictions, documents):
     """
     if not predictions:
         raise ValueError("no predictions to evaluate")
-    by_id = {doc.id: doc for doc in documents}
-    r1, r2, rl, words = [], [], [], []
-    precisions, recalls, f1s, wds = [], [], [], []
-    for pred in predictions:
-        doc = by_id.get(pred.doc_id)
-        if doc is None:
-            raise CorpusError(f"prediction for unknown document {pred.doc_id!r}")
-        if not doc.reference_summary:
-            raise CorpusError(f"document {doc.id!r} has no reference summary")
-        system = doc.summary_tokens(pred.selected)
-        reference = tokenize(doc.reference_summary)
-        r1.append(rouge_n(system, reference, 1))
-        r2.append(rouge_n(system, reference, 2))
-        rl.append(rouge_l(system, reference))
-        words.append(len(system))
-
+    summaries, segs, wds = [], [], []
+    for pred, doc in paired(predictions, documents):
+        summaries.append(_score_summary(doc, pred.selected, _reference_tokens(doc)))
         n = len(doc.sentences)
-        hyp = set(pred.boundaries)
-        ref = set(doc.section_starts)
-        prf = seg_f1(hyp, ref, n=n)
-        precisions.append(prf.precision)
-        recalls.append(prf.recall)
-        f1s.append(prf.f1)
+        hyp, ref = set(pred.boundaries), set(doc.section_starts)
+        segs.append(seg_f1(hyp, ref, n=n))
         try:
             wds.append(windowdiff(hyp, ref, n))
         except ValueError:
             pass
+    r1, r2, rl, words = zip(*summaries)
+    seg = _mean_rouge(segs)
     return EvalReport(
         rouge1=_mean_rouge(r1),
         rouge2=_mean_rouge(r2),
         rougeL=_mean_rouge(rl),
-        seg_precision=float(np.mean(precisions)),
-        seg_recall=float(np.mean(recalls)),
-        seg_f1=float(np.mean(f1s)),
+        seg_precision=seg.precision,
+        seg_recall=seg.recall,
+        seg_f1=seg.f1,
         windowdiff=float(np.mean(wds)) if wds else None,
         avg_summary_words=float(np.mean(words)),
         n_documents=len(predictions),
     )
+
+
+def score_vs_k(predictions, documents, k_max):
+    """Mean top-k ROUGE F1 and summary length for k = 1..k_max, ranking each
+    document's sentences by ``scores_sum``; one visit per document."""
+    columns = {k: ([], [], [], []) for k in range(1, k_max + 1)}
+    for pred, doc in paired(predictions, documents):
+        scores = np.asarray(pred.scores_sum)
+        reference = _reference_tokens(doc)
+        for k, (r1, r2, rl, words) in columns.items():
+            s1, s2, sl, n_words = _score_summary(doc, select_top_k(scores, k), reference)
+            r1.append(s1.f1)
+            r2.append(s2.f1)
+            rl.append(sl.f1)
+            words.append(n_words)
+    return [{
+        "k": k,
+        "rouge1_f": float(np.mean(r1)),
+        "rouge2_f": float(np.mean(r2)),
+        "rougeL_f": float(np.mean(rl)),
+        "avg_words": float(np.mean(words)),
+    } for k, (r1, r2, rl, words) in columns.items()]

@@ -8,6 +8,7 @@ Prediction records look like:
      "summary_text": "..."}
 
 ``boundaries`` are predicted section-start indices and always include 0.
+:func:`paired` is the one place a prediction meets its document.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusError
+from .corpus import CorpusError, _int_list
 from .encoder import forward_document
 from .oracle import SegLabelConvention
 
@@ -28,6 +29,7 @@ __all__ = [
     "predict_boundaries",
     "render_summary",
     "predict_document",
+    "paired",
     "write_predictions",
     "read_predictions",
 ]
@@ -107,15 +109,30 @@ def predict_document(doc, params, config, k,
     )
 
 
+def paired(predictions, documents):
+    """Yield ``(prediction, document)`` for each prediction, in prediction
+    order. Raises :class:`CorpusError` naming the document when a prediction
+    has no document, an index outside [0, n) or a score list whose length is
+    not the document's sentence count n."""
+    by_id = {doc.id: doc for doc in documents}
+    for pred in predictions:
+        doc = by_id.get(pred.doc_id)
+        if doc is None:
+            raise CorpusError(f"prediction for unknown document {pred.doc_id!r}")
+        n = len(doc.sentences)
+        if (len(pred.scores_sum) != n or len(pred.scores_seg) != n
+                or not all(0 <= i < n for i in pred.selected + pred.boundaries)):
+            raise CorpusError(
+                f"prediction for document {doc.id!r} does not fit its {n} sentences: "
+                f"indices must lie in [0, {n}) and each score list needs {n} entries")
+        yield pred, doc
+
+
 def write_predictions(predictions, documents, path):
     """Write prediction JSONL; ``documents`` supplies the sentence text for
     the rendered ``summary_text`` field."""
-    by_id = {doc.id: doc for doc in documents}
     with open(path, "w", encoding="utf-8") as fh:
-        for pred in predictions:
-            doc = by_id.get(pred.doc_id)
-            if doc is None:
-                raise CorpusError(f"prediction for unknown document {pred.doc_id!r}")
+        for pred, doc in paired(predictions, documents):
             record = {
                 "id": pred.doc_id,
                 "selected": list(pred.selected),
@@ -139,14 +156,15 @@ def read_predictions(path):
                 record = json.loads(line)
                 pred = Prediction(
                     doc_id=record["id"],
-                    selected=tuple(record["selected"]),
-                    boundaries=tuple(record["boundaries"]),
+                    selected=_int_list(record["selected"], "selected"),
+                    boundaries=_int_list(record["boundaries"], "boundaries"),
                     scores_sum=tuple(record["scores_sum"]),
                     scores_seg=tuple(record["scores_seg"]),
                 )
-                if not all(map(math.isfinite, pred.scores_sum + pred.scores_seg)):
-                    raise CorpusError(f"line {line_no}: non-finite score in prediction record")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                finite = all(map(math.isfinite, pred.scores_sum + pred.scores_seg))
+            except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
                 raise CorpusError(f"line {line_no}: bad prediction record: {exc}") from exc
+            if not finite:
+                raise CorpusError(f"line {line_no}: non-finite score in prediction record")
             predictions.append(pred)
     return predictions

@@ -17,7 +17,7 @@ from collections import Counter
 from enum import Enum
 
 from .corpus import LabelSet, tokenize
-from .rouge import _score, rouge_n
+from .rouge import _ngrams, _score, rouge_n
 
 __all__ = [
     "SegLabelConvention",
@@ -45,10 +45,6 @@ def candidate_score(selected_indices, doc, reference_tokens):
     r1 = rouge_n(tokens, reference_tokens, 1).f1
     r2 = rouge_n(tokens, reference_tokens, 2).f1
     return 0.5 * (r1 + r2)
-
-
-def _bigrams(tokens):
-    return Counter(zip(tokens, tokens[1:]))
 
 
 def _gain(room, delta):
@@ -101,11 +97,11 @@ def greedy_summary_labels(doc, max_sentences=None):
 
     # reference count minus selection count, per reference n-gram
     room1 = Counter(reference_tokens)
-    room2 = _bigrams(reference_tokens)
+    room2 = _ngrams(reference_tokens, 2)
     tokens = [s.tokens for s in doc.sentences]
     unigrams = [[(g, c) for g, c in Counter(t).items() if g in room1]
                 for t in tokens]
-    bigrams = [{g: c for g, c in _bigrams(t).items() if g in room2}
+    bigrams = [{g: c for g, c in _ngrams(t, 2).items() if g in room2}
                for t in tokens]
 
     spans = []  # selected indices in document order, all with tokens

@@ -18,21 +18,19 @@ __all__ = ["RougeScore", "rouge_n", "rouge_l", "lcs_length"]
 
 @dataclass(frozen=True)
 class RougeScore:
+    """Precision, recall and F1; ``evaluation.seg_f1`` returns one too."""
+
     precision: float
     recall: float
     f1: float
 
 
-def _f1(precision, recall):
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def _score(overlap, n_system, n_reference):
     precision = overlap / n_system if n_system else 0.0
     recall = overlap / n_reference if n_reference else 0.0
-    return RougeScore(precision, recall, _f1(precision, recall))
+    total = precision + recall
+    return RougeScore(precision, recall,
+                      2.0 * precision * recall / total if total else 0.0)
 
 
 def _ngrams(tokens, n):

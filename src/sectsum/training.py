@@ -258,8 +258,7 @@ def _validation_metrics(val_docs, params, config, feature_config, features,
             picked = inference.select_top_k(summary_probs, eval_top_k)
             rouge_scores.append(rouge_n(doc.summary_tokens(picked),
                                         tokenize(doc.reference_summary), 1).f1)
-        hits = np.flatnonzero(boundary_probs >= inference.DEFAULT_BOUNDARY_THRESHOLD)
-        hyp = {int(i) for i in hits}
+        hyp = inference.predict_boundaries(boundary_probs)
         ref = {i for i, v in enumerate(doc.labels.boundary_labels) if v == 1}
         seg_scores.append(evaluation.seg_f1(hyp, ref).f1)
     return {

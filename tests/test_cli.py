@@ -1,14 +1,13 @@
 import json
 
-import numpy as np
 import pytest
 
 from sectsum import (
-    FeatureConfig, Prediction, SynthConfig, generate_synthetic, init_params,
-    parse_corpus, read_predictions, render_summary, rouge_l, rouge_n,
-    save_checkpoint, select_top_k, tokenize, training,
+    CorpusError, FeatureConfig, Prediction, evaluate_full, evaluation,
+    init_params, parse_corpus, read_predictions, save_checkpoint, training,
+    write_predictions,
 )
-from sectsum.cli import _score_vs_k_rows, run
+from sectsum.cli import run
 
 
 def _synth(path, docs=8, seed=5, bias=0.8):
@@ -131,6 +130,23 @@ def test_train_rejects_unknown_config_key(tmp_path, labeled_corpus):
     assert code == 2
 
 
+@pytest.mark.parametrize("setting", [
+    {"beta": "x"}, {"epochs": 2.5}, {"batch_size": 1.5}, {"rng_seed": "0"},
+    {"beta": True}, {"variant": 3},
+], ids=["beta_str", "epochs_float", "batch_size_float", "rng_seed_str",
+        "beta_bool", "variant_int"])
+def test_train_rejects_mistyped_config_value(tmp_path, labeled_corpus, capsys,
+                                             setting):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(setting))
+    out = tmp_path / "run"
+    code = run(["train", "--corpus", str(labeled_corpus), "--out", str(out),
+                "--config", str(config_path)])
+    assert code == 2
+    assert not out.exists()
+    assert next(iter(setting)) in capsys.readouterr().err
+
+
 def test_train_requires_labels(tmp_path):
     path = tmp_path / "corpus.jsonl"
     _synth(path, docs=4)
@@ -167,35 +183,62 @@ def test_predict_and_eval_pipeline(tmp_path, labeled_corpus):
     assert hist[0] == "offset,count"
 
 
-def test_score_vs_k_rows_match_the_per_k_loop():
-    docs = generate_synthetic(SynthConfig(
-        n_documents=7, sections_per_document=(1, 3),
-        sentences_per_section=(1, 4), duplicate_rate=0.6, rng_seed=3))
-    rng = np.random.default_rng(0)
-    # scores on a coarse grid, so select_top_k breaks ties
-    predictions = [Prediction(doc.id, (), (0,), tuple(
-        float(v) for v in rng.integers(0, 4, len(doc.sentences)) / 4), ())
-        for doc in reversed(docs)]
-    # past the longest document, so every document runs out of sentences
-    k_max = max(len(doc.sentences) for doc in docs) + 2
-    by_id = {doc.id: doc for doc in docs}
-    expected = []
-    for k in range(1, k_max + 1):
-        r1, r2, rl, words = [], [], [], []
-        for pred in predictions:
-            doc = by_id[pred.doc_id]
-            selected = select_top_k(np.asarray(pred.scores_sum), k)
-            system = tokenize(render_summary(doc, selected))
-            reference = tokenize(doc.reference_summary)
-            r1.append(rouge_n(system, reference, 1).f1)
-            r2.append(rouge_n(system, reference, 2).f1)
-            rl.append(rouge_l(system, reference).f1)
-            words.append(len(system))
-        expected.append({"k": k, "rouge1_f": float(np.mean(r1)),
-                         "rouge2_f": float(np.mean(r2)),
-                         "rougeL_f": float(np.mean(rl)),
-                         "avg_words": float(np.mean(words))})
-    assert _score_vs_k_rows(predictions, docs, k_max) == expected
+def _prediction_records(docs):
+    """One well-formed prediction record per document."""
+    return [{"id": d.id, "selected": [0], "boundaries": [0],
+             "scores_sum": [0.5] * len(d.sentences),
+             "scores_seg": [0.5] * len(d.sentences)} for d in docs]
+
+
+def _write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+@pytest.mark.parametrize("field, value", [
+    ("selected", lambda n: [-1]),
+    ("selected", lambda n: [n]),
+    ("selected", lambda n: [1.5]),
+    ("selected", lambda n: "ab"),
+    ("boundaries", lambda n: [0, 999]),
+    ("boundaries", lambda n: [0, True]),
+    ("scores_sum", lambda n: [0.5] * (n - 1)),
+    ("scores_seg", lambda n: [0.5] * (n + 1)),
+], ids=["selected_negative", "selected_n", "selected_float", "selected_str",
+        "boundary_past_end", "boundary_bool", "scores_sum_short", "scores_seg_long"])
+def test_prediction_that_does_not_fit_its_document_exits_2(tmp_path, capsys,
+                                                          field, value):
+    corpus = tmp_path / "corpus.jsonl"
+    _synth(corpus, docs=3)
+    docs, _ = parse_corpus(corpus)
+    records = _prediction_records(docs)
+    records[1][field] = value(len(docs[1].sentences))
+    predictions = _write_jsonl(tmp_path / "predictions.jsonl", records)
+    for command in (["eval", "--plot-data"], ["analyze"]):
+        code = run(command + ["--corpus", str(corpus), "--predictions",
+                              str(predictions), "--out", str(tmp_path / command[0])])
+        assert code == 2, command
+        err = capsys.readouterr().err
+        assert docs[1].id in err or "line 2" in err, err
+
+
+def test_prediction_for_unknown_document_is_rejected(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _synth(corpus, docs=3)
+    docs, _ = parse_corpus(corpus)
+    ghost = Prediction("ghost", (0,), (0,), (0.5,), (0.5,))
+    with pytest.raises(CorpusError, match="ghost"):
+        write_predictions([ghost], docs, tmp_path / "p.jsonl")
+    with pytest.raises(CorpusError, match="ghost"):
+        evaluate_full([ghost], docs)
+    with pytest.raises(CorpusError, match="ghost"):
+        evaluation.score_vs_k([ghost], docs, 3)
+    records = _prediction_records(docs)
+    records[2]["id"] = "ghost"
+    predictions = _write_jsonl(tmp_path / "predictions.jsonl", records)
+    assert run(["analyze", "--corpus", str(corpus), "--predictions",
+                str(predictions), "--out", str(tmp_path / "a")]) == 2
+    assert "ghost" in capsys.readouterr().err
 
 
 def test_train_zero_norm_sentence_is_numeric_failure(tmp_path, labeled_corpus,

@@ -5,12 +5,20 @@ import pytest
 
 from sectsum import (
     Prediction,
+    SynthConfig,
     approx_randomization_test,
     boundary_proximity_histogram,
     evaluate_full,
+    generate_synthetic,
+    render_summary,
+    rouge_l,
+    rouge_n,
     seg_f1,
+    select_top_k,
+    tokenize,
     windowdiff,
 )
+from sectsum import evaluation
 
 from conftest import make_doc
 
@@ -162,3 +170,35 @@ def test_evaluate_full_report(tiny_corpus):
     payload = dataclasses.asdict(report)
     assert payload["rouge1"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
     assert payload["seg_f1"] == pytest.approx(1.0)
+
+
+def test_score_vs_k_rows_match_the_per_k_loop():
+    docs = generate_synthetic(SynthConfig(
+        n_documents=7, sections_per_document=(1, 3),
+        sentences_per_section=(1, 4), duplicate_rate=0.6, rng_seed=3))
+    rng = np.random.default_rng(0)
+    # scores on a coarse grid, so select_top_k breaks ties
+    predictions = []
+    for doc in reversed(docs):
+        scores = tuple(float(v) for v in rng.integers(0, 4, len(doc.sentences)) / 4)
+        predictions.append(Prediction(doc.id, (), (0,), scores, scores))
+    # past the longest document, so every document runs out of sentences
+    k_max = max(len(doc.sentences) for doc in docs) + 2
+    by_id = {doc.id: doc for doc in docs}
+    expected = []
+    for k in range(1, k_max + 1):
+        r1, r2, rl, words = [], [], [], []
+        for pred in predictions:
+            doc = by_id[pred.doc_id]
+            selected = select_top_k(np.asarray(pred.scores_sum), k)
+            system = tokenize(render_summary(doc, selected))
+            reference = tokenize(doc.reference_summary)
+            r1.append(rouge_n(system, reference, 1).f1)
+            r2.append(rouge_n(system, reference, 2).f1)
+            rl.append(rouge_l(system, reference).f1)
+            words.append(len(system))
+        expected.append({"k": k, "rouge1_f": float(np.mean(r1)),
+                         "rouge2_f": float(np.mean(r2)),
+                         "rougeL_f": float(np.mean(rl)),
+                         "avg_words": float(np.mean(words))})
+    assert evaluation.score_vs_k(predictions, docs, k_max) == expected
