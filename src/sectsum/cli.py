@@ -267,6 +267,8 @@ def _load_train_config(args):
 
 
 def _cmd_train(args):
+    if not 0.0 <= args.val_fraction < 1.0:
+        raise ValueError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
     config = _load_train_config(args)
     train_docs, _ = parse_corpus(args.corpus, strict=True)
     if args.val_corpus is not None:

@@ -1,14 +1,17 @@
 """Determinantal repulsion over encoded sentences.
 
 The kernel uses a quality/diversity decomposition: L = diag(q) S diag(q),
-where q is the per-sentence summary probability and S is the cosine
-similarity Gram matrix of the encoded sentences. Subset log-probability is
+where q is the per-sentence summary probability and S = U U^T is the cosine
+Gram matrix of the unit-norm encoded sentences U. Subset log-probability is
 log det(L_Y) - log det(L + I); the normalizer identity
 sum_Y det(L_Y) = det(L + I) is exercised by brute force in the tests.
 
-Determinants go through Cholesky factorizations. A ridge on the subset minor
-keeps training stable near duplicate sentences (escalating tenfold up to 1e-4
-on factorization failure); a zero ridge is exact and is what test oracles use.
+L + I and the subset minor are each Cholesky-factored once, for both the
+log-det and the gradient. The gradient runs through B = diag(q) U (L = B B^T)
+in n x d form: O(n^3 / 3 + n^2 d) for n sentences of width d. A ridge on the
+subset minor keeps training stable near duplicate sentences (escalating
+tenfold up to 1e-4 on factorization failure); a zero ridge is exact and is
+what test oracles use.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 __all__ = [
     "DppKernel",
@@ -65,6 +68,12 @@ def build_kernel(hidden, quality, ridge=0.0):
     ridge : float
         Stored on the kernel; applied to subset minors during factorization.
     """
+    return _kernel_with_rows(hidden, quality, ridge)[0]
+
+
+def _kernel_with_rows(hidden, quality, ridge):
+    """:func:`build_kernel`'s kernel, the unit rows u_i = h_i / |h_i| and the
+    norms |h_i|, which the gradient chains through."""
     hidden = np.asarray(hidden, dtype=float)
     quality = np.asarray(quality, dtype=float)
     if hidden.ndim != 2 or quality.shape != (hidden.shape[0],):
@@ -78,28 +87,27 @@ def build_kernel(hidden, quality, ridge=0.0):
     similarity = unit @ unit.T
     similarity = 0.5 * (similarity + similarity.T)
     kernel = quality[:, None] * similarity * quality[None, :]
-    return DppKernel(quality=quality, similarity=similarity, kernel=kernel,
-                     ridge=float(ridge))
+    return (DppKernel(quality=quality, similarity=similarity, kernel=kernel,
+                      ridge=float(ridge)), unit, norms)
 
 
 def _chol_logdet(matrix):
-    """log det via Cholesky; raises np.linalg.LinAlgError if not PD."""
+    """Lower Cholesky factor and log det; raises np.linalg.LinAlgError if not PD."""
     factor = np.linalg.cholesky(matrix)
     diag = np.diag(factor)
     if np.any(diag <= 0) or not np.isfinite(diag).all():
         raise np.linalg.LinAlgError("non-positive pivot")
-    return 2.0 * np.log(diag).sum()
+    return factor, 2.0 * np.log(diag).sum()
 
 
 def _minor_logdet(kernel_matrix, subset, ridge):
-    """log det of the subset minor plus ridge, escalating the ridge tenfold
-    (up to 1e-4) on factorization failure. A zero ridge never escalates."""
+    """Lower Cholesky factor, log det and ridge of the subset minor plus ridge;
+    the ridge escalates tenfold (up to 1e-4) on failure, a zero ridge never."""
     minor = kernel_matrix[np.ix_(subset, subset)]
-    eye = np.eye(len(subset))
     eps = ridge
     while True:
         try:
-            return _chol_logdet(minor + eps * eye), eps
+            return *_chol_logdet(minor + eps * np.eye(len(subset))), eps
         except np.linalg.LinAlgError:
             if eps == 0.0 or eps >= _MAX_RIDGE:
                 raise SingularMinorError(
@@ -124,10 +132,10 @@ def dpp_log_prob(kernel, subset):
     """
     n = kernel.kernel.shape[0]
     subset = _subset_indices(subset, n)
-    log_norm = _chol_logdet(kernel.kernel + np.eye(n))
+    _, log_norm = _chol_logdet(kernel.kernel + np.eye(n))
     if not subset:
         return -log_norm
-    log_minor, _ = _minor_logdet(kernel.kernel, subset, kernel.ridge)
+    _, log_minor, _ = _minor_logdet(kernel.kernel, subset, kernel.ridge)
     return log_minor - log_norm
 
 
@@ -161,38 +169,26 @@ def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8):
     -------
     DppLoss
     """
-    hidden = np.asarray(hidden, dtype=float)
-    quality = np.asarray(quality, dtype=float)
-    kern = build_kernel(hidden, quality, ridge=ridge)
-    n = hidden.shape[0]
+    kern, unit, norms = _kernel_with_rows(hidden, quality, ridge)
+    n = len(unit)
     subset = _subset_indices(subset, n)
     if not subset:
         raise ValueError("subset must be non-empty; skip the loss term instead")
 
     # Value: log det(L + I) - log det(L_Y + eps I).
-    full = kern.kernel + np.eye(n)
-    log_norm = _chol_logdet(full)
-    log_minor, eps = _minor_logdet(kern.kernel, subset, ridge)
+    full_factor, log_norm = _chol_logdet(kern.kernel + np.eye(n))
+    minor_factor, log_minor, eps = _minor_logdet(kern.kernel, subset, ridge)
     value = log_norm - log_minor
 
-    # d value / d L = (L + I)^-1 - embed(A^-1), A = L_Y + eps I.
-    inv_full = cho_solve(cho_factor(full, lower=True), np.eye(n))
-    minor = kern.kernel[np.ix_(subset, subset)] + eps * np.eye(len(subset))
-    inv_minor = cho_solve(cho_factor(minor, lower=True), np.eye(len(subset)))
-    d_kernel = inv_full.copy()
-    d_kernel[np.ix_(subset, subset)] -= inv_minor
-    d_kernel = 0.5 * (d_kernel + d_kernel.T)
+    # With L = B B^T, B = diag(q) U: d value / dB = 2 (L + I)^-1 B, minus
+    # 2 A^-1 B_Y on the rows of Y, where A = L_Y + eps I.
+    rows = kern.quality[:, None] * unit
+    d_rows = 2.0 * cho_solve((full_factor, True), rows)
+    d_rows[subset] -= 2.0 * cho_solve((minor_factor, True), rows[subset])
 
-    # Chain through L = diag(q) S diag(q):
-    #   d/dq_i = 2 sum_j d_kernel[i, j] q_j S[i, j]
-    #   d/dS   = d_kernel * outer(q, q)
-    d_quality = 2.0 * ((d_kernel * kern.similarity) @ quality)
-    d_similarity = d_kernel * np.outer(quality, quality)
-
-    # Chain through S = U U^T and the row normalization u_i = h_i / |h_i|.
-    norms = np.linalg.norm(hidden, axis=1)
-    unit = hidden / norms[:, None]
-    d_unit = 2.0 * d_similarity @ unit
+    # Chain through b_i = q_i u_i and the row normalization u_i = h_i / |h_i|.
+    d_quality = (d_rows * unit).sum(axis=1)
+    d_unit = kern.quality[:, None] * d_rows
     radial = (d_unit * unit).sum(axis=1, keepdims=True)
     d_hidden = (d_unit - radial * unit) / norms[:, None]
 

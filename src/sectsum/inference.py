@@ -161,10 +161,12 @@ def read_predictions(path):
                     scores_sum=tuple(record["scores_sum"]),
                     scores_seg=tuple(record["scores_seg"]),
                 )
-                finite = all(map(math.isfinite, pred.scores_sum + pred.scores_seg))
             except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
                 raise CorpusError(f"line {line_no}: bad prediction record: {exc}") from exc
-            if not finite:
-                raise CorpusError(f"line {line_no}: non-finite score in prediction record")
+            # JSON booleans parse as bool, which math.isfinite would accept
+            if not all(type(v) in (int, float) and math.isfinite(v)
+                       for v in pred.scores_sum + pred.scores_seg):
+                raise CorpusError(f"line {line_no}: non-finite or non-numeric score "
+                                  "in prediction record")
             predictions.append(pred)
     return predictions

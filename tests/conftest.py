@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from sectsum import (
-    Document, FeatureConfig, SynthConfig, candidate_score, generate_synthetic,
-    init_params, tokenize,
+    Document, FeatureConfig, SynthConfig, build_kernel, candidate_score,
+    generate_synthetic, init_params, tokenize,
 )
 
 # Lines appended by the acceptance tests; replayed after the run so they
@@ -60,6 +62,37 @@ def rescoring_greedy_labels(doc, max_sentences=None):
             break
         selected.append(best_idx)
     return tuple(int(i in selected) for i in range(n)), tuple(selected)
+
+
+def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
+    """The repulsion loss by its primal formula, with the ridge as given (no
+    escalation): value, d_hidden and d_quality. The adjoint
+    d value / dL = (L + I)^-1 - embed(A^-1), A = L_Y + ridge I, comes from
+    explicit inverses and is pushed back through L = diag(q) S diag(q) and
+    S = U U^T as n x n matrices; ``dpp_loss_and_grad`` must agree with it."""
+    hidden = np.asarray(hidden, dtype=float)
+    quality = np.asarray(quality, dtype=float)
+    kernel = build_kernel(hidden, quality, ridge=ridge)
+    subset = sorted(set(subset))
+    full = kernel.kernel + np.eye(len(quality))
+    minor = kernel.kernel[np.ix_(subset, subset)] + ridge * np.eye(len(subset))
+    full_factor, minor_factor = np.linalg.cholesky(full), np.linalg.cholesky(minor)
+    value = (2.0 * np.log(np.diag(full_factor)).sum()
+             - 2.0 * np.log(np.diag(minor_factor)).sum())
+
+    inv_full = cho_solve(cho_factor(full, lower=True), np.eye(len(quality)))
+    inv_minor = cho_solve(cho_factor(minor, lower=True), np.eye(len(subset)))
+    d_kernel = inv_full.copy()
+    d_kernel[np.ix_(subset, subset)] -= inv_minor
+    d_kernel = 0.5 * (d_kernel + d_kernel.T)
+    d_quality = 2.0 * ((d_kernel * kernel.similarity) @ quality)
+    d_similarity = d_kernel * np.outer(quality, quality)
+    norms = np.linalg.norm(hidden, axis=1)
+    unit = hidden / norms[:, None]
+    d_unit = 2.0 * d_similarity @ unit
+    radial = (d_unit * unit).sum(axis=1, keepdims=True)
+    d_hidden = (d_unit - radial * unit) / norms[:, None]
+    return float(value), d_hidden, d_quality
 
 
 @pytest.fixture(scope="session")

@@ -321,6 +321,9 @@ def test_exit_codes(tmp_path, capsys):
     ["gradcheck", "--tolerance", "nan"],
     ["predict", "--threshold", "nan"],
     ["label", "--max-sentences", "-1"],
+    ["train", "--val-fraction", "nan"],
+    ["train", "--val-fraction", "-0.5"],
+    ["train", "--val-fraction", "1.0"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
     checkpoint = tmp_path / "model.ckpt"
@@ -353,7 +356,7 @@ def test_label_degenerate_documents(tmp_path):
          "section_starts": [0, 2], "reference_summary": "alpha beta beta"},
         {"id": "long", "sentences": long_texts,
          "section_starts": list(range(0, 420, 10)),
-         "reference_summary": "w1 w7 topic0 w30 w14 topic30 w5 w35 topic41"},
+         "reference_summary": " ".join(long_texts[::35])},
     ]
     path, out = tmp_path / "raw.jsonl", tmp_path / "labeled.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -372,4 +375,22 @@ def test_label_degenerate_documents(tmp_path):
     assert duplicates.selection_order == (0,)
     # the bigram "beta beta" spans the punctuation-only sentences 2 and 3
     assert punctuation.selection_order == (1, 4)
-    assert len(long_doc.selection_order) >= 3
+    # more oracle picks than --dim 8 below, so the subset minor is rank
+    # deficient and ridge-dominated in training
+    assert len(long_doc.selection_order) > 8
+
+    # train (all four, and validate on them), predict and eval the same documents
+    model, pred, report = tmp_path / "model", tmp_path / "pred", tmp_path / "eval"
+    assert _train(tmp_path, out, model,
+                  ["--variant", "full", "--val-corpus", str(out)]) == 0
+    assert run(["predict", "--corpus", str(out), "--out", str(pred),
+                "--checkpoint", str(model / "best_checkpoint.ckpt")]) == 0
+    predictions = read_predictions(pred / "predictions.jsonl")
+    assert [p.doc_id for p in predictions] == [r["id"] for r in records]
+    for prediction in predictions:
+        assert all(0.0 < v < 1.0 for v in prediction.scores_sum + prediction.scores_seg)
+    assert run(["eval", "--corpus", str(out), "--out", str(report), "--plot-data",
+                "--predictions", str(pred / "predictions.jsonl")]) == 0
+    # json.dump writes a non-finite float as the bare constant NaN or Infinity
+    json.loads((report / "report.json").read_text(),
+               parse_constant=lambda c: pytest.fail(f"report.json holds {c}"))

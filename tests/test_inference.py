@@ -108,13 +108,14 @@ def test_read_predictions_reports_line(tmp_path):
 
 @pytest.mark.parametrize("field, value", [("scores_sum", "NaN"),
                                           ("scores_seg", "Infinity"),
-                                          ("scores_sum", "-Infinity")])
+                                          ("scores_sum", "-Infinity"),
+                                          ("scores_seg", "true")])
 def test_read_predictions_rejects_non_finite_scores(tmp_path, field, value):
     record = {"id": "a", "selected": [0], "boundaries": [0],
               "scores_sum": [0.5, 0.25], "scores_seg": [0.5, 0.25]}
     path = tmp_path / "preds.jsonl"
     good = json.dumps(record)
-    record[field] = [0.5, float(value)]
+    record[field] = [0.5, json.loads(value)]
     path.write_text(good + "\n" + json.dumps(record) + "\n")
     assert value in path.read_text()
     with pytest.raises(CorpusError, match="line 2: non-finite"):

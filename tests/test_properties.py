@@ -4,16 +4,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sectsum import (
     DEFAULT_DPP_RIDGE, Document, brute_force_subset_sum, build_kernel,
-    candidate_score, dpp_log_prob, greedy_summary_labels, lcs_length, rouge_l,
-    rouge_n, seg_f1, select_top_k, tokenize, windowdiff,
+    candidate_score, dpp_log_prob, dpp_loss_and_grad, greedy_summary_labels,
+    lcs_length, rouge_l, rouge_n, seg_f1, select_top_k, tokenize, windowdiff,
 )
 
-from conftest import dp_lcs_length, rescoring_greedy_labels
+from conftest import dp_lcs_length, primal_dpp_loss_and_grad, rescoring_greedy_labels
 
 # derandomize: the same examples on every run, and no example database on disk
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
@@ -143,3 +143,32 @@ def test_dpp_normalizer_and_subset_log_probs(instance):
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
             assert dpp_log_prob(kern, subset) <= 0.0
+
+
+# n <= 8 sentences of width 1-6 with a non-empty subset Y of at most that
+# width, qualities in [0.05, 0.95]
+well_posed_dpp = st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.lists(st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+                          min_size=shape[1], max_size=shape[1]),
+                 min_size=shape[0], max_size=shape[0]),
+        st.lists(st.floats(0.05, 0.95), min_size=shape[0], max_size=shape[0]),
+        st.sets(st.integers(0, shape[0] - 1), min_size=1,
+                max_size=min(shape)).map(sorted)))
+
+
+@FAST
+@given(well_posed_dpp)
+def test_dpp_gradient_matches_primal_reference(instance):
+    hidden, quality, subset = np.array(instance[0]), np.array(instance[1]), instance[2]
+    kernel = build_kernel(hidden, quality).kernel
+    # well conditioned: the subset minor is far from singular, so the ridge
+    # never escalates
+    assume(np.linalg.cond(kernel[np.ix_(subset, subset)]) < 1e4)
+    value, d_hidden, d_quality = primal_dpp_loss_and_grad(
+        hidden, quality, subset, DEFAULT_DPP_RIDGE)
+    loss = dpp_loss_and_grad(hidden, quality, subset, ridge=DEFAULT_DPP_RIDGE)
+    assert loss.value == value
+    assert loss.ridge_used == DEFAULT_DPP_RIDGE
+    np.testing.assert_allclose(loss.d_hidden, d_hidden, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(loss.d_quality, d_quality, rtol=1e-9, atol=1e-12)
