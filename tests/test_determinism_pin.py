@@ -13,11 +13,11 @@ from sectsum.cli import run
 
 TRAIN_DIGESTS = {
     "checkpoint.ckpt":
-        "580c3c0caa4582d19be2a593211cbd69ce739cbce0d5f5328000efbb059cc4ea",
+        "9898f9af9d1e960d26c603012e49b465a3d39c5f868959a00bce16bb941abb6d",
     "best_checkpoint.ckpt":
-        "0ae21d449d2e0e71b3f6e2551f315087a5446bfc21a1cc9e73a622791c62fd54",
+        "c98c6700d8748d323940f5a6fb69b34cab438e48e550ea249f60c337e59b1393",
     "metrics.jsonl":
-        "e77a9fbff9602df257837fbcf28c29fcf08ee20d789f982af212fdceaebfa7ee",
+        "4f9e63c85202bc269fa9a7f077fa7e32146de8c3909af412d7e2956fb19cd1e7",
 }
 GRADCHECK_STDOUT_DIGEST = (
     "297132d7d84e978cee289df82134d2cd66f5aa980cf72a2b61e65427c56d9300"
