@@ -280,7 +280,7 @@ def _cmd_train(args):
         )
     else:
         val_docs = []
-    for doc in train_docs:
+    for doc in [*train_docs, *val_docs]:
         if doc.labels is None:
             raise CorpusError(
                 f"document {doc.id!r} has no labels; run `sectsum label` first"

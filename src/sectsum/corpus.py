@@ -65,15 +65,14 @@ def tokenize(text):
 
 @dataclass(frozen=True)
 class Sentence:
-    """One sentence: position in the document, raw text, and its tokens."""
+    """One sentence: raw text and its tokens."""
 
-    index: int
     text: str
     tokens: tuple
 
     @classmethod
-    def from_text(cls, index, text):
-        return cls(index=index, text=text, tokens=tuple(tokenize(text)))
+    def from_text(cls, text):
+        return cls(text=text, tokens=tuple(tokenize(text)))
 
 
 @dataclass(frozen=True)
@@ -117,12 +116,9 @@ class Document:
     def build(cls, doc_id, sentence_texts, section_starts=(0,),
               reference_summary=None, labels=None):
         """Construct from raw sentence strings and validate."""
-        sentences = tuple(
-            Sentence.from_text(i, text) for i, text in enumerate(sentence_texts)
-        )
         doc = cls(
             id=doc_id,
-            sentences=sentences,
+            sentences=tuple(Sentence.from_text(text) for text in sentence_texts),
             section_starts=tuple(int(b) for b in section_starts),
             reference_summary=reference_summary,
             labels=labels,
@@ -137,11 +133,6 @@ class Document:
             raise CorpusError("document id must be a non-empty string")
         if n < 1:
             raise CorpusError(f"document {self.id!r}: needs at least one sentence")
-        for i, sent in enumerate(self.sentences):
-            if sent.index != i:
-                raise CorpusError(
-                    f"document {self.id!r}: sentence index {sent.index} at position {i}"
-                )
         starts = self.section_starts
         if not starts or starts[0] != 0:
             raise CorpusError(f"document {self.id!r}: section_starts must begin with 0")
@@ -240,8 +231,9 @@ def parse_corpus(path, strict=True):
     path : str or Path
         JSON Lines file, one document per line. Blank lines are ignored.
     strict : bool
-        If True, any malformed line raises :class:`CorpusError` naming the
-        line number. If False, malformed lines are skipped and counted.
+        If True, any malformed line, or one whose document id an earlier
+        line already used, raises :class:`CorpusError` naming the line
+        number. If False, such lines are skipped and counted.
 
     Returns
     -------
@@ -249,13 +241,18 @@ def parse_corpus(path, strict=True):
     """
     documents = []
     skipped = 0
+    first_line = {}  # document id -> line number
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                documents.append(_record_to_doc(record))
+                doc = _record_to_doc(json.loads(line))
+                if doc.id in first_line:
+                    raise CorpusError(
+                        f"document id {doc.id!r} repeats line {first_line[doc.id]}")
+                first_line[doc.id] = line_no
+                documents.append(doc)
             except (json.JSONDecodeError, CorpusError, TypeError, ValueError) as exc:
                 if strict:
                     raise CorpusError(f"line {line_no}: {exc}") from exc

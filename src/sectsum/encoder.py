@@ -91,32 +91,38 @@ class FeatureConfig:
 # Featurization
 # ---------------------------------------------------------------------------
 
-def _bucket(token, n_buckets):
-    return zlib.crc32(token.encode("utf-8")) % n_buckets
-
-
 def base_features(doc, config):
     """Raw per-sentence features, shape (n_sentences, hash_buckets + 4).
 
     Columns: L2-normalized hashed bag-of-words counts, then normalized
     position i/n, log(1 + token count), cosine similarity of the sentence
     TF-IDF vector to the document centroid, and a cue-lexicon indicator.
-    Deterministic: the token hash is crc32, independent of process state.
+    Both word blocks come from one sentence x word-type count matrix.
+    Deterministic: the word hash is crc32, independent of process state.
     """
     n = len(doc.sentences)
     buckets = config.hash_buckets
-    out = np.zeros((n, buckets + N_SCALAR_FEATURES))
+    tokens = [tok for sent in doc.sentences for tok in sent.tokens]
+    lengths = [len(sent.tokens) for sent in doc.sentences]
+    vocab = sorted(set(tokens))
+    column = {tok: j for j, tok in enumerate(vocab)}
+    tf = np.zeros((n, len(vocab)))
+    np.add.at(tf, (np.repeat(np.arange(n), lengths),
+                   np.array([column[tok] for tok in tokens], dtype=np.intp)), 1.0)
 
-    for i, sent in enumerate(doc.sentences):
-        for tok in sent.tokens:
-            out[i, _bucket(tok, buckets)] += 1.0
-        norm = np.linalg.norm(out[i, :buckets])
-        if norm > 0:
-            out[i, :buckets] /= norm
+    out = np.zeros((n, buckets + N_SCALAR_FEATURES))
+    hashed = out[:, :buckets]
+    word_bucket = np.array([zlib.crc32(tok.encode("utf-8")) % buckets for tok in vocab],
+                           dtype=np.intp)
+    np.add.at(hashed.T, word_bucket, tf.T)
+    # The counts are integers, so every sum of squares is exact and these
+    # norms equal a per-row np.linalg.norm bit for bit.
+    norms = np.sqrt((hashed * hashed).sum(axis=1))
+    hashed /= np.where(norms > 0, norms, 1.0)[:, None]
 
     out[:, buckets] = np.arange(n) / n
-    out[:, buckets + 1] = [math.log1p(len(s.tokens)) for s in doc.sentences]
-    out[:, buckets + 2] = _centroid_similarity(doc)
+    out[:, buckets + 1] = [math.log1p(length) for length in lengths]
+    out[:, buckets + 2] = _centroid_similarity(tf)
     lexicon = [phrase.lower() for phrase in config.cue_lexicon]
     for i, sent in enumerate(doc.sentences):
         text = sent.text.lower()
@@ -125,17 +131,10 @@ def base_features(doc, config):
     return out
 
 
-def _centroid_similarity(doc):
-    """Cosine of each sentence's TF-IDF vector against the document centroid."""
-    n = len(doc.sentences)
-    vocab = sorted({t for s in doc.sentences for t in s.tokens})
-    if not vocab:
-        return np.zeros(n)
-    col = {t: j for j, t in enumerate(vocab)}
-    tf = np.zeros((n, len(vocab)))
-    for i, sent in enumerate(doc.sentences):
-        for tok in sent.tokens:
-            tf[i, col[tok]] += 1.0
+def _centroid_similarity(tf):
+    """Cosine of each sentence's TF-IDF vector against the document centroid,
+    from the sentence x word-type count matrix ``tf``."""
+    n = tf.shape[0]
     df = (tf > 0).sum(axis=0)
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
     vec = tf * idf
@@ -212,10 +211,6 @@ class ModelParams:
     def blocks(self):
         """Yield (name, array) pairs in vector order; arrays are live views."""
         return _cut(self.vector, self._shapes())
-
-    @property
-    def n_parameters(self):
-        return self.vector.size
 
     def _shapes(self):
         return _block_shapes(self.n_features, self.dim, self.n_layers, self.ffn_hidden)
@@ -480,9 +475,12 @@ def encode_forward(features, params):
 
 def heads_forward(hidden, params):
     """Summary and boundary probabilities of the encoded sentences
-    ``hidden`` (n, dim); both are strictly inside (0, 1)."""
+    ``hidden`` (n, dim), strictly inside (0, 1); a non-finite logit (finite
+    weights can still overflow ``hidden @ w``) raises :class:`NumericsError`."""
     z_sum = hidden @ params.w_sum + params.b_sum[0]
     z_seg = hidden @ params.w_seg + params.b_seg[0]
+    if not (np.isfinite(z_sum).all() and np.isfinite(z_seg).all()):
+        raise NumericsError("non-finite head logit")
     return stable_sigmoid(z_sum), stable_sigmoid(z_seg)
 
 

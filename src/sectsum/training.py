@@ -148,8 +148,9 @@ def total_loss(documents, params, config, feature_config, features=None,
     params : ModelParams
     config : TrainConfig
     feature_config : FeatureConfig
-    features : dict or None
-        Optional cache mapping document id to its raw feature matrix.
+    features : list of arrays or None
+        The documents' :func:`base_features` matrices in document order;
+        computed per document when None.
     with_grads : bool
         Skip the backward pass when False (evaluation only); the repulsion
         term then needs log-determinants only. Its subset minor gets the
@@ -168,9 +169,10 @@ def total_loss(documents, params, config, feature_config, features=None,
     skipped = 0
     head_probs = []
 
-    for doc in documents:
+    if features is None:
+        features = [None] * n_docs
+    for doc, raw in zip(documents, features, strict=True):
         y_sum, y_seg = _doc_arrays(doc)
-        raw = None if features is None else features.get(doc.id)
         enc = forward_document(doc, params, feature_config, raw)
         p_sum, p_seg = enc.summary_probs, enc.boundary_probs
         head_probs.append((p_sum, p_seg))
@@ -306,10 +308,8 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
                              ffn_hidden=ffn_hidden, rng_seed=config.rng_seed)
     else:
         params = params.copy()
-    features = {
-        doc.id: base_features(doc, feature_config)
-        for doc in list(train_docs) + list(val_docs)
-    }
+    train_features = [base_features(doc, feature_config) for doc in train_docs]
+    val_features = [base_features(doc, feature_config) for doc in val_docs]
     rng = np.random.default_rng(config.rng_seed)
     n = len(train_docs)
     batches_per_epoch = math.ceil(n / config.batch_size)
@@ -330,9 +330,9 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
         pending = np.zeros_like(theta)
         pending_count = 0
         for start in range(0, n, config.batch_size):
-            batch = [train_docs[i] for i in order[start:start + config.batch_size]]
-            result = total_loss(batch, params, config, feature_config,
-                                features=features)
+            batch = order[start:start + config.batch_size]
+            result = total_loss([train_docs[i] for i in batch], params, config,
+                                feature_config, [train_features[i] for i in batch])
             epoch_losses.append(result.value)
             pending += result.grads.vector
             pending_count += 1
@@ -355,7 +355,7 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
                   "val_loss": None, "val_rouge1_f": None, "val_seg_f1": None}
         if val_docs:
             record.update(_validation_metrics(
-                val_docs, params, config, feature_config, features, eval_top_k))
+                val_docs, params, config, feature_config, val_features, eval_top_k))
         history.append(record)
         key = record["val_loss"] if val_docs else record["train_loss"]
         if key < best_key:
@@ -441,7 +441,7 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
     if analytic is None:
         analytic = total_loss([doc], params, config, feature_config).grads
     probe = params.copy()
-    features = {doc.id: base_features(doc, feature_config)}
+    features = [base_features(doc, feature_config)]
 
     def loss_at():
         return total_loss([doc], probe, config, feature_config, features=features,

@@ -1,9 +1,12 @@
+import math
+import zlib
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from sectsum import (
-    Document, FeatureConfig, SynthConfig, build_kernel, candidate_score,
+    N_SCALAR_FEATURES, Document, FeatureConfig, SynthConfig, build_kernel, candidate_score,
     generate_synthetic, init_params, tokenize,
 )
 
@@ -93,6 +96,47 @@ def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
     radial = (d_unit * unit).sum(axis=1, keepdims=True)
     d_hidden = (d_unit - radial * unit) / norms[:, None]
     return float(value), d_hidden, d_quality
+
+
+def loop_base_features(doc, config):
+    """``base_features`` by its definition: every token occurrence is hashed
+    into its crc32 bucket and each row normalized on its own, and the
+    centroid column counts the tokens a second time into its own
+    sentence x vocabulary TF matrix. ``base_features`` must equal it bit for
+    bit."""
+    n = len(doc.sentences)
+    buckets = config.hash_buckets
+    out = np.zeros((n, buckets + N_SCALAR_FEATURES))
+    for i, sent in enumerate(doc.sentences):
+        for tok in sent.tokens:
+            out[i, zlib.crc32(tok.encode("utf-8")) % buckets] += 1.0
+        norm = np.linalg.norm(out[i, :buckets])
+        if norm > 0:
+            out[i, :buckets] /= norm
+    out[:, buckets] = np.arange(n) / n
+    out[:, buckets + 1] = [math.log1p(len(s.tokens)) for s in doc.sentences]
+
+    vocab = sorted({t for s in doc.sentences for t in s.tokens})
+    if vocab:
+        col = {t: j for j, t in enumerate(vocab)}
+        tf = np.zeros((n, len(vocab)))
+        for i, sent in enumerate(doc.sentences):
+            for tok in sent.tokens:
+                tf[i, col[tok]] += 1.0
+        df = (tf > 0).sum(axis=0)
+        vec = tf * (np.log((1.0 + n) / (1.0 + df)) + 1.0)
+        centroid = vec.mean(axis=0)
+        c_norm = np.linalg.norm(centroid)
+        for i in range(n):
+            v_norm = np.linalg.norm(vec[i])
+            if c_norm > 0 and v_norm > 0:
+                out[i, buckets + 2] = float(vec[i] @ centroid) / (v_norm * c_norm)
+
+    lexicon = [phrase.lower() for phrase in config.cue_lexicon]
+    for i, sent in enumerate(doc.sentences):
+        if any(phrase in sent.text.lower() for phrase in lexicon):
+            out[i, buckets + 3] = 1.0
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -156,6 +156,59 @@ def test_train_requires_labels(tmp_path):
     assert code == 2
 
 
+def test_train_requires_labels_in_val_corpus(tmp_path, labeled_corpus, capsys):
+    val = tmp_path / "val.jsonl"
+    _synth(val, docs=2, seed=9)
+    _strip_labels(val)
+    out = tmp_path / "run"
+    assert _train(tmp_path, labeled_corpus, out, ["--val-corpus", str(val)]) == 2
+    assert "has no labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["label", "train", "predict", "eval", "analyze"])
+def test_repeated_document_id_exits_2(tmp_path, labeled_corpus, capsys, command):
+    """A record that repeats an earlier record's id, with the same sentence
+    count and labels but other text, is malformed data for every command
+    that reads a corpus."""
+    records = [json.loads(line) for line in labeled_corpus.read_text().splitlines()]
+    twin = json.loads(json.dumps(records[0]))
+    twin["sentences"][0] = "an entirely different opening sentence"
+    corpus = _write_jsonl(tmp_path / "twins.jsonl", records + [twin])
+    predictions = _write_jsonl(tmp_path / "predictions.jsonl",
+                               _prediction_records(parse_corpus(labeled_corpus)[0]))
+    checkpoint = tmp_path / "model.ckpt"
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2), config)
+    out = str(tmp_path / "out")
+    argv = {
+        "label": ["label", "--corpus", str(corpus), "--out", str(tmp_path / "l.jsonl")],
+        "train": ["train", "--corpus", str(corpus), "--out", out, "--epochs", "1",
+                  "--dim", "8", "--hash-buckets", "16", "--layers", "1", "--heads", "2"],
+        "predict": ["predict", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+                    "--out", out],
+        "eval": ["eval", "--corpus", str(corpus), "--predictions", str(predictions),
+                 "--out", out],
+        "analyze": ["analyze", "--corpus", str(corpus), "--out", out],
+    }[command]
+    assert run(argv) == 2
+    assert f"line {len(records) + 1}: document id {twin['id']!r} repeats line 1" \
+        in capsys.readouterr().err
+
+
+def test_predict_non_finite_head_logit_exits_3(tmp_path, labeled_corpus, capsys):
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    params = init_params(config, n_layers=1, n_heads=2)
+    params.w_sum[...] = [1e308, -1e308] * 4  # finite weights; hidden @ w_sum is not
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, params, config)
+    out = tmp_path / "pred"
+    assert run(["predict", "--corpus", str(labeled_corpus), "--checkpoint",
+                str(checkpoint), "--out", str(out)]) == 3
+    assert "non-finite head logit" in capsys.readouterr().err
+    assert not (out / "predictions.jsonl").exists()
+
+
 def test_predict_and_eval_pipeline(tmp_path, labeled_corpus):
     out = tmp_path / "run"
     assert _train(tmp_path, labeled_corpus, out, ["--variant", "joint"]) == 0

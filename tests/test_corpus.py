@@ -30,8 +30,7 @@ def test_tokenize_lowercases_and_strips_punctuation():
 
 
 def test_sentence_from_text():
-    s = Sentence.from_text(3, "Hello, World")
-    assert s.index == 3
+    s = Sentence.from_text("Hello, World")
     assert s.text == "Hello, World"
     assert s.tokens == ("hello", "world")
 
@@ -90,6 +89,17 @@ def test_parse_corpus_reports_line_numbers(tmp_path):
         parse_corpus(path)
     docs, skipped = parse_corpus(path, strict=False)
     assert len(docs) == 1 and skipped == 1
+
+
+def test_parse_corpus_rejects_repeated_ids(tmp_path):
+    records = [{"id": doc_id, "sentences": [text], "section_starts": [0]}
+               for doc_id, text in (("a", "x y"), ("b", "z"), ("a", "w v"))]
+    path = tmp_path / "twins.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(CorpusError, match="line 3: document id 'a' repeats line 1"):
+        parse_corpus(path)
+    docs, skipped = parse_corpus(path, strict=False)
+    assert [d.sentences[0].text for d in docs] == ["x y", "z"] and skipped == 1
 
 
 def test_parse_corpus_rejects_missing_fields(tmp_path):

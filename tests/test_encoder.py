@@ -117,6 +117,15 @@ def test_heads_forward_formula(small_model, tiny_corpus):
     np.testing.assert_array_equal(enc.hidden, hidden)
 
 
+@pytest.mark.parametrize("head", ["w_sum", "w_seg"])
+def test_heads_forward_rejects_an_overflowing_logit(small_model, head):
+    _, params = small_model
+    huge = params.copy()
+    getattr(huge, head)[...] = 1e308  # finite, but 10 * 1e308 overflows
+    with pytest.raises(NumericsError, match="head logit"):
+        heads_forward(np.full((3, params.dim), 10.0), huge)
+
+
 def test_encoded_document_fields_cannot_be_rebound(small_model, tiny_corpus):
     config, params = small_model
     enc = forward_document(tiny_corpus[0], params, config)
@@ -175,12 +184,13 @@ def test_init_params_deterministic():
 def test_params_vector_round_trip(small_model):
     _, params = small_model
     vec = params.to_vector()
-    assert vec.size == params.n_parameters
+    assert vec.shape == params.vector.shape
+    assert not np.shares_memory(vec, params.vector)  # a copy
     restored = params.zeros_like().from_vector(vec)
     np.testing.assert_array_equal(restored.to_vector(), vec)
     names = [name for name, _ in params.blocks()]
     assert len(names) == len(set(names))
-    assert sum(a.size for _, a in params.blocks()) == params.n_parameters
+    assert sum(a.size for _, a in params.blocks()) == params.vector.size
     # every block is a view into the one flat vector, also after pickling,
     # and no field can be rebound away from it
     for copy in (restored, pickle.loads(pickle.dumps(restored))):

@@ -1,4 +1,5 @@
-"""Property tests of the metric, selection, oracle and DPP invariants."""
+"""Property tests of the metric, selection, oracle, DPP and featurizer
+invariants."""
 
 from itertools import combinations
 
@@ -8,12 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sectsum import (
-    DEFAULT_DPP_RIDGE, Document, brute_force_subset_sum, build_kernel,
+    CUE_PHRASES, DEFAULT_DPP_RIDGE, Document, FeatureConfig, base_features,
+    brute_force_subset_sum, build_kernel,
     candidate_score, dpp_log_prob, dpp_loss_and_grad, greedy_summary_labels,
     lcs_length, rouge_l, rouge_n, seg_f1, select_top_k, tokenize, windowdiff,
 )
 
-from conftest import dp_lcs_length, primal_dpp_loss_and_grad, rescoring_greedy_labels
+from conftest import (
+    dp_lcs_length, loop_base_features, primal_dpp_loss_and_grad,
+    rescoring_greedy_labels,
+)
 
 # derandomize: the same examples on every run, and no example database on disk
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
@@ -172,3 +177,23 @@ def test_dpp_gradient_matches_primal_reference(instance):
     assert loss.ridge_used == DEFAULT_DPP_RIDGE
     np.testing.assert_allclose(loss.d_hidden, d_hidden, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(loss.d_quality, d_quality, rtol=1e-9, atol=1e-12)
+
+
+# Words with case, unicode, inner and pure punctuation, and cue-phrase words;
+# the w-words widen the vocabulary so TF-IDF rows get long.
+feature_words = st.sampled_from(
+    ["a", "B", "naïve", "日本", "Café", "--", "...", "it's", "x.y", "so", "next",
+     "we", "need", "moving", "on", "to"] + [f"w{i}" for i in range(30)])
+feature_docs = st.builds(
+    lambda texts: Document.build("d", texts),
+    st.lists(st.lists(feature_words, max_size=12).map(" ".join), min_size=1,
+             max_size=20))
+
+
+@settings(FAST, max_examples=200)
+@given(feature_docs, st.integers(4, 9), st.sampled_from([(), CUE_PHRASES]))
+def test_base_features_match_the_loop_reference(doc, buckets, lexicon):
+    # few buckets, so distinct words collide in them
+    config = FeatureConfig(dim=4, hash_buckets=buckets, cue_lexicon=lexicon)
+    assert base_features(doc, config).tobytes() == \
+        loop_base_features(doc, config).tobytes()

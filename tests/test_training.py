@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -184,6 +185,26 @@ def test_fit_history_and_best_params(setup):
     recomputed = total_loss(val, result.best_params, config, fconfig,
                             with_grads=False)
     assert recomputed.value == pytest.approx(best_seen, rel=1e-9)
+
+
+def test_fit_val_document_may_reuse_a_train_id(setup):
+    """Features follow the documents by position: a validation document that
+    reuses a training document's id (with other text) trains exactly as it
+    does under a fresh id."""
+    docs, fconfig, _ = setup
+    train = list(docs[:6])
+    config = TrainConfig(variant="full", beta=0.1, epochs=2, batch_size=3,
+                         learning_rate=5e-3, rng_seed=2)
+    results = [
+        fit(train, config, feature_config=fconfig,
+            val_docs=[dataclasses.replace(docs[6], id=doc_id)],
+            n_layers=1, n_heads=2)
+        for doc_id in ("fresh", train[0].id)
+    ]
+    assert results[0].history == results[1].history
+    np.testing.assert_array_equal(results[0].params.vector, results[1].params.vector)
+    np.testing.assert_array_equal(results[0].best_params.vector,
+                                  results[1].best_params.vector)
 
 
 def test_fit_without_val_reports_none(setup):
