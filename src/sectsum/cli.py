@@ -206,6 +206,8 @@ def _cmd_synth(args):
 def _map_documents(worker, documents, threads):
     """``[worker(doc) for doc in documents]``, on ``threads`` worker processes
     when ``threads`` is above 1; the result order is the same either way."""
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
     if threads > 1:
         with multiprocessing.Pool(threads) as pool:
             return list(pool.imap(worker, documents, chunksize=8))
@@ -219,11 +221,6 @@ def _label_one(doc, convention, max_sentences):
 
 def _cmd_label(args):
     documents, skipped = parse_corpus(args.corpus, strict=True)
-    for doc in documents:
-        if not doc.reference_summary:
-            raise CorpusError(
-                f"document {doc.id!r} has no reference summary; cannot label"
-            )
     convention = SegLabelConvention(args.seg_label)
     worker = functools.partial(_label_one, convention=convention,
                                max_sentences=args.max_sentences)
@@ -243,11 +240,10 @@ _TRAIN_CONFIG_TYPES = {  # JSON value types each field accepts from a config fil
 def _load_train_config(args):
     settings = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"config file {args.config}: {exc}") from exc
+        try:
+            loaded = json.loads(Path(args.config).read_bytes().decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise CorpusError(f"config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise CorpusError(f"config file {args.config}: expected a JSON object")
         unknown = loaded.keys() - _TRAIN_CONFIG_TYPES
@@ -280,11 +276,6 @@ def _cmd_train(args):
         )
     else:
         val_docs = []
-    for doc in [*train_docs, *val_docs]:
-        if doc.labels is None:
-            raise CorpusError(
-                f"document {doc.id!r} has no labels; run `sectsum label` first"
-            )
 
     feature_config = FeatureConfig(dim=args.dim, hash_buckets=args.hash_buckets)
     result = fit(
@@ -305,7 +296,7 @@ def _cmd_train(args):
     effective.update({
         "dim": args.dim, "hash_buckets": args.hash_buckets,
         "n_layers": args.layers, "n_heads": args.heads,
-        "ffn_hidden": args.ffn_hidden,
+        "ffn_hidden": result.params.ffn_hidden,
     })
     with open(out / "effective_config.json", "w", encoding="utf-8") as fh:
         json.dump(effective, fh, indent=2, sort_keys=True)
@@ -438,7 +429,7 @@ def run(argv=None):
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (CorpusError, CheckpointError, OSError, KeyError) as exc:
+    except (CorpusError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (TrainingError, NumericsError, SingularMinorError, ZeroNormError,

@@ -242,18 +242,18 @@ def parse_corpus(path, strict=True):
     documents = []
     skipped = 0
     first_line = {}  # document id -> line number
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                doc = _record_to_doc(json.loads(line))
+                doc = _record_to_doc(json.loads(line.decode("utf-8")))
                 if doc.id in first_line:
                     raise CorpusError(
                         f"document id {doc.id!r} repeats line {first_line[doc.id]}")
                 first_line[doc.id] = line_no
                 documents.append(doc)
-            except (json.JSONDecodeError, CorpusError, TypeError, ValueError) as exc:
+            except (CorpusError, ValueError, RecursionError) as exc:
                 if strict:
                     raise CorpusError(f"line {line_no}: {exc}") from exc
                 skipped += 1

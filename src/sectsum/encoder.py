@@ -585,46 +585,49 @@ def load_checkpoint(path):
     (params, config) : (ModelParams, FeatureConfig)
     """
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
-        fc = header.get("feature_config")
-        if not isinstance(fc, dict):
-            raise CheckpointError("checkpoint header 'feature_config' must be an object")
-        lexicon = fc.get("cue_lexicon")
-        if not isinstance(lexicon, list) or not all(isinstance(p, str) for p in lexicon):
-            raise CheckpointError("checkpoint header 'cue_lexicon' must be a list of strings")
-        for key in ("use_position_feature", "use_centroid_similarity"):
-            if fc.get(key) is not True:
-                raise CheckpointError(
-                    f"checkpoint header {key!r} must be true, got {fc.get(key)!r}")
-        try:
-            config = FeatureConfig(dim=_header_int(fc, "dim"),
-                                   hash_buckets=_header_int(fc, "hash_buckets"),
-                                   cue_lexicon=tuple(lexicon))
-        except ValueError as exc:
-            raise CheckpointError(f"checkpoint feature config: {exc}") from exc
-        n_heads = _header_int(header, "n_heads")
-        shapes = _block_shapes(config.n_features, config.dim, _header_int(header, "n_layers"),
-                               _header_int(header, "ffn_hidden"))
-        blocks = header.get("blocks")
-        if not isinstance(blocks, list) or len(blocks) != len(shapes):
-            raise CheckpointError(f"checkpoint header must list {len(shapes)} blocks")
-        for header_block, (name, shape) in zip(blocks, shapes):
-            if not isinstance(header_block, dict) or header_block.get("name") != name \
-                    or header_block.get("shape") != list(shape):
-                raise CheckpointError(
-                    f"checkpoint block {header_block!r} does not match "
-                    f"model structure (expected {name!r} {shape})"
-                )
-        if n_heads == 0 or config.dim % n_heads != 0:
-            raise CheckpointError(f"dim {config.dim} not divisible by n_heads {n_heads}")
-        body = fh.read()
+        head, body = fh.readline(), fh.read()
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
+    if _header_int(header, "version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {header['version']}")
+    fc = header.get("feature_config")
+    if not isinstance(fc, dict):
+        raise CheckpointError("checkpoint header 'feature_config' must be an object")
+    lexicon = fc.get("cue_lexicon")
+    if not isinstance(lexicon, list) or not all(isinstance(p, str) for p in lexicon):
+        raise CheckpointError("checkpoint header 'cue_lexicon' must be a list of strings")
+    for key in ("use_position_feature", "use_centroid_similarity"):
+        if fc.get(key) is not True:
+            raise CheckpointError(
+                f"checkpoint header {key!r} must be true, got {fc.get(key)!r}")
+    try:
+        config = FeatureConfig(dim=_header_int(fc, "dim"),
+                               hash_buckets=_header_int(fc, "hash_buckets"),
+                               cue_lexicon=tuple(lexicon))
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint feature config: {exc}") from exc
+    n_heads = _header_int(header, "n_heads")
+    n_layers = _header_int(header, "n_layers")
+    if n_layers > len(body) // 8:  # every layer holds at least one weight
+        raise CheckpointError(f"'n_layers' {n_layers} exceeds the body's {len(body) // 8} values")
+    shapes = _block_shapes(config.n_features, config.dim, n_layers,
+                           _header_int(header, "ffn_hidden"))
+    blocks = header.get("blocks")
+    if not isinstance(blocks, list) or len(blocks) != len(shapes):
+        raise CheckpointError(f"checkpoint header must list {len(shapes)} blocks")
+    for header_block, (name, shape) in zip(blocks, shapes):
+        if not isinstance(header_block, dict) or header_block.get("name") != name \
+                or header_block.get("shape") != list(shape):
+            raise CheckpointError(
+                f"checkpoint block {header_block!r} does not match "
+                f"model structure (expected {name!r} {shape})"
+            )
+    if n_heads == 0 or config.dim % n_heads != 0:
+        raise CheckpointError(f"dim {config.dim} not divisible by n_heads {n_heads}")
     size = 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(body) < size:
         raise CheckpointError(f"truncated checkpoint: {len(body)} of {size} data bytes")

@@ -179,7 +179,7 @@ def evaluate_full(predictions, documents):
     document qualifies.
     """
     if not predictions:
-        raise ValueError("no predictions to evaluate")
+        raise CorpusError("no predictions to evaluate")
     summaries, segs, wds = [], [], []
     for pred, doc in paired(predictions, documents):
         summaries.append(_score_summary(doc, pred.selected, _reference_tokens(doc)))

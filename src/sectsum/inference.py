@@ -148,12 +148,14 @@ def write_predictions(predictions, documents, path):
 def read_predictions(path):
     """Read prediction JSONL back into :class:`Prediction` objects."""
     predictions = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
+                if not isinstance(record["id"], str):
+                    raise CorpusError(f"id must be a string, got {record['id']!r}")
                 pred = Prediction(
                     doc_id=record["id"],
                     selected=_int_list(record["selected"], "selected"),
@@ -161,7 +163,7 @@ def read_predictions(path):
                     scores_sum=tuple(record["scores_sum"]),
                     scores_seg=tuple(record["scores_seg"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
+            except (CorpusError, KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise CorpusError(f"line {line_no}: bad prediction record: {exc}") from exc
             # JSON booleans parse as bool, which math.isfinite would accept
             if not all(type(v) in (int, float) and math.isfinite(v)

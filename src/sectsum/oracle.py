@@ -16,7 +16,7 @@ from bisect import bisect, insort
 from collections import Counter
 from enum import Enum
 
-from .corpus import LabelSet, tokenize
+from .corpus import CorpusError, LabelSet, tokenize
 from .rouge import _ngrams, _score, rouge_n
 
 __all__ = [
@@ -64,7 +64,7 @@ def greedy_summary_labels(doc, max_sentences=None):
     Parameters
     ----------
     doc : Document
-        Must carry a non-empty ``reference_summary``.
+        Must carry a non-empty ``reference_summary`` (else :class:`CorpusError`).
     max_sentences : int or None
         Optional non-negative cap on the number of selected sentences.
 
@@ -89,7 +89,7 @@ def greedy_summary_labels(doc, max_sentences=None):
     if max_sentences is not None and max_sentences < 0:
         raise ValueError(f"max_sentences must be non-negative, got {max_sentences}")
     if not doc.reference_summary:
-        raise ValueError(f"document {doc.id!r} has no reference summary to label against")
+        raise CorpusError(f"document {doc.id!r} has no reference summary to label against")
     reference_tokens = tokenize(doc.reference_summary)
     n = len(doc.sentences)
     limit = n if max_sentences is None else min(max_sentences, n)

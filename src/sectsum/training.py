@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import evaluation, inference
-from .corpus import tokenize
+from .corpus import CorpusError, tokenize
 from .dpp import build_kernel, dpp_log_prob, dpp_loss_and_grad
 from .encoder import (
     FeatureConfig,
@@ -57,7 +57,7 @@ _ADAM_EPS = 1e-8
 
 
 class TrainingError(Exception):
-    """Raised when training hits a non-finite loss or unusable inputs."""
+    """Raised when training hits a non-finite loss."""
 
 
 class Variant(str, Enum):
@@ -131,7 +131,7 @@ class BatchLoss:
 
 def _doc_arrays(doc):
     if doc.labels is None:
-        raise TrainingError(f"document {doc.id!r} has no labels")
+        raise CorpusError(f"document {doc.id!r} has no labels; label it first")
     y_sum = np.asarray(doc.labels.summary_labels, dtype=float)
     y_seg = np.asarray(doc.labels.boundary_labels, dtype=float)
     return y_sum, y_seg
@@ -301,7 +301,9 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
         ``{epoch, train_loss, val_loss, val_rouge1_f, val_seg_f1}``.
     """
     if not train_docs:
-        raise TrainingError("no training documents")
+        raise CorpusError("no training documents")
+    for doc in [*train_docs, *val_docs]:
+        _doc_arrays(doc)  # a missing label stops the run before its first step
     feature_config = feature_config or FeatureConfig()
     if params is None:
         params = init_params(feature_config, n_layers=n_layers, n_heads=n_heads,

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -89,6 +90,7 @@ def test_train_outputs(tmp_path, labeled_corpus):
     effective = json.loads((out / "effective_config.json").read_text())
     assert effective["variant"] == "joint"
     assert effective["epochs"] == 2
+    assert effective["ffn_hidden"] == 16  # 2 * --dim when --ffn-hidden is omitted
     history = [json.loads(line)
                for line in (out / "metrics.jsonl").read_text().splitlines()]
     assert [h["epoch"] for h in history] == [1, 2]
@@ -257,8 +259,11 @@ def _write_jsonl(path, records):
     ("boundaries", lambda n: [0, True]),
     ("scores_sum", lambda n: [0.5] * (n - 1)),
     ("scores_seg", lambda n: [0.5] * (n + 1)),
+    ("id", lambda n: ["x"]),
+    ("id", lambda n: {}),
 ], ids=["selected_negative", "selected_n", "selected_float", "selected_str",
-        "boundary_past_end", "boundary_bool", "scores_sum_short", "scores_seg_long"])
+        "boundary_past_end", "boundary_bool", "scores_sum_short", "scores_seg_long",
+        "id_list", "id_object"])
 def test_prediction_that_does_not_fit_its_document_exits_2(tmp_path, capsys,
                                                           field, value):
     corpus = tmp_path / "corpus.jsonl"
@@ -323,18 +328,86 @@ def test_predict_threads_match_sequential(tmp_path, labeled_corpus):
 
 
 def test_predict_rejects_mistyped_checkpoint_header(tmp_path, capsys):
+    """Header values are checked before anything is sized from them: an
+    ``n_layers`` the body cannot hold exits 2 at once."""
     corpus = tmp_path / "corpus.jsonl"
     _synth(corpus, docs=2)
     checkpoint = tmp_path / "model.ckpt"
     config = FeatureConfig(dim=8, hash_buckets=16)
     save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2), config)
     head, body = checkpoint.read_bytes().split(b"\n", 1)
-    header = json.loads(head)
-    header["n_layers"] = "1"
-    checkpoint.write_bytes(json.dumps(header).encode() + b"\n" + body)
-    assert run(["predict", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
-                "--out", str(tmp_path / "p")]) == 2
-    assert "n_layers" in capsys.readouterr().err
+    for field, value in (("n_layers", "1"), ("version", True), ("n_layers", 10**9),
+                         ("n_layers", 10**30)):
+        header = json.loads(head)
+        header[field] = value
+        checkpoint.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        start = time.perf_counter()
+        assert run(["predict", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+                    "--out", str(tmp_path / "p")]) == 2, (field, value)
+        assert time.perf_counter() - start < 1.0
+        assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    b'{"id": "\xff\xfe"}\n', b"[" * 100_000 + b"]" * 100_000 + b"\n",
+], ids=["not_utf8", "too_deep"])
+@pytest.mark.parametrize("target", ["corpus", "predictions", "config", "checkpoint"])
+def test_undecodable_input_exits_2(tmp_path, labeled_corpus, capsys, target, payload):
+    """A line that is not UTF-8, or JSON nested past the recursion limit, is
+    malformed data in every file the CLI reads."""
+    docs, _ = parse_corpus(labeled_corpus)
+    predictions = _write_jsonl(tmp_path / "predictions.jsonl", _prediction_records(docs))
+    checkpoint = tmp_path / "model.ckpt"
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2), config)
+    out = str(tmp_path / "out")
+    if target == "corpus":
+        labeled_corpus.write_bytes(labeled_corpus.read_bytes() + payload)
+        argv = ["label", "--corpus", str(labeled_corpus), "--out", out]
+    elif target == "predictions":
+        predictions.write_bytes(predictions.read_bytes() + payload)
+        argv = ["eval", "--corpus", str(labeled_corpus), "--predictions",
+                str(predictions), "--out", out]
+    elif target == "config":
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(payload)
+        argv = ["train", "--corpus", str(labeled_corpus), "--config", str(config_path),
+                "--out", out]
+    else:
+        checkpoint.write_bytes(payload + checkpoint.read_bytes().split(b"\n", 1)[1])
+        argv = ["predict", "--corpus", str(labeled_corpus), "--checkpoint",
+                str(checkpoint), "--out", out]
+    assert run(argv) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_input_exits_2(tmp_path, labeled_corpus, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    argv = {
+        "train": ["train", "--corpus", str(empty), "--out", str(tmp_path / "run")],
+        "eval": ["eval", "--corpus", str(labeled_corpus), "--predictions", str(empty),
+                 "--out", str(tmp_path / "eval")],
+    }[command]
+    assert run(argv) == 2
+    assert "data error: no " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_label_without_reference_exits_2(tmp_path, capsys, threads):
+    path = tmp_path / "corpus.jsonl"
+    _synth(path, docs=4)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[2]["reference_summary"] = None
+    _write_jsonl(path, records)
+    out = tmp_path / "labeled.jsonl"
+    assert run(["label", "--corpus", str(path), "--out", str(out),
+                "--threads", threads]) == 2
+    assert f"document {records[2]['id']!r} has no reference summary" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_histogram_from_labels(tmp_path, labeled_corpus):
@@ -377,6 +450,9 @@ def test_exit_codes(tmp_path, capsys):
     ["train", "--val-fraction", "nan"],
     ["train", "--val-fraction", "-0.5"],
     ["train", "--val-fraction", "1.0"],
+    ["label", "--threads", "0"],
+    ["label", "--threads", "-3"],
+    ["predict", "--threads", "0"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
     checkpoint = tmp_path / "model.ckpt"

@@ -84,11 +84,13 @@ def test_parse_corpus_reports_line_numbers(tmp_path):
     good = json.dumps({
         "id": "a", "sentences": ["x y", "z w"], "section_starts": [0],
     })
-    path.write_text(good + "\nnot json\n")
+    # then a line that is not UTF-8 and one nested past the recursion limit
+    path.write_bytes(good.encode() + b"\nnot json\n\xff\n"
+                     + b"[" * 100_000 + b"]" * 100_000 + b"\n")
     with pytest.raises(CorpusError, match="line 2"):
         parse_corpus(path)
     docs, skipped = parse_corpus(path, strict=False)
-    assert len(docs) == 1 and skipped == 1
+    assert len(docs) == 1 and skipped == 3
 
 
 def test_parse_corpus_rejects_repeated_ids(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sectsum import (
+    CorpusError,
     SegLabelConvention,
     SynthConfig,
     boundary_labels,
@@ -89,7 +90,7 @@ def test_max_sentences_caps_selection():
 
 def test_missing_reference_raises():
     doc = make_doc(reference=None)
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusError, match="no reference summary"):
         greedy_summary_labels(doc)
 
 
