@@ -32,6 +32,7 @@ import numpy as np
 from .corpus import (
     CorpusError,
     SynthConfig,
+    _atomic_write,
     generate_synthetic,
     parse_corpus,
     split_corpus,
@@ -130,7 +131,7 @@ def build_parser():
     p.add_argument("--eval-k", type=int, default=3,
                    help="summary size for per-epoch validation metrics")
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface symmetry; the optimization loop is sequential")
+                   help="at least 1; training is single-process, so it never changes the run")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="score a corpus with a trained model")
@@ -265,6 +266,8 @@ def _load_train_config(args):
 def _cmd_train(args):
     if not 0.0 <= args.val_fraction < 1.0:
         raise ValueError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     config = _load_train_config(args)
     train_docs, _ = parse_corpus(args.corpus, strict=True)
     if args.val_corpus is not None:
@@ -288,7 +291,7 @@ def _cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.ckpt", result.params, feature_config)
     save_checkpoint(out / "best_checkpoint.ckpt", result.best_params, feature_config)
-    with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
+    with _atomic_write(out / "metrics.jsonl", encoding="utf-8") as fh:
         for record in result.history:
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
@@ -298,7 +301,7 @@ def _cmd_train(args):
         "n_layers": args.layers, "n_heads": args.heads,
         "ffn_hidden": result.params.ffn_hidden,
     })
-    with open(out / "effective_config.json", "w", encoding="utf-8") as fh:
+    with _atomic_write(out / "effective_config.json", encoding="utf-8") as fh:
         json.dump(effective, fh, indent=2, sort_keys=True)
         fh.write("\n")
     last = result.history[-1]
@@ -333,18 +336,18 @@ def _cmd_eval(args):
     report = evaluate_full(predictions, documents)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
+    with _atomic_write(out / "report.json", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if args.plot_data:
-        with open(out / "score_vs_k.csv", "w", encoding="utf-8", newline="") as fh:
+        with _atomic_write(out / "score_vs_k.csv", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["k", "rouge1_f", "rouge2_f", "rougeL_f", "avg_words"]
             )
             writer.writeheader()
             writer.writerows(score_vs_k(predictions, documents, args.k_max))
-        with open(out / "boundary_histogram.csv", "w", encoding="utf-8",
-                  newline="") as fh:
+        with _atomic_write(out / "boundary_histogram.csv", encoding="utf-8",
+                           newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["offset", "count"])
             selections = ((doc, p.selected) for p, doc in paired(predictions, documents))
@@ -377,7 +380,7 @@ def _cmd_analyze(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "boundary_histogram.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path, encoding="utf-8") as fh:
         json.dump({str(k): v for k, v in histogram.items()}, fh, indent=2,
                   sort_keys=False)
         fh.write("\n")

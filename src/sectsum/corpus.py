@@ -14,9 +14,12 @@ summary sentences in the order the labeler picked them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import string
+import uuid
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +51,32 @@ CUE_PHRASES = (
 
 class CorpusError(Exception):
     """Raised for malformed corpus files or schema-invalid documents."""
+
+
+@contextlib.contextmanager
+def _atomic_write(path, mode="w", **open_args):
+    """``open(path, mode, **open_args)`` that changes ``path`` only once the
+    block completes: the data goes to a new file beside it, which
+    ``os.replace`` then moves onto ``path``. On any failure the new file is
+    removed and ``path`` keeps what it held, or stays absent. A symlink is
+    written through, as ``open`` does; a device or pipe such as /dev/null
+    holds nothing to keep and is written directly."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **open_args) as fh:
+            yield fh
+        return
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), **open_args)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def tokenize(text):
@@ -214,13 +243,18 @@ def _record_to_doc(record):
             boundary_labels=_int_list(raw_labels["seg"], "labels.seg"),
             selection_order=None if order is None else _int_list(order, "labels.order"),
         )
-    return Document.build(
+    doc = Document.build(
         record["id"],
         sentences,
         section_starts=starts,
         reference_summary=record.get("reference_summary"),
         labels=labels,
     )
+    # A JSON escape such as "\ud800" decodes to a lone surrogate, which no
+    # writer can encode: encoding raises UnicodeEncodeError, a ValueError.
+    for text in (doc.id, doc.reference_summary or "", *(s.text for s in doc.sentences)):
+        text.encode("utf-8")
+    return doc
 
 
 def parse_corpus(path, strict=True):
@@ -262,7 +296,7 @@ def parse_corpus(path, strict=True):
 
 def write_corpus(documents, path):
     """Write documents (labels included when present) as JSONL."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path, encoding="utf-8") as fh:
         for doc in documents:
             fh.write(json.dumps(_doc_to_record(doc), ensure_ascii=False))
             fh.write("\n")

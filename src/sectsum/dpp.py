@@ -11,7 +11,9 @@ log-det and the gradient. The gradient runs through B = diag(q) U (L = B B^T)
 in n x d form: O(n^3 / 3 + n^2 d) for n sentences of width d. A ridge on the
 subset minor keeps training stable near duplicate sentences (escalating
 tenfold up to 1e-4 on factorization failure); a zero ridge is exact and is
-what test oracles use.
+what test oracles use. The value path (kernel, log-determinants, subset
+log-probability) also takes a stack of documents' encodings, one per
+parameter row, as finite-difference certification batches them.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ def build_kernel(hidden, quality, ridge=0.0):
         Per-sentence quality scores in (0, 1].
     ridge : float
         Stored on the kernel; applied to subset minors during factorization.
+
+    Leading axes on both (hidden (B, n, d), quality (B, n)) give a stack of
+    B kernels.
     """
     return _kernel_with_rows(hidden, quality, ridge)[0]
 
@@ -76,42 +81,54 @@ def _kernel_with_rows(hidden, quality, ridge):
     norms |h_i|, which the gradient chains through."""
     hidden = np.asarray(hidden, dtype=float)
     quality = np.asarray(quality, dtype=float)
-    if hidden.ndim != 2 or quality.shape != (hidden.shape[0],):
+    if hidden.ndim < 2 or quality.shape != hidden.shape[:-1]:
         raise ValueError("hidden must be (n, d) and quality (n,)")
-    norms = np.linalg.norm(hidden, axis=1)
+    norms = np.linalg.norm(hidden, axis=-1)
     if np.any(norms == 0):
         raise ZeroNormError("zero-norm sentence representation; cosine undefined")
     if np.any(quality <= 0):
         raise ValueError("quality scores must be positive")
-    unit = hidden / norms[:, None]
-    similarity = unit @ unit.T
-    similarity = 0.5 * (similarity + similarity.T)
-    kernel = quality[:, None] * similarity * quality[None, :]
+    unit = hidden / norms[..., None]
+    similarity = unit @ unit.swapaxes(-1, -2)
+    similarity = 0.5 * (similarity + similarity.swapaxes(-1, -2))
+    kernel = quality[..., :, None] * similarity * quality[..., None, :]
     return (DppKernel(quality=quality, similarity=similarity, kernel=kernel,
                       ridge=float(ridge)), unit, norms)
 
 
 def _chol_logdet(matrix):
-    """Lower Cholesky factor and log det; raises np.linalg.LinAlgError if not PD."""
+    """Lower Cholesky factor and log det of a matrix or a stack of them;
+    raises np.linalg.LinAlgError if any one is not PD."""
     factor = np.linalg.cholesky(matrix)
-    diag = np.diag(factor)
+    diag = np.diagonal(factor, axis1=-2, axis2=-1)
     if np.any(diag <= 0) or not np.isfinite(diag).all():
         raise np.linalg.LinAlgError("non-positive pivot")
-    return factor, 2.0 * np.log(diag).sum()
+    return factor, 2.0 * np.log(diag).sum(axis=-1)
 
 
 def _minor_logdet(kernel_matrix, subset, ridge):
-    """Lower Cholesky factor, log det and ridge of the subset minor plus ridge;
-    the ridge escalates tenfold (up to 1e-4) on failure, a zero ridge never."""
-    minor = kernel_matrix[np.ix_(subset, subset)]
+    """Lower Cholesky factor, log det and ridge of the subset minor plus ridge,
+    for one kernel or a stack of them; see :func:`_ridged_logdet`."""
+    return _ridged_logdet(kernel_matrix[..., subset, :][..., subset], ridge)
+
+
+def _ridged_logdet(minor, ridge):
+    """Factor ``minor`` plus ridge; the ridge escalates tenfold (up to 1e-4)
+    on failure, a zero ridge never. A stack is factored at ``ridge`` as one;
+    if any matrix fails, each escalates on its own, exactly as it would
+    alone, and the largest ridge used is returned."""
+    eye = np.eye(minor.shape[-1])
     eps = ridge
     while True:
         try:
-            return *_chol_logdet(minor + eps * np.eye(len(subset))), eps
+            return *_chol_logdet(minor + eps * eye), eps
         except np.linalg.LinAlgError:
+            if minor.ndim > 2:
+                factors, logdets, ridges = zip(*(_ridged_logdet(m, ridge) for m in minor))
+                return np.stack(factors), np.array(logdets), max(ridges)
             if eps == 0.0 or eps >= _MAX_RIDGE:
                 raise SingularMinorError(
-                    f"singular subset minor (|Y| = {len(subset)}, ridge = {eps:g})"
+                    f"singular subset minor (|Y| = {len(minor)}, ridge = {eps:g})"
                 ) from None
             eps = min(eps * 10.0, _MAX_RIDGE)
 
@@ -128,9 +145,10 @@ def dpp_log_prob(kernel, subset):
     """log P(Y) = log det(L_Y + ridge I) - log det(L + I).
 
     The empty subset is valid (numerator term 0). Duplicate rows with a zero
-    ridge raise :class:`SingularMinorError`.
+    ridge raise :class:`SingularMinorError`. A stack of kernels gives one
+    log-probability per kernel.
     """
-    n = kernel.kernel.shape[0]
+    n = kernel.kernel.shape[-1]
     subset = _subset_indices(subset, n)
     _, log_norm = _chol_logdet(kernel.kernel + np.eye(n))
     if not subset:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.special import erf
 
-from .corpus import CUE_PHRASES
+from .corpus import CUE_PHRASES, _atomic_write
 
 __all__ = [
     "FeatureConfig",
@@ -194,7 +194,7 @@ class ModelParams:
 
     @property
     def dim(self):
-        return self.w_sum.shape[0]
+        return self.w_sum.shape[-1]
 
     @property
     def n_layers(self):
@@ -202,11 +202,11 @@ class ModelParams:
 
     @property
     def ffn_hidden(self):
-        return self.layers[0].b_ff1.shape[0] if self.layers else 0
+        return self.layers[0].b_ff1.shape[-1] if self.layers else 0
 
     @property
     def n_features(self):
-        return self.w_proj.shape[0]
+        return self.w_proj.shape[-2]
 
     def blocks(self):
         """Yield (name, array) pairs in vector order; arrays are live views."""
@@ -249,19 +249,22 @@ def _block_shapes(n_features, dim, n_layers, ffn_hidden):
 
 
 def _cut(vector, shapes):
-    """Yield (name, view) of each (name, shape) block, cut from ``vector`` in order."""
+    """Yield (name, view) of each (name, shape) block, cut from the last axis
+    of ``vector`` in order. Leading axes are kept: a (B, P) matrix of
+    parameter rows gives (B, *shape) views."""
     offset = 0
     for name, shape in shapes:
         size = math.prod(shape)
-        yield name, vector[offset:offset + size].reshape(shape)
+        yield name, vector[..., offset:offset + size].reshape(vector.shape[:-1] + shape)
         offset += size
 
 
 def _params_on(vector, shapes, n_heads):
     """ModelParams whose arrays are views into ``vector``, cut into the
-    ``(name, shape)`` blocks of ``shapes`` in order."""
+    ``(name, shape)`` blocks of ``shapes`` in order. A (B, P) ``vector`` is a
+    batch of parameter rows, which only the forward value path accepts."""
     size = sum(math.prod(shape) for _, shape in shapes)
-    if vector.shape != (size,):
+    if vector.ndim not in (1, 2) or vector.shape[-1] != size:
         raise ValueError(f"vector shape {vector.shape} != parameter count {size}")
     views = [view for _, view in _cut(vector, shapes)]
     per_layer = len(fields(LayerParams))
@@ -341,22 +344,22 @@ def _softmax(scores):
 
 
 def _split_heads(x, n_heads):
-    n, d = x.shape
-    return x.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, n_heads, d // n_heads).swapaxes(-2, -3)
 
 
 def _merge_heads(x):
-    h, n, dk = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dk)
+    *lead, h, n, dk = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, n, h * dk)
 
 
 def _layernorm_forward(x, gain, bias):
-    mean = x.mean(axis=1, keepdims=True)
+    mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
-    var = (centered ** 2).mean(axis=1, keepdims=True)
+    var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     x_hat = centered * inv_std
-    return x_hat * gain + bias, (x_hat, inv_std)
+    return x_hat * gain[..., None, :] + bias[..., None, :], (x_hat, inv_std)
 
 
 def _layernorm_backward(d_out, cache, gain):
@@ -371,19 +374,20 @@ def _layernorm_backward(d_out, cache, gain):
 
 
 def _layer_forward(x, lp, n_heads):
-    d = x.shape[1]
+    """One layer over ``x`` (..., n, d); leading axes batch parameter rows."""
+    d = x.shape[-1]
     dk = d // n_heads
     normed1, ln1_cache = _layernorm_forward(x, lp.ln1_gain, lp.ln1_bias)
     qh = _split_heads(normed1 @ lp.w_q, n_heads)
     kh = _split_heads(normed1 @ lp.w_k, n_heads)
     vh = _split_heads(normed1 @ lp.w_v, n_heads)
-    attn = _softmax(qh @ kh.transpose(0, 2, 1) / math.sqrt(dk))
+    attn = _softmax(qh @ kh.swapaxes(-1, -2) / math.sqrt(dk))
     merged = _merge_heads(attn @ vh)
     mid = x + merged @ lp.w_o
     normed2, ln2_cache = _layernorm_forward(mid, lp.ln2_gain, lp.ln2_bias)
-    z = normed2 @ lp.w_ff1 + lp.b_ff1
+    z = normed2 @ lp.w_ff1 + lp.b_ff1[..., None, :]
     act = _gelu(z)
-    out = mid + act @ lp.w_ff2 + lp.b_ff2
+    out = mid + act @ lp.w_ff2 + lp.b_ff2[..., None, :]
     cache = {
         "ln1": ln1_cache, "ln2": ln2_cache,
         "normed1": normed1, "normed2": normed2,
@@ -455,9 +459,13 @@ def encode_forward(features, params):
     Adds position encodings, applies every layer, and returns ``(hidden,
     layer_caches)``, the caches holding what :func:`backward_document` needs.
     Raises :class:`NumericsError` if any layer output is non-finite.
+
+    ``params`` may hold a batch of B parameter rows (a (B, P) vector); the
+    features are then (B, n, dim) or (n, dim) and ``hidden`` is
+    (B, n, dim), each row bitwise equal to its own unbatched call.
     """
     features = np.asarray(features, dtype=float)
-    n, d = features.shape
+    n, d = features.shape[-2:]
     if d != params.dim:
         raise ValueError(f"feature width {d} != model dim {params.dim}")
     x = features + position_encoding(n, d)
@@ -476,9 +484,10 @@ def encode_forward(features, params):
 def heads_forward(hidden, params):
     """Summary and boundary probabilities of the encoded sentences
     ``hidden`` (n, dim), strictly inside (0, 1); a non-finite logit (finite
-    weights can still overflow ``hidden @ w``) raises :class:`NumericsError`."""
-    z_sum = hidden @ params.w_sum + params.b_sum[0]
-    z_seg = hidden @ params.w_seg + params.b_seg[0]
+    weights can still overflow ``hidden @ w``) raises :class:`NumericsError`.
+    Batched ``hidden`` (B, n, dim) and parameter rows give (B, n)."""
+    z_sum = (hidden @ params.w_sum[..., None])[..., 0] + params.b_sum
+    z_seg = (hidden @ params.w_seg[..., None])[..., 0] + params.b_seg
     if not (np.isfinite(z_sum).all() and np.isfinite(z_seg).all()):
         raise NumericsError("non-finite head logit")
     return stable_sigmoid(z_sum), stable_sigmoid(z_seg)
@@ -489,7 +498,9 @@ def forward_document(doc, params, config, raw_features=None):
     record (raw features cached for the projection gradient).
 
     ``raw_features`` is the document's :func:`base_features` matrix when the
-    caller has it already; it is computed here otherwise.
+    caller has it already; it is computed here otherwise. With a batch of
+    parameter rows every activation gains a leading batch axis; such a
+    record serves values only, never :func:`backward_document`.
     """
     raw = base_features(doc, config) if raw_features is None else raw_features
     hidden, caches = encode_forward(raw @ params.w_proj, params)
@@ -563,7 +574,7 @@ def save_checkpoint(path, params, config):
         "ffn_hidden": params.ffn_hidden,
         "blocks": [{"name": name, "shape": list(shape)} for name, shape in params._shapes()],
     }
-    with open(path, "wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(params.vector.astype("<f8").tobytes())

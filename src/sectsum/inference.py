@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusError, _int_list
+from .corpus import CorpusError, _atomic_write, _int_list
 from .encoder import forward_document
 from .oracle import SegLabelConvention
 
@@ -131,7 +131,7 @@ def paired(predictions, documents):
 def write_predictions(predictions, documents, path):
     """Write prediction JSONL; ``documents`` supplies the sentence text for
     the rendered ``summary_text`` field."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path, encoding="utf-8") as fh:
         for pred, doc in paired(predictions, documents):
             record = {
                 "id": pred.doc_id,
@@ -156,6 +156,7 @@ def read_predictions(path):
                 record = json.loads(line.decode("utf-8"))
                 if not isinstance(record["id"], str):
                     raise CorpusError(f"id must be a string, got {record['id']!r}")
+                record["id"].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
                 pred = Prediction(
                     doc_id=record["id"],
                     selected=_int_list(record["selected"], "selected"),

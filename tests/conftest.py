@@ -6,8 +6,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from sectsum import (
-    N_SCALAR_FEATURES, Document, FeatureConfig, SynthConfig, build_kernel, candidate_score,
-    generate_synthetic, init_params, tokenize,
+    N_SCALAR_FEATURES, Document, FeatureConfig, SynthConfig, base_features, build_kernel,
+    candidate_score, generate_synthetic, init_params, tokenize, total_loss,
 )
 
 # Lines appended by the acceptance tests; replayed after the run so they
@@ -137,6 +137,41 @@ def loop_base_features(doc, config):
         if any(phrase in sent.text.lower() for phrase in lexicon):
             out[i, buckets + 3] = 1.0
     return out
+
+
+def loop_grad_check(params, doc, config, feature_config, step=1e-5, analytic=None):
+    """``grad_check``'s block errors by their definition: every parameter
+    entry is perturbed in place by +step and -step, one unbatched value-only
+    ``total_loss`` per probe, and the block keeps its worst relative error (a
+    non-finite entry counts as infinite). ``grad_check`` must equal it bit
+    for bit."""
+    if analytic is None:
+        analytic = total_loss([doc], params, config, feature_config).grads
+    probe = params.copy()
+    features = [base_features(doc, feature_config)]
+
+    def loss_at():
+        return total_loss([doc], probe, config, feature_config, features=features,
+                          with_grads=False).value
+
+    block_errors = {}
+    for (name, arr), (_, grad) in zip(probe.blocks(), analytic.blocks()):
+        worst = 0.0
+        for idx in np.ndindex(arr.shape):
+            saved = arr[idx]
+            arr[idx] = saved + step
+            up = loss_at()
+            arr[idx] = saved - step
+            down = loss_at()
+            arr[idx] = saved
+            fd = (up - down) / (2.0 * step)
+            a = grad[idx]
+            if math.isfinite(a) and math.isfinite(fd):
+                worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-5))
+            else:
+                worst = math.inf
+        block_errors[name] = worst
+    return block_errors
 
 
 @pytest.fixture(scope="session")

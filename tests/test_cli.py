@@ -4,9 +4,9 @@ import time
 import pytest
 
 from sectsum import (
-    CorpusError, FeatureConfig, Prediction, evaluate_full, evaluation,
-    init_params, parse_corpus, read_predictions, save_checkpoint, training,
-    write_predictions,
+    CorpusError, FeatureConfig, Prediction, corpus, evaluate_full, evaluation,
+    inference, init_params, parse_corpus, read_predictions, save_checkpoint,
+    training, write_predictions,
 )
 from sectsum.cli import run
 
@@ -53,6 +53,65 @@ def test_label_out_and_in_place(tmp_path):
     assert path.read_bytes() == out.read_bytes()
     relabeled, _ = parse_corpus(path)
     assert all(d.labels is not None for d in relabeled)
+
+
+def test_surrogate_corpus_exits_2_and_keeps_the_input(tmp_path, capsys):
+    """A JSON escape of a lone surrogate cannot be written back as UTF-8; it
+    is rejected when the corpus is read, before anything is written."""
+    path = tmp_path / "corpus.jsonl"
+    _synth(path, docs=3)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[2]["sentences"][0] = "abc \ud800 def"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    before = path.read_bytes()
+    assert run(["label", "--corpus", str(path), "--in-place"]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["out", "in_place"])
+def test_label_write_failing_halfway_leaves_no_partial_file(tmp_path, monkeypatch,
+                                                             in_place):
+    path = tmp_path / "corpus.jsonl"
+    _synth(path, docs=3)
+    before = path.read_bytes()
+    written = []
+
+    def record_then_fail(doc):  # the second document cannot be written
+        written.append(doc.id)
+        if len(written) == 2:
+            raise OSError("disk full")
+        return to_record(doc)
+
+    to_record = corpus._doc_to_record
+    monkeypatch.setattr(corpus, "_doc_to_record", record_then_fail)
+    target = ["--in-place"] if in_place else ["--out", str(tmp_path / "labeled.jsonl")]
+    assert run(["label", "--corpus", str(path), *target]) == 2
+    assert len(written) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
+def test_predict_write_failing_halfway_leaves_no_output(tmp_path, labeled_corpus,
+                                                        monkeypatch):
+    checkpoint = tmp_path / "model.ckpt"
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2), config)
+    rendered = []
+
+    def render_then_fail(doc, selected):
+        rendered.append(doc.id)
+        if len(rendered) == 2:
+            raise OSError("disk full")
+        return render(doc, selected)
+
+    render = inference.render_summary
+    monkeypatch.setattr(inference, "render_summary", render_then_fail)
+    out = tmp_path / "pred"
+    assert run(["predict", "--corpus", str(labeled_corpus), "--checkpoint",
+                str(checkpoint), "--out", str(out)]) == 2
+    assert len(rendered) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_label_threads_match_sequential(tmp_path):
@@ -453,6 +512,8 @@ def test_exit_codes(tmp_path, capsys):
     ["label", "--threads", "0"],
     ["label", "--threads", "-3"],
     ["predict", "--threads", "0"],
+    ["train", "--threads", "0"],
+    ["train", "--threads", "-3"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
     checkpoint = tmp_path / "model.ckpt"

@@ -23,7 +23,7 @@ from sectsum.cli import run
 # JSON texts that replace one field, written verbatim (1e999 reaches the
 # parser as written)
 VALUES = ["null", "true", "-1", "-7", str(10**30), "1.5", "1e999", '""', '"x"',
-          "[]", '["x"]', "{}", '[[0, ["x", [[]]]]]']
+          '"\\ud800"', "[]", '["x"]', "{}", '[[0, ["x", [[]]]]]']
 # whole lines that replace one record
 LINES = [b'{"id": "\xff\xfe"}', b"[" * 100_000 + b"]" * 100_000]
 _MARK = "\x00mutant"

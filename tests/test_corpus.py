@@ -19,6 +19,8 @@ from sectsum import (
     write_corpus,
 )
 
+from sectsum.corpus import _atomic_write
+
 from conftest import make_doc
 
 
@@ -102,6 +104,41 @@ def test_parse_corpus_rejects_repeated_ids(tmp_path):
         parse_corpus(path)
     docs, skipped = parse_corpus(path, strict=False)
     assert [d.sentences[0].text for d in docs] == ["x y", "z"] and skipped == 1
+
+
+@pytest.mark.parametrize("field", ["id", "sentences", "reference_summary"])
+def test_parse_corpus_rejects_lone_surrogates(tmp_path, field):
+    good = {"id": "ok", "sentences": ["x y", "z w"], "section_starts": [0],
+            "reference_summary": "x"}
+    bad = {**good, "id": "a",
+           field: ["abc \ud800 def"] if field == "sentences" else "abc \ud800"}
+    path = tmp_path / "surrogate.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(CorpusError, match="line 2: .*surrogates not allowed"):
+        parse_corpus(path)
+    docs, skipped = parse_corpus(path, strict=False)
+    assert [d.id for d in docs] == ["ok"] and skipped == 1
+
+
+def test_atomic_write_changes_the_target_only_on_success(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old")
+    with pytest.raises(RuntimeError, match="halfway"):
+        with _atomic_write(target, encoding="utf-8") as fh:
+            fh.write("new, half")
+            raise RuntimeError("halfway")
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with _atomic_write(target, "wb") as fh:
+        fh.write(b"new")
+    assert target.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    # a symlinked target is written through and stays a symlink
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    with _atomic_write(link, encoding="utf-8") as fh:
+        fh.write("through")
+    assert link.is_symlink() and target.read_text() == "through"
 
 
 def test_parse_corpus_rejects_missing_fields(tmp_path):

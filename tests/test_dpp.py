@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from sectsum import (
+    DppKernel,
     SingularMinorError,
     ZeroNormError,
     build_kernel,
     brute_force_subset_sum,
+    dpp,
     dpp_log_prob,
     dpp_loss_and_grad,
 )
@@ -159,6 +161,26 @@ def test_duplicate_rows_escalate_ridge():
     assert math.isfinite(res.value)
     assert res.ridge_used >= 1e-8
     assert np.all(np.isfinite(res.d_hidden))
+
+
+def test_stacked_log_prob_escalates_each_kernel_alone():
+    """A stack of kernels is factored at once; when one subset minor fails at
+    the requested ridge, each kernel escalates on its own, and every
+    log-probability is bitwise the one its kernel gives alone."""
+    rng = np.random.default_rng(3)
+    regular = [build_kernel(*random_instance(rng, 3, 3)).kernel for _ in range(2)]
+    # the {0, 1} minor has an eigenvalue of about -1.5e-8: it fails at ridge
+    # 1e-8 and factors at 1e-7
+    indefinite = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 - 3e-8, 0.0], [0.0, 0.0, 1.0]])
+    matrices = [regular[0], indefinite, regular[1]]
+
+    def kernel(matrix):
+        return DppKernel(quality=None, similarity=None, kernel=matrix, ridge=1e-8)
+
+    assert dpp._minor_logdet(indefinite, [0, 1], 1e-8)[2] == pytest.approx(1e-7)
+    stacked = dpp_log_prob(kernel(np.stack(matrices)), [0, 1])
+    alone = np.array([dpp_log_prob(kernel(m), [0, 1]) for m in matrices])
+    assert stacked.tobytes() == alone.tobytes()
 
 
 def test_duplicate_rows_with_zero_ridge_raise():

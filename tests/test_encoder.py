@@ -199,6 +199,21 @@ def test_params_vector_round_trip(small_model):
         restored.w_sum = np.zeros_like(restored.w_sum)
 
 
+def test_parameter_rows_cut_into_views(small_model):
+    """A (B, P) matrix of parameter rows cuts into (B, *shape) views of the
+    matrix, no copies; row b of each block is that block of row b."""
+    _, params = small_model
+    rows = params.vector + np.arange(3.0)[:, None]
+    batch = params._on(rows)
+    assert batch.dim == params.dim and batch.ffn_hidden == params.ffn_hidden
+    assert batch.n_features == params.n_features
+    for b, row in enumerate(rows):
+        for (name, block), (_, one) in zip(batch.blocks(), params.from_vector(row).blocks()):
+            assert block.shape == (3, *one.shape), name
+            assert np.shares_memory(block, rows)
+            np.testing.assert_array_equal(block[b], one)
+
+
 def test_blocks_follow_the_block_table(small_model):
     """``blocks()`` gives the names and shapes of ``_block_shapes``, and each
     block shares memory with the dataclass field it names."""

@@ -1,5 +1,5 @@
 """Property tests of the metric, selection, oracle, DPP and featurizer
-invariants."""
+invariants, and of the batched forward against its unbatched rows."""
 
 from itertools import combinations
 
@@ -9,10 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sectsum import (
-    CUE_PHRASES, DEFAULT_DPP_RIDGE, Document, FeatureConfig, base_features,
-    brute_force_subset_sum, build_kernel,
-    candidate_score, dpp_log_prob, dpp_loss_and_grad, greedy_summary_labels,
-    lcs_length, rouge_l, rouge_n, seg_f1, select_top_k, tokenize, windowdiff,
+    CUE_PHRASES, DEFAULT_DPP_RIDGE, Document, FeatureConfig, LabelSet, TrainConfig,
+    Variant, base_features, brute_force_subset_sum, build_kernel, candidate_score,
+    dpp_log_prob, dpp_loss_and_grad, encode_forward, greedy_summary_labels,
+    heads_forward, init_params, lcs_length, rouge_l, rouge_n, seg_f1, select_top_k,
+    tokenize, total_loss, windowdiff,
 )
 
 from conftest import (
@@ -197,3 +198,40 @@ def test_base_features_match_the_loop_reference(doc, buckets, lexicon):
     config = FeatureConfig(dim=4, hash_buckets=buckets, cue_lexicon=lexicon)
     assert base_features(doc, config).tobytes() == \
         loop_base_features(doc, config).tobytes()
+
+
+# Width 4 or 8, 1-3 layers, 1, 2 or 4 heads, 1-9 sentences, any variant.
+model_shapes = st.tuples(st.sampled_from([4, 8]), st.integers(1, 3),
+                         st.sampled_from([1, 2, 4]), st.integers(1, 9),
+                         st.integers(0, 2 ** 16), st.sampled_from(list(Variant)))
+
+
+@settings(FAST, max_examples=40)
+@given(model_shapes)
+def test_batched_forward_matches_each_row(shape):
+    """Five perturbed parameter rows through one batched forward equal five
+    unbatched calls bit for bit: hidden states, both heads and the
+    value-only loss."""
+    dim, layers, heads, n, seed, variant = shape
+    rng = np.random.default_rng(seed)
+    doc = Document.build("d", [f"w{rng.integers(6)} w{rng.integers(6)} w{i}" for i in range(n)],
+                         labels=LabelSet(tuple(int(b) for b in rng.integers(0, 2, n)),
+                                         (1,) + (0,) * (n - 1)))
+    config = FeatureConfig(dim=dim, hash_buckets=2 * dim)
+    params = init_params(config, n_layers=layers, n_heads=heads, rng_seed=seed)
+    rows = params.vector + rng.normal(0.0, 0.1, size=(5, params.vector.size))
+    batch = params._on(rows)
+    raw = base_features(doc, config)
+    train_config = TrainConfig(variant=variant, beta=0.1)
+    hidden, _ = encode_forward(raw @ batch.w_proj, batch)
+    probs = heads_forward(hidden, batch)
+    values = total_loss([doc], batch, train_config, config, with_grads=False).value
+    assert hidden.shape == (5, n, dim) and values.shape == (5,)
+    for b, row in enumerate(rows):
+        one = params.from_vector(row)
+        one_hidden, _ = encode_forward(raw @ one.w_proj, one)
+        assert one_hidden.tobytes() == hidden[b].tobytes()
+        for one_probs, batch_probs in zip(heads_forward(one_hidden, one), probs):
+            assert one_probs.tobytes() == batch_probs[b].tobytes()
+        value = total_loss([doc], one, train_config, config, with_grads=False).value
+        assert np.float64(value).tobytes() == values[b].tobytes()

@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 
 from sectsum import (
+    Document,
     FeatureConfig,
+    LabelSet,
     NumericsError,
     TrainConfig,
     Variant,
     bce_loss,
+    dpp,
     fit,
     grad_check,
     init_params,
     learning_rate_at,
     total_loss,
+    training,
 )
+
+from conftest import loop_grad_check
 
 
 def test_bce_frozen_values():
@@ -105,6 +111,13 @@ def test_total_loss_gradient_shapes(setup):
                      fconfig, with_grads=True)
     assert out.grads.to_vector().shape == params.to_vector().shape
     assert np.all(np.isfinite(out.grads.to_vector()))
+
+
+def test_total_loss_gradients_take_one_parameter_row(setup):
+    docs, fconfig, params = setup
+    batch = params._on(np.stack([params.vector, params.vector]))
+    with pytest.raises(ValueError, match="one parameter row"):
+        total_loss(docs[:1], batch, TrainConfig(variant="base"), fconfig)
 
 
 def test_learning_rate_warmup_schedule():
@@ -247,6 +260,57 @@ def test_grad_check_flags_injected_fault(setup):
     assert report.block_errors["head.sum.weight"] > report.tolerance
     lines = "\n".join(report.summary_lines())
     assert "FAIL" in lines
+
+
+def test_grad_check_flags_non_finite_analytic(setup):
+    docs, fconfig, params = setup
+    nan_grads = params.zeros_like()
+    nan_grads.vector[...] = np.nan
+    report = grad_check(params, docs[0], TrainConfig(variant="joint"), fconfig,
+                        analytic=nan_grads)
+    assert not report.passed
+    assert report.max_error == math.inf
+    assert all(err == math.inf for err in report.block_errors.values())
+    assert "FAIL" in "\n".join(report.summary_lines())
+
+
+@pytest.mark.parametrize("variant, beta", [("base", 0.0), ("joint", 0.0), ("full", 0.1)])
+def test_grad_check_matches_the_loop_reference(setup, variant, beta):
+    docs, fconfig, params = setup
+    config = TrainConfig(variant=variant, beta=beta)
+    report = grad_check(params, docs[0], config, fconfig)
+    assert report.block_errors == loop_grad_check(params, docs[0], config, fconfig)
+
+
+def test_grad_check_ridge_escalation_inside_a_chunk(monkeypatch):
+    """Six summary sentences, one repeated three times, against width 4: the
+    minor is singular, and at a ridge of 1e-16 some probe rows of a chunk
+    factor and others escalate. Each falls back to its own escalation, so
+    the report still equals the one-probe-at-a-time reference."""
+    texts = ["the results show a gain", "we study graphs", "the results show a gain",
+             "in summary we conclude", "tables follow", "the results show a gain",
+             "graphs are sparse", "a final remark"]
+    labels = LabelSet(summary_labels=(1, 1, 1, 1, 0, 1, 1, 0),
+                      boundary_labels=(1, 0, 0, 1, 0, 0, 0, 0))
+    doc = Document.build("dup", texts, section_starts=(0, 3),
+                         reference_summary="the results show a gain", labels=labels)
+    fconfig = FeatureConfig(dim=4, hash_buckets=16)
+    params = init_params(fconfig, n_layers=1, n_heads=2, rng_seed=0)
+    config = TrainConfig(variant="full", beta=0.1)
+    monkeypatch.setattr(training, "DEFAULT_DPP_RIDGE", 1e-16)
+    stacks = []
+    factor = dpp._ridged_logdet
+
+    def spy(minor, ridge):
+        out = factor(minor, ridge)
+        if minor.ndim == 3:
+            stacks.append(out[2])
+        return out
+
+    monkeypatch.setattr(dpp, "_ridged_logdet", spy)
+    report = grad_check(params, doc, config, fconfig)
+    assert any(ridge > 1e-16 for ridge in stacks)  # a chunk escalated
+    assert report.block_errors == loop_grad_check(params, doc, config, fconfig)
 
 
 def test_grad_check_report_lines(setup):
