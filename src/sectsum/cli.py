@@ -158,10 +158,9 @@ def build_parser():
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("analyze",
-                       help="histogram of summary-sentence offsets from section boundaries")
+                       help="histogram of labeled summary-sentence offsets from "
+                            "section boundaries")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--predictions", default=None,
-                   help="use predicted selections instead of corpus labels")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_analyze)
 
@@ -363,19 +362,12 @@ def _cmd_eval(args):
 
 def _cmd_analyze(args):
     documents, _ = parse_corpus(args.corpus, strict=True)
-    if args.predictions is not None:
-        selections = [(doc, p.selected) for p, doc in
-                      paired(read_predictions(args.predictions), documents)]
-    else:
-        selections = []
-        for doc in documents:
-            if doc.labels is None:
-                raise CorpusError(
-                    f"document {doc.id!r} has no labels; pass --predictions "
-                    "or label the corpus first"
-                )
-            selections.append(
-                (doc, [i for i, v in enumerate(doc.labels.summary_labels) if v == 1]))
+    selections = []
+    for doc in documents:
+        if doc.labels is None:
+            raise CorpusError(f"document {doc.id!r} has no labels; label the corpus first")
+        selections.append(
+            (doc, [i for i, v in enumerate(doc.labels.summary_labels) if v == 1]))
     histogram = selection_histogram(selections)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

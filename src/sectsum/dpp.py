@@ -6,14 +6,17 @@ Gram matrix of the unit-norm encoded sentences U. Subset log-probability is
 log det(L_Y) - log det(L + I); the normalizer identity
 sum_Y det(L_Y) = det(L + I) is exercised by brute force in the tests.
 
-L + I and the subset minor are each Cholesky-factored once, for both the
-log-det and the gradient. The gradient runs through B = diag(q) U (L = B B^T)
-in n x d form: O(n^3 / 3 + n^2 d) for n sentences of width d. A ridge on the
-subset minor keeps training stable near duplicate sentences (escalating
-tenfold up to 1e-4 on factorization failure); a zero ridge is exact and is
-what test oracles use. The value path (kernel, log-determinants, subset
-log-probability) also takes a stack of documents' encodings, one per
-parameter row, as finite-difference certification batches them.
+The loss runs in dual form (Kulesza & Taskar 2012, section 3.3) through
+B = diag(q) U, so that L = B B^T. The normalizer is log det(I_d + B^T B),
+the subset minor is B_Y B_Y^T, and (L + I)^-1 B = B (I_d + B^T B)^-1, so no
+n x n matrix is formed: a document of n sentences of width d and summary Y
+costs O(n d^2 + |Y|^3). A ridge on the subset minor keeps training stable
+near duplicate sentences (escalating tenfold up to 1e-4 on factorization
+failure); a zero ridge is exact and is what test oracles use. The loss takes
+a padded stack of documents, and each document escalates its own ridge.
+
+The primal kernel (:func:`build_kernel`, :func:`dpp_log_prob`) serves
+inspection and the tests; no training path builds it.
 """
 
 from __future__ import annotations
@@ -73,27 +76,30 @@ def build_kernel(hidden, quality, ridge=0.0):
     Leading axes on both (hidden (B, n, d), quality (B, n)) give a stack of
     B kernels.
     """
-    return _kernel_with_rows(hidden, quality, ridge)[0]
-
-
-def _kernel_with_rows(hidden, quality, ridge):
-    """:func:`build_kernel`'s kernel, the unit rows u_i = h_i / |h_i| and the
-    norms |h_i|, which the gradient chains through."""
     hidden = np.asarray(hidden, dtype=float)
     quality = np.asarray(quality, dtype=float)
     if hidden.ndim < 2 or quality.shape != hidden.shape[:-1]:
         raise ValueError("hidden must be (n, d) and quality (n,)")
-    norms = np.linalg.norm(hidden, axis=-1)
-    if np.any(norms == 0):
-        raise ZeroNormError("zero-norm sentence representation; cosine undefined")
-    if np.any(quality <= 0):
-        raise ValueError("quality scores must be positive")
-    unit = hidden / norms[..., None]
+    unit, _ = _unit_rows(hidden, quality)
     similarity = unit @ unit.swapaxes(-1, -2)
     similarity = 0.5 * (similarity + similarity.swapaxes(-1, -2))
     kernel = quality[..., :, None] * similarity * quality[..., None, :]
-    return (DppKernel(quality=quality, similarity=similarity, kernel=kernel,
-                      ridge=float(ridge)), unit, norms)
+    return DppKernel(quality=quality, similarity=similarity, kernel=kernel,
+                     ridge=float(ridge))
+
+
+def _unit_rows(hidden, quality, real=None):
+    """Unit rows u_i = h_i / |h_i| and the norms |h_i|, over the rows that
+    ``real`` marks (all by default); every other row gets norm 1 and is left
+    as it is."""
+    norms = np.linalg.norm(hidden, axis=-1)
+    if real is not None:
+        norms = np.where(real, norms, 1.0)
+    if np.any(norms == 0):
+        raise ZeroNormError("zero-norm sentence representation; cosine undefined")
+    if np.any(quality <= 0 if real is None else (quality <= 0) & real):
+        raise ValueError("quality scores must be positive")
+    return hidden / norms[..., None], norms
 
 
 def _chol_logdet(matrix):
@@ -112,23 +118,29 @@ def _minor_logdet(kernel_matrix, subset, ridge):
     return _ridged_logdet(kernel_matrix[..., subset, :][..., subset], ridge)
 
 
-def _ridged_logdet(minor, ridge):
-    """Factor ``minor`` plus ridge; the ridge escalates tenfold (up to 1e-4)
+def _ridged_logdet(minor, ridge, real=None):
+    """Factor ``minor`` plus the ridge on the diagonal entries that ``real``
+    marks (every entry by default); the ridge escalates tenfold (up to 1e-4)
     on failure, a zero ridge never. A stack is factored at ``ridge`` as one;
     if any matrix fails, each escalates on its own, exactly as it would
-    alone, and the largest ridge used is returned."""
-    eye = np.eye(minor.shape[-1])
+    alone. Returns the factor, the log det and the ridge of each matrix."""
+    shift = np.eye(minor.shape[-1])
+    if real is not None:
+        shift = shift * real[..., None, :]
     eps = ridge
     while True:
         try:
-            return *_chol_logdet(minor + eps * eye), eps
+            return *_chol_logdet(minor + eps * shift), np.full(minor.shape[:-2], eps)
         except np.linalg.LinAlgError:
             if minor.ndim > 2:
-                factors, logdets, ridges = zip(*(_ridged_logdet(m, ridge) for m in minor))
-                return np.stack(factors), np.array(logdets), max(ridges)
+                marks = [None] * len(minor) if real is None else real
+                factors, logdets, ridges = zip(*(
+                    _ridged_logdet(m, ridge, r) for m, r in zip(minor, marks)))
+                return np.stack(factors), np.array(logdets), np.array(ridges)
             if eps == 0.0 or eps >= _MAX_RIDGE:
+                size = len(minor) if real is None else int(real.sum())
                 raise SingularMinorError(
-                    f"singular subset minor (|Y| = {len(minor)}, ridge = {eps:g})"
+                    f"singular subset minor (|Y| = {size}, ridge = {eps:g})"
                 ) from None
             eps = min(eps * 10.0, _MAX_RIDGE)
 
@@ -160,58 +172,113 @@ def dpp_log_prob(kernel, subset):
 @dataclass(frozen=True)
 class DppLoss:
     """Negative subset log-probability plus gradients with respect to the
-    encoded sentences and the quality scores."""
+    encoded sentences and the quality scores (None when not asked for), the
+    ridge each document's minor took, and the largest of them."""
 
     value: float
-    d_hidden: np.ndarray
-    d_quality: np.ndarray
+    d_hidden: np.ndarray | None
+    d_quality: np.ndarray | None
     ridge_used: float
+    ridges: np.ndarray
 
 
-def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8):
+def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8, lengths=None,
+                      with_grads=True):
     """Repulsion loss -log P(Y | L) and its exact gradients.
 
     Parameters
     ----------
-    hidden : (n, d) array
+    hidden : (n, d) array, or a stack (G, n, d)
         Encoded sentences; the similarity matrix is their cosine Gram.
-    quality : (n,) array
+    quality : (n,) array, or (G, n)
         Summary probabilities, strictly inside (0, 1).
-    subset : iterable of int
-        Ground-truth summary indices Y (non-empty, each in [0, n)).
+    subset : iterable of int, or a (G, n) boolean mask
+        Ground-truth summary indices Y (non-empty, each in [0, n)), shared
+        by every matrix of a stack; or, per stacked document, a mask row
+        marking its own Y.
     ridge : float
         Diagonal ridge on the subset minor, applied consistently in the value
-        and the gradients.
+        and the gradients. Each matrix of a stack escalates its own.
+    lengths : (G,) ints or None
+        The real rows of each stacked document, padded to n (default: all n
+        real). Padded rows take no part in the loss and get zero gradients.
+    with_grads : bool
+        When False, only the value is computed.
 
     Returns
     -------
     DppLoss
+        For a stack, value (G,), gradients (G, n, d) and (G, n) and ridges
+        (G,); ``ridge_used`` is the largest ridge in the stack.
     """
-    kern, unit, norms = _kernel_with_rows(hidden, quality, ridge)
-    n = len(unit)
-    subset = _subset_indices(subset, n)
-    if not subset:
-        raise ValueError("subset must be non-empty; skip the loss term instead")
+    hidden = np.asarray(hidden, dtype=float)
+    quality = np.asarray(quality, dtype=float)
+    single = hidden.ndim == 2
+    if single:
+        hidden, quality = hidden[None], quality[None]
+    if hidden.ndim != 3 or quality.shape != hidden.shape[:-1]:
+        raise ValueError("hidden must be (n, d) and quality (n,), or stacks of them")
+    n_docs, n, d = hidden.shape
+    real = None if lengths is None else np.arange(n) < np.asarray(lengths)[:, None]
+    unit, norms = _unit_rows(hidden, quality, real)
+    rows = quality[..., None] * unit
+    if real is not None:
+        rows[~real] = 0.0
 
-    # Value: log det(L + I) - log det(L_Y + eps I).
-    full_factor, log_norm = _chol_logdet(kern.kernel + np.eye(n))
-    minor_factor, log_minor, eps = _minor_logdet(kern.kernel, subset, ridge)
+    # log det(L + I) = log det(I_d + B^T B), a d x d factorization.
+    gram = np.eye(d) + rows.swapaxes(-1, -2) @ rows
+    _, log_norm = _chol_logdet(gram)
+
+    # Minors B_Y B_Y^T. Per-document subsets are padded to the largest |Y|
+    # with identity, and the ridge goes on their real entries only.
+    if np.ndim(subset) == 2:
+        in_subset = np.asarray(subset, dtype=bool)
+        if in_subset.shape != quality.shape or \
+                (real is not None and np.any(in_subset & ~real)):
+            raise IndexError("subset mask does not fit the stacked documents")
+        sizes = in_subset.sum(axis=1)
+        if not sizes.all():
+            raise ValueError("subset must be non-empty; skip the loss term instead")
+        in_minor = np.arange(sizes.max()) < sizes[:, None]
+        picked = np.zeros(in_minor.shape + (d,))
+        picked[in_minor] = rows[in_subset]
+    else:
+        in_subset = _subset_indices(subset, n)
+        if not in_subset:
+            raise ValueError("subset must be non-empty; skip the loss term instead")
+        picked = rows[:, in_subset]
+        in_minor = None
+    minor = picked @ picked.swapaxes(-1, -2)
+    eye = np.eye(minor.shape[-1])
+    if in_minor is not None:
+        minor += eye * ~in_minor[:, None, :]
+    minor_factor, log_minor, ridges = _ridged_logdet(minor, ridge, in_minor)
     value = log_norm - log_minor
 
-    # With L = B B^T, B = diag(q) U: d value / dB = 2 (L + I)^-1 B, minus
-    # 2 A^-1 B_Y on the rows of Y, where A = L_Y + eps I.
-    rows = kern.quality[:, None] * unit
-    d_rows = 2.0 * cho_solve((full_factor, True), rows)
-    d_rows[subset] -= 2.0 * cho_solve((minor_factor, True), rows[subset])
+    d_hidden = d_quality = None
+    if with_grads:
+        # d value / dB = 2 (L + I)^-1 B = 2 B (I_d + B^T B)^-1, minus
+        # 2 A^-1 B_Y on the rows of Y, where A = B_Y B_Y^T + eps I is solved
+        # with the factor its log det came from.
+        d_rows = 2.0 * np.linalg.solve(gram, rows.swapaxes(-1, -2)).swapaxes(-1, -2)
+        solved = 2.0 * cho_solve((minor_factor, True), picked)
+        if in_minor is None:
+            d_rows[:, in_subset] -= solved
+        else:
+            d_rows[in_subset] -= solved[in_minor]
 
-    # Chain through b_i = q_i u_i and the row normalization u_i = h_i / |h_i|.
-    d_quality = (d_rows * unit).sum(axis=1)
-    d_unit = kern.quality[:, None] * d_rows
-    radial = (d_unit * unit).sum(axis=1, keepdims=True)
-    d_hidden = (d_unit - radial * unit) / norms[:, None]
+        # Chain through b_i = q_i u_i and the row normalization u_i = h_i / |h_i|.
+        d_quality = (d_rows * unit).sum(axis=-1)
+        d_unit = quality[..., None] * d_rows
+        radial = (d_unit * unit).sum(axis=-1, keepdims=True)
+        d_hidden = (d_unit - radial * unit) / norms[..., None]
 
-    return DppLoss(value=float(value), d_hidden=d_hidden, d_quality=d_quality,
-                   ridge_used=eps)
+    if single:
+        value, ridges = float(value[0]), ridges[0]
+        if with_grads:
+            d_hidden, d_quality = d_hidden[0], d_quality[0]
+    return DppLoss(value=value, d_hidden=d_hidden, d_quality=d_quality,
+                   ridge_used=float(ridges.max()), ridges=ridges)
 
 
 def brute_force_subset_sum(kernel_matrix):

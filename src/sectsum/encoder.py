@@ -5,8 +5,10 @@ Everything runs in float64 numpy. The encoder is a residual pre-norm stack:
 each layer applies layer-norm -> multi-head self-attention over sentence
 positions -> residual add, then layer-norm -> GELU feed-forward -> residual
 add. Sinusoidal position encodings are added to the projected features before
-the first layer. Forward passes retain the activations needed for an exact
-reverse-mode backward pass; gradients are certified against central finite
+the first layer. A padded stack of documents runs as one pass: padded keys
+get -inf attention scores, so no document sees another's rows or its padding.
+A forward pass that feeds a backward pass retains the activations the exact
+reverse-mode gradients need; gradients are certified against central finite
 differences in the test suite.
 """
 
@@ -354,40 +356,57 @@ def _merge_heads(x):
 
 
 def _layernorm_forward(x, gain, bias):
-    mean = x.mean(axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean computes, without its Python-level wrapper
+    d = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) / d
     centered = x - mean
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     x_hat = centered * inv_std
     return x_hat * gain[..., None, :] + bias[..., None, :], (x_hat, inv_std)
 
 
+def _rows(a):
+    """(..., n, k) activations as one (N, k) matrix of rows, for the weight
+    gradients that sum over every document and sentence of a stack."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _layernorm_backward(d_out, cache, gain):
     x_hat, inv_std = cache
-    d_gain = (d_out * x_hat).sum(axis=0)
-    d_bias = d_out.sum(axis=0)
+    d_gain = _rows(d_out * x_hat).sum(axis=0)
+    d_bias = _rows(d_out).sum(axis=0)
     d_xhat = d_out * gain
-    m1 = d_xhat.mean(axis=1, keepdims=True)
-    m2 = (d_xhat * x_hat).mean(axis=1, keepdims=True)
+    d = d_xhat.shape[-1]
+    m1 = d_xhat.sum(axis=-1, keepdims=True) / d
+    m2 = (d_xhat * x_hat).sum(axis=-1, keepdims=True) / d
     d_x = inv_std * (d_xhat - m1 - x_hat * m2)
     return d_x, d_gain, d_bias
 
 
-def _layer_forward(x, lp, n_heads):
-    """One layer over ``x`` (..., n, d); leading axes batch parameter rows."""
+def _layer_forward(x, lp, n_heads, key_bias=None, with_cache=True):
+    """One layer over ``x`` (..., n, d); leading axes batch parameter rows or
+    stacked documents. ``key_bias`` (G, 1, 1, n) is added to the attention
+    scores: -inf on a stacked document's padded keys. The activation cache
+    is None unless ``with_cache``."""
     d = x.shape[-1]
     dk = d // n_heads
     normed1, ln1_cache = _layernorm_forward(x, lp.ln1_gain, lp.ln1_bias)
     qh = _split_heads(normed1 @ lp.w_q, n_heads)
     kh = _split_heads(normed1 @ lp.w_k, n_heads)
     vh = _split_heads(normed1 @ lp.w_v, n_heads)
-    attn = _softmax(qh @ kh.swapaxes(-1, -2) / math.sqrt(dk))
+    scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(dk)
+    if key_bias is not None:
+        scores += key_bias
+    attn = _softmax(scores)
     merged = _merge_heads(attn @ vh)
     mid = x + merged @ lp.w_o
     normed2, ln2_cache = _layernorm_forward(mid, lp.ln2_gain, lp.ln2_bias)
     z = normed2 @ lp.w_ff1 + lp.b_ff1[..., None, :]
     act = _gelu(z)
     out = mid + act @ lp.w_ff2 + lp.b_ff2[..., None, :]
+    if not with_cache:
+        return out, None
     cache = {
         "ln1": ln1_cache, "ln2": ln2_cache,
         "normed1": normed1, "normed2": normed2,
@@ -398,16 +417,16 @@ def _layer_forward(x, lp, n_heads):
 
 
 def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
-    d = d_out.shape[1]
+    d = d_out.shape[-1]
     dk = d // n_heads
 
     # Feed-forward branch (out = mid + gelu(ln2(mid) @ w_ff1 + b) @ w_ff2 + b).
-    grad_lp.b_ff2[...] += d_out.sum(axis=0)
-    grad_lp.w_ff2[...] += cache["act"].T @ d_out
+    grad_lp.b_ff2[...] += _rows(d_out).sum(axis=0)
+    grad_lp.w_ff2[...] += _rows(cache["act"]).T @ _rows(d_out)
     d_act = d_out @ lp.w_ff2.T
     d_z = d_act * _gelu_grad(cache["z"])
-    grad_lp.b_ff1[...] += d_z.sum(axis=0)
-    grad_lp.w_ff1[...] += cache["normed2"].T @ d_z
+    grad_lp.b_ff1[...] += _rows(d_z).sum(axis=0)
+    grad_lp.w_ff1[...] += _rows(cache["normed2"]).T @ _rows(d_z)
     d_normed2 = d_z @ lp.w_ff1.T
     d_mid_ln, d_g2, d_b2 = _layernorm_backward(d_normed2, cache["ln2"], lp.ln2_gain)
     grad_lp.ln2_gain[...] += d_g2
@@ -415,22 +434,22 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
     d_mid = d_out + d_mid_ln
 
     # Attention branch (mid = x + merge(attn @ v) @ w_o).
-    grad_lp.w_o[...] += cache["merged"].T @ d_mid
+    grad_lp.w_o[...] += _rows(cache["merged"]).T @ _rows(d_mid)
     d_ctx = _split_heads(d_mid @ lp.w_o.T, n_heads)
     attn = cache["attn"]
-    d_attn = d_ctx @ cache["vh"].transpose(0, 2, 1)
-    d_vh = attn.transpose(0, 2, 1) @ d_ctx
+    d_attn = d_ctx @ cache["vh"].swapaxes(-1, -2)
+    d_vh = attn.swapaxes(-1, -2) @ d_ctx
     d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
     d_scores /= math.sqrt(dk)
     d_qh = d_scores @ cache["kh"]
-    d_kh = d_scores.transpose(0, 2, 1) @ cache["qh"]
+    d_kh = d_scores.swapaxes(-1, -2) @ cache["qh"]
     d_q = _merge_heads(d_qh)
     d_k = _merge_heads(d_kh)
     d_v = _merge_heads(d_vh)
-    normed1 = cache["normed1"]
-    grad_lp.w_q[...] += normed1.T @ d_q
-    grad_lp.w_k[...] += normed1.T @ d_k
-    grad_lp.w_v[...] += normed1.T @ d_v
+    normed1 = _rows(cache["normed1"]).T
+    grad_lp.w_q[...] += normed1 @ _rows(d_q)
+    grad_lp.w_k[...] += normed1 @ _rows(d_k)
+    grad_lp.w_v[...] += normed1 @ _rows(d_v)
     d_normed1 = d_q @ lp.w_q.T + d_k @ lp.w_k.T + d_v @ lp.w_v.T
     d_x_ln, d_g1, d_b1 = _layernorm_backward(d_normed1, cache["ln1"], lp.ln1_gain)
     grad_lp.ln1_gain[...] += d_g1
@@ -444,40 +463,51 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
 
 @dataclass(frozen=True)
 class EncodedDocument:
-    """One document's forward activations; built only by :func:`forward_document`."""
+    """One document's forward activations, or a padded stack's; built only
+    by :func:`forward_document`. ``layer_caches`` is None unless the record
+    was made for :func:`backward_document`."""
 
     base_features: np.ndarray
     hidden: np.ndarray
-    layer_caches: list = field(repr=False)
+    layer_caches: list | None = field(repr=False)
     summary_probs: np.ndarray
     boundary_probs: np.ndarray
 
 
-def encode_forward(features, params):
+def encode_forward(features, params, lengths=None, with_caches=True):
     """Run the attention stack over projected features (n, dim).
 
     Adds position encodings, applies every layer, and returns ``(hidden,
-    layer_caches)``, the caches holding what :func:`backward_document` needs.
-    Raises :class:`NumericsError` if any layer output is non-finite.
+    layer_caches)``, the caches holding what :func:`backward_document` needs
+    (None when ``with_caches`` is False). Raises :class:`NumericsError` if
+    any layer output is non-finite.
 
     ``params`` may hold a batch of B parameter rows (a (B, P) vector); the
     features are then (B, n, dim) or (n, dim) and ``hidden`` is
-    (B, n, dim), each row bitwise equal to its own unbatched call.
+    (B, n, dim), each row bitwise equal to its own unbatched call. Features
+    (G, n, dim) of one parameter row are a stack of G documents padded to n
+    sentences; ``lengths`` (G,) gives each one's real sentences, and its
+    padded keys take no part in attention.
     """
     features = np.asarray(features, dtype=float)
     n, d = features.shape[-2:]
     if d != params.dim:
         raise ValueError(f"feature width {d} != model dim {params.dim}")
+    key_bias = None
+    if lengths is not None and min(lengths) < n:
+        key_bias = np.where(np.arange(n) < np.asarray(lengths)[:, None], 0.0, -np.inf)
+        key_bias = key_bias[:, None, None, :]
     x = features + position_encoding(n, d)
-    caches = []
+    caches = [] if with_caches else None
     for i, lp in enumerate(params.layers):
-        x, cache = _layer_forward(x, lp, params.n_heads)
+        x, cache = _layer_forward(x, lp, params.n_heads, key_bias, with_caches)
         if not np.isfinite(x).all():
             raise NumericsError(
                 f"non-finite values in layer {i} output "
                 f"(max |input| = {np.abs(features).max():.3e})"
             )
-        caches.append(cache)
+        if with_caches:
+            caches.append(cache)
     return x, caches
 
 
@@ -493,17 +523,34 @@ def heads_forward(hidden, params):
     return stable_sigmoid(z_sum), stable_sigmoid(z_seg)
 
 
-def forward_document(doc, params, config, raw_features=None):
-    """Featurize + encode + score one document; returns the full activation
-    record (raw features cached for the projection gradient).
+def forward_document(doc, params, config, raw_features=None, with_caches=True):
+    """Featurize + encode + score one document; returns the activation
+    record (raw features kept for the projection gradient).
 
     ``raw_features`` is the document's :func:`base_features` matrix when the
     caller has it already; it is computed here otherwise. With a batch of
     parameter rows every activation gains a leading batch axis; such a
     record serves values only, never :func:`backward_document`.
+
+    ``doc`` may also be a list of G documents (``raw_features`` then a list
+    of their matrices, or None): they run as one stack padded to the longest,
+    every activation gains a leading axis G, and the padded rows of the
+    record hold no meaning. ``with_caches=False`` keeps no activation caches,
+    for a record that serves values only.
     """
-    raw = base_features(doc, config) if raw_features is None else raw_features
-    hidden, caches = encode_forward(raw @ params.w_proj, params)
+    if isinstance(doc, (list, tuple)):
+        raws = raw_features or [base_features(one, config) for one in doc]
+        lengths = [len(raw) for raw in raws]
+        if len(raws) == 1:
+            raw = raws[0][None]
+        else:
+            raw = np.zeros((len(raws), max(lengths), raws[0].shape[1]))
+            for stacked, one in zip(raw, raws):
+                stacked[:len(one)] = one
+    else:
+        raw = base_features(doc, config) if raw_features is None else raw_features
+        lengths = None
+    hidden, caches = encode_forward(raw @ params.w_proj, params, lengths, with_caches)
     summary_probs, boundary_probs = heads_forward(hidden, params)
     return EncodedDocument(base_features=raw, hidden=hidden, layer_caches=caches,
                            summary_probs=summary_probs, boundary_probs=boundary_probs)
@@ -516,11 +563,14 @@ def backward_document(enc, params, d_hidden=None, d_summary=None, d_boundary=Non
     Parameters
     ----------
     enc : EncodedDocument
-        Activation record from :func:`forward_document`.
+        Activation record from :func:`forward_document`, with its caches.
     d_hidden : (n, dim) array or None
         Upstream gradient on the encoded sentence matrix.
     d_summary, d_boundary : (n,) arrays or None
         Upstream gradients on the head output *probabilities*.
+
+    For a stacked record the upstream gradients are (G, n, dim) and (G, n),
+    zero on padded rows, and the result sums every document's gradients.
 
     Returns
     -------
@@ -528,8 +578,7 @@ def backward_document(enc, params, d_hidden=None, d_summary=None, d_boundary=Non
         A zero-initialized gradient container filled for every parameter.
     """
     grads = params.zeros_like()
-    n, d = enc.hidden.shape
-    d_x = np.zeros((n, d)) if d_hidden is None else np.array(d_hidden, dtype=float)
+    d_x = np.zeros(enc.hidden.shape) if d_hidden is None else np.array(d_hidden, dtype=float)
 
     for upstream, probs, weight, d_weight, d_bias in (
         (d_summary, enc.summary_probs, params.w_sum, grads.w_sum, grads.b_sum),
@@ -538,15 +587,15 @@ def backward_document(enc, params, d_hidden=None, d_summary=None, d_boundary=Non
         if upstream is None:
             continue
         d_logit = np.asarray(upstream, dtype=float) * probs * (1.0 - probs)
-        d_weight[...] += enc.hidden.T @ d_logit
-        d_bias[...] += d_logit.sum(keepdims=True)
-        d_x += np.outer(d_logit, weight)
+        d_weight[...] += _rows(enc.hidden).T @ d_logit.reshape(-1)
+        d_bias[...] += d_logit.sum()
+        d_x += d_logit[..., None] * weight
 
     for lp, cache, grad_lp in zip(
         reversed(params.layers), reversed(enc.layer_caches), reversed(grads.layers)
     ):
         d_x = _layer_backward(d_x, cache, lp, params.n_heads, grad_lp)
-    grads.w_proj[...] += enc.base_features.T @ d_x
+    grads.w_proj[...] += _rows(enc.base_features).T @ _rows(d_x)
     return grads
 
 

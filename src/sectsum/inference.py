@@ -96,7 +96,7 @@ def predict_document(doc, params, config, k,
                      threshold=DEFAULT_BOUNDARY_THRESHOLD,
                      convention=SegLabelConvention.FIRST):
     """Score one document and apply both decision rules."""
-    enc = forward_document(doc, params, config)
+    enc = forward_document(doc, params, config, with_caches=False)
     selected = select_top_k(enc.summary_probs, k)
     boundaries = predict_boundaries(enc.boundary_probs, threshold=threshold,
                                     convention=convention)

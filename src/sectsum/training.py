@@ -21,9 +21,10 @@ import numpy as np
 
 from . import evaluation, inference
 from .corpus import CorpusError, tokenize
-from .dpp import build_kernel, dpp_log_prob, dpp_loss_and_grad
+from .dpp import SingularMinorError, ZeroNormError, dpp_loss_and_grad
 from .encoder import (
     FeatureConfig,
+    NumericsError,
     _cut,
     base_features,
     backward_document,
@@ -57,10 +58,10 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 # Perturbed parameter rows per batched value pass in grad_check (both signs
-# of 32 entries). Peak memory grows by about 20 KB per row at the default
-# gradcheck model, the rows plus each layer's activation caches; 256 rows
-# would save about 30 ms per default gradcheck and cost 5 MB more.
-_PROBE_ROWS = 64
+# of 64 entries). At the default gradcheck model, peak memory grows by about
+# 7 KB per row: the rows and one layer's activations, as a value pass keeps
+# no activation caches.
+_PROBE_ROWS = 128
 
 
 class TrainingError(Exception):
@@ -107,43 +108,59 @@ def _float_or_batch(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def bce_loss(probs, labels):
+def _padding(lengths, n):
+    """Mask of the padded entries of rows cut to ``lengths`` out of n."""
+    return np.arange(n) >= np.asarray(lengths)[:, None]
+
+
+def bce_loss(probs, labels, lengths=None):
     """Mean binary cross-entropy; probabilities clamped to [1e-7, 1 - 1e-7].
 
-    ``probs`` (n,) gives a float; a batch (B, n) against the same labels
-    (n,) gives the B means."""
+    ``probs`` (n,) gives a float; a batch (B, n) gives the B row means, with
+    ``labels`` (n,) shared by every row or one row of labels each.
+    ``lengths`` (one per row) counts the real entries of rows padded to n;
+    each mean leaves the rest out."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if labels.ndim != 1 or probs.shape[-1:] != labels.shape:
+    if labels.ndim == 0 or np.broadcast_shapes(probs.shape, labels.shape) != probs.shape:
         raise ValueError(f"shape mismatch: {probs.shape} vs {labels.shape}")
     p = np.clip(probs, _BCE_CLAMP, 1.0 - _BCE_CLAMP)
-    return _float_or_batch(
-        -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean(axis=-1))
+    terms = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+    if lengths is None:
+        return _float_or_batch(terms.sum(axis=-1) / probs.shape[-1])
+    return np.where(_padding(lengths, probs.shape[-1]), 0.0, terms).sum(axis=-1) / lengths
 
 
-def _bce_grad(probs, labels):
-    """Gradient of :func:`bce_loss` with respect to the probabilities."""
+def _bce_grad(probs, labels, lengths=None):
+    """Gradient of :func:`bce_loss` with respect to the probabilities; zero
+    on clamped and on padded entries."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     p = np.clip(probs, _BCE_CLAMP, 1.0 - _BCE_CLAMP)
-    grad = (-(labels / p) + (1.0 - labels) / (1.0 - p)) / probs.size
-    clamped = (probs < _BCE_CLAMP) | (probs > 1.0 - _BCE_CLAMP)
-    return np.where(clamped, 0.0, grad)
+    count = probs.shape[-1] if lengths is None else np.asarray(lengths)[:, None]
+    grad = (-(labels / p) + (1.0 - labels) / (1.0 - p)) / count
+    zero = (probs < _BCE_CLAMP) | (probs > 1.0 - _BCE_CLAMP)
+    if lengths is not None:
+        zero |= _padding(lengths, probs.shape[-1])
+    return np.where(zero, 0.0, grad)
 
 
 @dataclass
 class BatchLoss:
     """Batch-mean loss value, per-term means (``dpp`` unscaled by beta),
     mean parameter gradients, how many documents skipped the repulsion
-    term for lack of positive summary labels, and each document's
-    ``(summary_probs, boundary_probs)`` in batch order. For a batch of
-    parameter rows, values, parts and probabilities carry its leading axis."""
+    term for lack of positive summary labels, and, in batch order, each
+    document's ``(summary_probs, boundary_probs)`` and the ridge its
+    repulsion term used (None where the term did not run). For a batch of
+    parameter rows, values, parts, probabilities and ridges carry its
+    leading axis."""
 
     value: float
     parts: dict
     grads: object | None
     dpp_skipped: int
     head_probs: list
+    ridges: list
 
 
 def _doc_arrays(doc):
@@ -154,9 +171,34 @@ def _doc_arrays(doc):
     return y_sum, y_seg
 
 
+# No document in a stack is padded past this multiple of its own length.
+_MAX_PADDING = 2
+
+
+def _stacks(lengths):
+    """Batch positions sorted by length (stable) and cut into stacks: a
+    stack takes the next document while it is at most ``_MAX_PADDING``
+    times as long as the stack's first, shortest one."""
+    stacks = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if stacks and lengths[i] <= _MAX_PADDING * lengths[stacks[-1][0]]:
+            stacks[-1].append(i)
+        else:
+            stacks.append([i])
+    return stacks
+
+
 def total_loss(documents, params, config, feature_config, features=None,
                with_grads=True):
     """Variant-dependent loss over a batch of labeled documents.
+
+    The batch runs as stacks of documents of similar length (see
+    :func:`_stacks`), each padded to its longest document and taken through
+    one forward pass, one repulsion term and one backward pass; only a
+    gradient pass keeps activation caches. If any document fails (a
+    non-finite activation or loss, a zero-norm sentence, a singular minor),
+    the batch runs again one document at a time in batch order, so the
+    error raised is the one the first failing document raises alone.
 
     Parameters
     ----------
@@ -165,16 +207,16 @@ def total_loss(documents, params, config, feature_config, features=None,
     params : ModelParams
         One parameter row, or, for values only, a batch of B rows (a (B, P)
         vector); every value, part and head probability then has a leading
-        axis of B, each entry bitwise equal to its row's unbatched call.
+        axis of B, each entry bitwise equal to its row's unbatched call, and
+        each document runs alone.
     config : TrainConfig
     feature_config : FeatureConfig
     features : list of arrays or None
         The documents' :func:`base_features` matrices in document order;
         computed per document when None.
     with_grads : bool
-        Skip the backward pass when False (evaluation only); the repulsion
-        term then needs log-determinants only. Its subset minor gets the
-        ridge ``DEFAULT_DPP_RIDGE``.
+        Skip the backward pass when False (evaluation only). The repulsion
+        term's subset minor gets the ridge ``DEFAULT_DPP_RIDGE`` either way.
 
     Returns
     -------
@@ -184,69 +226,107 @@ def total_loss(documents, params, config, feature_config, features=None,
         raise ValueError("empty batch")
     if with_grads and params.vector.ndim != 1:
         raise ValueError("gradients take one parameter row, not a batch")
-    n_docs = len(documents)
-    grads_total = params.zeros_like() if with_grads else None
-    value = 0.0
-    parts = {"sum": 0.0, "seg": 0.0, "dpp": 0.0}
-    skipped = 0
-    head_probs = []
-
     if features is None:
-        features = [None] * n_docs
-    for doc, raw in zip(documents, features, strict=True):
-        y_sum, y_seg = _doc_arrays(doc)
-        enc = forward_document(doc, params, feature_config, raw)
+        features = [base_features(doc, feature_config) for doc in documents]
+    if len(features) != len(documents):
+        raise ValueError(f"{len(features)} feature matrices for {len(documents)} documents")
+    labels = [_doc_arrays(doc) for doc in documents]
+    alone = [[i] for i in range(len(documents))]
+    stacks = alone if params.vector.ndim != 1 else _stacks([len(d) for d in documents])
+    args = (documents, features, labels, params, config, feature_config, with_grads)
+    try:
+        return _stacked_loss(stacks, *args)
+    except (NumericsError, ZeroNormError, SingularMinorError, TrainingError):
+        if stacks == alone:
+            raise
+    return _stacked_loss(alone, *args)
+
+
+def _stacked_loss(stacks, documents, features, labels, params, config,
+                  feature_config, with_grads):
+    """:func:`total_loss` over ``stacks`` (lists of batch positions), one
+    after another; a non-finite loss raises for the stack's first such
+    document."""
+    n_docs = len(documents)
+    rows_batched = params.vector.ndim != 1
+    grads_total = params.zeros_like() if with_grads else None
+    doc_values, doc_parts, head_probs, ridges = ([None] * n_docs for _ in range(4))
+    skipped = 0
+
+    for stack in stacks:
+        enc = forward_document([documents[i] for i in stack], params, feature_config,
+                               [features[i] for i in stack], with_caches=with_grads)
         p_sum, p_seg = enc.summary_probs, enc.boundary_probs
-        head_probs.append((p_sum, p_seg))
-
-        doc_value = bce_loss(p_sum, y_sum)
-        parts["sum"] += doc_value
-        d_sum = _bce_grad(p_sum, y_sum) if with_grads else None
-        d_seg = None
-        d_hidden = None
-
+        n = p_sum.shape[-1]
+        lengths = np.array([len(documents[i]) for i in stack])
+        y_sum, y_seg = np.zeros((2, len(stack), n))
+        for row, i in enumerate(stack):
+            y_sum[row, :lengths[row]], y_seg[row, :lengths[row]] = labels[i]
+        padded = lengths if lengths.min() < n else None
+        # Row r of the activations is document stack[r], or one parameter row
+        # of the stack's only document.
+        parts = {"sum": bce_loss(p_sum, y_sum, padded),
+                 "seg": np.zeros(len(p_sum)), "dpp": np.zeros(len(p_sum))}
+        d_sum = _bce_grad(p_sum, y_sum, padded) if with_grads else None
+        d_seg = d_hidden = None
         if config.variant is not Variant.BASE:
-            seg_value = bce_loss(p_seg, y_seg)
-            parts["seg"] += seg_value
-            doc_value += seg_value
-            if with_grads:
-                d_seg = _bce_grad(p_seg, y_seg)
+            parts["seg"] = bce_loss(p_seg, y_seg, padded)
+            d_seg = _bce_grad(p_seg, y_seg, padded) if with_grads else None
 
+        row_ridges = np.full(len(p_sum), np.nan)
         if config.variant is Variant.FULL and config.beta > 0.0:
-            subset = np.flatnonzero(y_sum == 1.0)
-            if subset.size == 0:
-                skipped += 1
-            else:
+            in_subset = y_sum == 1.0
+            live = in_subset.any(axis=1)
+            skipped += int((~live).sum())
+            if len(stack) == 1:  # one document, whose subset every row shares
+                live = np.repeat(live, len(p_sum))
+                in_subset = np.flatnonzero(in_subset[0])
+            elif not live.all():
+                in_subset = in_subset[live]
+            if live.any():
+                every = live.all()
+                rep = dpp_loss_and_grad(
+                    enc.hidden if every else enc.hidden[live],
+                    p_sum if every else p_sum[live], in_subset,
+                    ridge=DEFAULT_DPP_RIDGE,
+                    lengths=None if padded is None else padded[live],
+                    with_grads=with_grads)
+                parts["dpp"][live] = rep.value
+                row_ridges[live] = rep.ridges
                 if with_grads:
-                    rep = dpp_loss_and_grad(enc.hidden, p_sum, subset,
-                                            ridge=DEFAULT_DPP_RIDGE)
-                    dpp_value = rep.value
-                    d_hidden = config.beta * rep.d_hidden
-                    d_sum = d_sum + config.beta * rep.d_quality
-                else:
-                    kernel = build_kernel(enc.hidden, p_sum, ridge=DEFAULT_DPP_RIDGE)
-                    dpp_value = _float_or_batch(-dpp_log_prob(kernel, subset))
-                parts["dpp"] += dpp_value
-                doc_value += config.beta * dpp_value
-
-        if not np.isfinite(doc_value).all():
+                    d_hidden = np.zeros_like(enc.hidden)
+                    d_hidden[live] = config.beta * rep.d_hidden
+                    d_sum[live] += config.beta * rep.d_quality
+        values = parts["sum"] + parts["seg"] + config.beta * parts["dpp"]
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            doc = documents[stack[0 if rows_batched else bad[0]]]
             raise TrainingError(f"non-finite loss on document {doc.id!r}")
-        value += doc_value
 
+        if rows_batched:
+            (i,) = stack
+            doc_values[i], doc_parts[i], head_probs[i] = values, parts, (p_sum, p_seg)
+            ridges[i] = None if np.isnan(row_ridges).all() else row_ridges
+        else:
+            for row, i in enumerate(stack):
+                doc_values[i] = float(values[row])
+                doc_parts[i] = {k: float(v[row]) for k, v in parts.items()}
+                head_probs[i] = (p_sum[row, :lengths[row]], p_seg[row, :lengths[row]])
+                ridges[i] = None if np.isnan(row_ridges[row]) else float(row_ridges[row])
         if with_grads:
-            doc_grads = backward_document(
+            grads_total.vector[...] += backward_document(
                 enc, params, d_hidden=d_hidden, d_summary=d_sum, d_boundary=d_seg
-            )
-            grads_total.vector[...] += doc_grads.vector
+            ).vector
 
     if with_grads:
         grads_total.vector[...] /= n_docs
     return BatchLoss(
-        value=value / n_docs,
-        parts={k: v / n_docs for k, v in parts.items()},
+        value=sum(doc_values) / n_docs,
+        parts={k: sum(p[k] for p in doc_parts) / n_docs for k in ("sum", "seg", "dpp")},
         grads=grads_total,
         dpp_skipped=skipped,
         head_probs=head_probs,
+        ridges=ridges,
     )
 
 

@@ -6,9 +6,11 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from sectsum import (
-    N_SCALAR_FEATURES, Document, FeatureConfig, SynthConfig, base_features, build_kernel,
-    candidate_score, generate_synthetic, init_params, tokenize, total_loss,
+    N_SCALAR_FEATURES, Document, FeatureConfig, SynthConfig, TrainingError, Variant,
+    backward_document, base_features, build_kernel, candidate_score, dpp_log_prob,
+    forward_document, generate_synthetic, init_params, tokenize, total_loss, training,
 )
+from sectsum.dpp import SingularMinorError
 
 # Lines appended by the acceptance tests; replayed after the run so they
 # stay visible even though pytest captures per-test stdout.
@@ -96,6 +98,90 @@ def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
     radial = (d_unit * unit).sum(axis=1, keepdims=True)
     d_hidden = (d_unit - radial * unit) / norms[:, None]
     return float(value), d_hidden, d_quality
+
+
+def primal_ridge(hidden, quality, subset, ridge):
+    """The ridge the subset minor L_Y of the primal kernel takes: ``ridge``,
+    raised tenfold (up to 1e-4) until the Cholesky factorization succeeds."""
+    kernel = build_kernel(hidden, quality).kernel
+    minor = kernel[np.ix_(subset, subset)]
+    eps = ridge
+    while True:
+        try:
+            pivots = np.diag(np.linalg.cholesky(minor + eps * np.eye(len(subset))))
+            if np.all(pivots > 0) and np.isfinite(pivots).all():
+                return eps
+        except np.linalg.LinAlgError:
+            pass
+        if eps == 0.0 or eps >= 1e-4:
+            raise SingularMinorError(f"singular subset minor (ridge = {eps:g})")
+        eps = min(eps * 10.0, 1e-4)
+
+
+def loop_total_loss(documents, params, config, feature_config, features=None,
+                    with_grads=True):
+    """``total_loss`` as a loop over the documents, one forward, one primal
+    repulsion term and one backward pass each, in batch order; the first
+    document with a non-finite loss raises. The repulsion term is the primal
+    one: log det(L + I) and the minor L_Y of the n x n kernel, whose ridge
+    escalates as in ``primal_ridge``. Returns a ``BatchLoss`` whose
+    ``ridges`` lists each document's ridge."""
+    ridge = training.DEFAULT_DPP_RIDGE
+    grads = params.zeros_like() if with_grads else None
+    value, parts = 0.0, {"sum": 0.0, "seg": 0.0, "dpp": 0.0}
+    skipped, head_probs, ridges = 0, [], []
+    if features is None:
+        features = [None] * len(documents)
+    for doc, raw in zip(documents, features, strict=True):
+        y_sum = np.asarray(doc.labels.summary_labels, dtype=float)
+        y_seg = np.asarray(doc.labels.boundary_labels, dtype=float)
+        enc = forward_document(doc, params, feature_config, raw)
+        p_sum, p_seg = enc.summary_probs, enc.boundary_probs
+        head_probs.append((p_sum, p_seg))
+        doc_value, d_sum = reference_bce(p_sum, y_sum)
+        parts["sum"] += doc_value
+        d_seg = d_hidden = doc_ridge = None
+        if config.variant is not Variant.BASE:
+            seg_value, d_seg = reference_bce(p_seg, y_seg)
+            parts["seg"] += seg_value
+            doc_value += seg_value
+        if config.variant is Variant.FULL and config.beta > 0.0:
+            subset = np.flatnonzero(y_sum == 1.0)
+            if subset.size == 0:
+                skipped += 1
+            else:
+                doc_ridge = primal_ridge(enc.hidden, p_sum, subset, ridge)
+                if with_grads:
+                    dpp_value, d_hidden, d_quality = primal_dpp_loss_and_grad(
+                        enc.hidden, p_sum, subset, doc_ridge)
+                    d_hidden = config.beta * d_hidden
+                    d_sum = d_sum + config.beta * d_quality
+                else:
+                    dpp_value = -dpp_log_prob(build_kernel(enc.hidden, p_sum, doc_ridge),
+                                              subset)
+                parts["dpp"] += dpp_value
+                doc_value += config.beta * dpp_value
+        ridges.append(doc_ridge)
+        if not np.isfinite(doc_value):
+            raise TrainingError(f"non-finite loss on document {doc.id!r}")
+        value += doc_value
+        if with_grads:
+            grads.vector[...] += backward_document(
+                enc, params, d_hidden=d_hidden, d_summary=d_sum, d_boundary=d_seg).vector
+    if with_grads:
+        grads.vector[...] /= len(documents)
+    return training.BatchLoss(
+        value=value / len(documents), parts={k: v / len(documents) for k, v in parts.items()},
+        grads=grads, dpp_skipped=skipped, head_probs=head_probs, ridges=ridges)
+
+
+def reference_bce(probs, labels):
+    """Mean binary cross-entropy of probabilities clamped to [1e-7, 1 - 1e-7]
+    and its gradient, which is zero where the clamp binds."""
+    p = np.clip(probs, 1e-7, 1.0 - 1e-7)
+    value = float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
+    grad = (-(labels / p) + (1.0 - labels) / (1.0 - p)) / len(probs)
+    return value, np.where((probs < 1e-7) | (probs > 1.0 - 1e-7), 0.0, grad)
 
 
 def loop_base_features(doc, config):

@@ -331,12 +331,11 @@ def test_prediction_that_does_not_fit_its_document_exits_2(tmp_path, capsys,
     records = _prediction_records(docs)
     records[1][field] = value(len(docs[1].sentences))
     predictions = _write_jsonl(tmp_path / "predictions.jsonl", records)
-    for command in (["eval", "--plot-data"], ["analyze"]):
-        code = run(command + ["--corpus", str(corpus), "--predictions",
-                              str(predictions), "--out", str(tmp_path / command[0])])
-        assert code == 2, command
-        err = capsys.readouterr().err
-        assert docs[1].id in err or "line 2" in err, err
+    code = run(["eval", "--plot-data", "--corpus", str(corpus), "--predictions",
+                str(predictions), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert docs[1].id in err or "line 2" in err, err
 
 
 def test_prediction_for_unknown_document_is_rejected(tmp_path, capsys):
@@ -353,8 +352,8 @@ def test_prediction_for_unknown_document_is_rejected(tmp_path, capsys):
     records = _prediction_records(docs)
     records[2]["id"] = "ghost"
     predictions = _write_jsonl(tmp_path / "predictions.jsonl", records)
-    assert run(["analyze", "--corpus", str(corpus), "--predictions",
-                str(predictions), "--out", str(tmp_path / "a")]) == 2
+    assert run(["eval", "--plot-data", "--corpus", str(corpus), "--predictions",
+                str(predictions), "--out", str(tmp_path / "e")]) == 2
     assert "ghost" in capsys.readouterr().err
 
 
@@ -477,6 +476,9 @@ def test_analyze_histogram_from_labels(tmp_path, labeled_corpus):
     docs, _ = parse_corpus(labeled_corpus)
     total_positive = sum(sum(d.labels.summary_labels) for d in docs)
     assert sum(hist.values()) == total_positive
+    # predicted selections are eval --plot-data's histogram, not analyze's
+    assert run(["analyze", "--corpus", str(labeled_corpus), "--predictions",
+                str(labeled_corpus), "--out", str(out)]) == 1
 
 
 def test_gradcheck_command(capsys):

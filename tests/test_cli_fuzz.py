@@ -109,15 +109,14 @@ def _argv(command, paths, out):
                     "--out", out],
         "eval": ["--corpus", paths["corpus"], "--predictions", paths["predictions"],
                  "--out", out, "--plot-data", "--k-max", "3"],
-        "analyze": ["--corpus", paths["corpus"], "--predictions", paths["predictions"],
-                    "--out", out],
+        "analyze": ["--corpus", paths["corpus"], "--out", out],
     }[command]
     return [command, *map(str, inputs)]
 
 
 COMMANDS = {  # input kind -> (commands that read it, documented exit codes)
     "corpus": (["label", "train", "predict", "analyze"], {0, 2}),
-    "predictions": (["eval", "analyze"], {0, 2}),
+    "predictions": (["eval"], {0, 2}),
     "config": (["train"], {0, 1, 2}),
     "checkpoint": (["predict"], {0, 2}),
 }

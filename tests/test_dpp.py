@@ -183,6 +183,39 @@ def test_stacked_log_prob_escalates_each_kernel_alone():
     assert stacked.tobytes() == alone.tobytes()
 
 
+def test_stacked_documents_escalate_their_own_ridge():
+    """Three documents of 3, 5 and 4 sentences padded into one stack. The
+    second's summary holds one sentence twice, b = (0.5, 0, 0) both times,
+    so its minor [[0.25, 0.25], [0.25, 0.25]] is exactly singular until the
+    ridge changes 0.25: it fails at 1e-20 and escalates on its own, while the
+    other two keep the requested ridge. Each document gets the value,
+    gradients and ridge it gets alone, and padded rows get zero gradients."""
+    hidden = np.zeros((3, 5, 3))
+    hidden[0, :3] = [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [2.0, 0.0, 1.0]]
+    hidden[1] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                 [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    hidden[2, :4] = [[0.0, 1.0, 2.0], [1.0, 1.0, 0.0], [3.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+    quality = np.full((3, 5), 0.5)
+    lengths = [3, 5, 4]
+    subsets = [[0, 2], [0, 2], [1]]
+    mask = np.zeros((3, 5), dtype=bool)
+    for row, subset in zip(mask, subsets):
+        row[subset] = True
+    stacked = dpp_loss_and_grad(hidden, quality, mask, ridge=1e-20, lengths=lengths)
+    assert stacked.ridges[0] == stacked.ridges[2] == 1e-20
+    assert stacked.ridges[1] > 1e-20
+    assert stacked.ridge_used == stacked.ridges[1]
+    for g, (n, subset) in enumerate(zip(lengths, subsets)):
+        alone = dpp_loss_and_grad(hidden[g, :n], quality[g, :n], subset, ridge=1e-20)
+        assert alone.ridge_used == stacked.ridges[g]
+        assert stacked.value[g] == pytest.approx(alone.value, rel=1e-12)
+        np.testing.assert_allclose(stacked.d_hidden[g, :n], alone.d_hidden,
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(stacked.d_quality[g, :n], alone.d_quality,
+                                   rtol=1e-10, atol=1e-12)
+        assert not stacked.d_hidden[g, n:].any() and not stacked.d_quality[g, n:].any()
+
+
 def test_duplicate_rows_with_zero_ridge_raise():
     hidden = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     quality = np.array([0.8, 0.8, 0.5])

@@ -1,6 +1,8 @@
 """Property tests of the metric, selection, oracle, DPP and featurizer
-invariants, and of the batched forward against its unbatched rows."""
+invariants, of the batched forward against its unbatched rows, and of the
+stacked training loss against the one-document-at-a-time loop."""
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -10,14 +12,14 @@ from hypothesis import strategies as st
 
 from sectsum import (
     CUE_PHRASES, DEFAULT_DPP_RIDGE, Document, FeatureConfig, LabelSet, TrainConfig,
-    Variant, base_features, brute_force_subset_sum, build_kernel, candidate_score,
+    TrainingError, Variant, base_features, brute_force_subset_sum, build_kernel, candidate_score,
     dpp_log_prob, dpp_loss_and_grad, encode_forward, greedy_summary_labels,
     heads_forward, init_params, lcs_length, rouge_l, rouge_n, seg_f1, select_top_k,
     tokenize, total_loss, windowdiff,
 )
 
 from conftest import (
-    dp_lcs_length, loop_base_features, primal_dpp_loss_and_grad,
+    dp_lcs_length, loop_base_features, loop_total_loss, primal_dpp_loss_and_grad,
     rescoring_greedy_labels,
 )
 
@@ -174,7 +176,8 @@ def test_dpp_gradient_matches_primal_reference(instance):
     value, d_hidden, d_quality = primal_dpp_loss_and_grad(
         hidden, quality, subset, DEFAULT_DPP_RIDGE)
     loss = dpp_loss_and_grad(hidden, quality, subset, ridge=DEFAULT_DPP_RIDGE)
-    assert loss.value == value
+    # the dual normalizer log det(I_d + B^T B) rounds differently
+    assert loss.value == pytest.approx(value, rel=1e-12)
     assert loss.ridge_used == DEFAULT_DPP_RIDGE
     np.testing.assert_allclose(loss.d_hidden, d_hidden, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(loss.d_quality, d_quality, rtol=1e-9, atol=1e-12)
@@ -235,3 +238,74 @@ def test_batched_forward_matches_each_row(shape):
             assert one_probs.tobytes() == batch_probs[b].tobytes()
         value = total_loss([doc], one, train_config, config, with_grads=False).value
         assert np.float64(value).tobytes() == values[b].tobytes()
+
+
+def _stack_document(index, n, labels, seed):
+    """Document ``index`` of a drawn batch: n sentences of a six-word
+    vocabulary, about a third of them one repeated sentence, and no, some or
+    all sentences labeled as summary."""
+    rng = np.random.default_rng(seed)
+    texts = ["we repeat this sentence" if rng.random() < 0.3 else
+             f"w{rng.integers(6)} w{rng.integers(6)} w{rng.integers(6)}" for _ in range(n)]
+    summary = {"none": np.zeros(n, int), "some": rng.integers(0, 2, n),
+               "all": np.ones(n, int)}[labels]
+    boundary = (1,) + tuple(int(b) for b in rng.integers(0, 2, n - 1))
+    return Document.build(f"d{index}", texts, labels=LabelSet(
+        tuple(int(v) for v in summary), boundary))
+
+
+# Batches of 1-8 documents of 1-40 sentences: one-sentence documents,
+# documents without summary labels (the repulsion term is skipped) and with
+# more summary sentences than the encoder width, and repeated sentences.
+stack_batches = st.lists(
+    st.tuples(st.integers(1, 40), st.sampled_from(["none", "some", "all"]),
+              st.integers(0, 2 ** 16)),
+    min_size=1, max_size=8)
+stack_models = st.tuples(st.sampled_from([4, 8]), st.integers(1, 2),
+                         st.integers(0, 2 ** 16), st.sampled_from(list(Variant)))
+
+
+@settings(FAST, max_examples=100)
+@given(stack_batches, stack_models, st.sets(st.integers(0, 7), min_size=1, max_size=3))
+def test_stacked_loss_matches_the_document_loop(specs, model, poisoned):
+    """``total_loss`` runs a batch as padded stacks with the dual repulsion
+    term; the reference runs each document alone with the primal one. Value,
+    parts and gradients agree to rounding, within 1e-10, or within 1e-6 when a
+    summary is wider than the encoder: the subset minor is then singular up
+    to the ridge 1e-8, with a condition number of up to 40 / 1e-8, which
+    magnifies rounding of 1e-16 to about 4e-7. Each document takes the same
+    ridge, and a non-finite loss names the same document."""
+    docs = [_stack_document(i, *spec) for i, spec in enumerate(specs)]
+    dim, layers, seed, variant = model
+    config = FeatureConfig(dim=dim, hash_buckets=2 * dim)
+    params = init_params(config, n_layers=layers, n_heads=2, rng_seed=seed)
+    train_config = TrainConfig(variant=variant, beta=0.1)
+    wide = variant is Variant.FULL and any(
+        sum(doc.labels.summary_labels) > dim for doc in docs)
+    rtol = 1e-6 if wide else 1e-10
+    for with_grads in (True, False):
+        loss = total_loss(docs, params, train_config, config, with_grads=with_grads)
+        ref = loop_total_loss(docs, params, train_config, config, with_grads=with_grads)
+        assert loss.value == pytest.approx(ref.value, rel=rtol)
+        for term in ("sum", "seg", "dpp"):
+            assert loss.parts[term] == pytest.approx(ref.parts[term], rel=rtol)
+        assert loss.dpp_skipped == ref.dpp_skipped
+        assert loss.ridges == ref.ridges
+        for probs, ref_probs in zip(loss.head_probs, ref.head_probs, strict=True):
+            for p, r in zip(probs, ref_probs):
+                np.testing.assert_allclose(p, r, rtol=1e-10)
+        if with_grads:
+            scale = np.abs(ref.grads.vector).max()
+            np.testing.assert_allclose(loss.grads.vector, ref.grads.vector,
+                                       rtol=rtol, atol=rtol * scale)
+
+    # a NaN summary label makes that document's loss non-finite
+    for i in {p % len(docs) for p in poisoned}:
+        labels = docs[i].labels
+        docs[i] = dataclasses.replace(docs[i], labels=dataclasses.replace(
+            labels, summary_labels=(float("nan"),) + labels.summary_labels[1:]))
+    with pytest.raises(TrainingError) as got:
+        total_loss(docs, params, train_config, config)
+    with pytest.raises(TrainingError) as want:
+        loop_total_loss(docs, params, train_config, config)
+    assert str(got.value) == str(want.value)

@@ -301,10 +301,10 @@ def test_grad_check_ridge_escalation_inside_a_chunk(monkeypatch):
     stacks = []
     factor = dpp._ridged_logdet
 
-    def spy(minor, ridge):
-        out = factor(minor, ridge)
+    def spy(minor, ridge, real=None):
+        out = factor(minor, ridge, real)
         if minor.ndim == 3:
-            stacks.append(out[2])
+            stacks.append(out[2].max())
         return out
 
     monkeypatch.setattr(dpp, "_ridged_logdet", spy)
