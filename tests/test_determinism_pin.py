@@ -13,14 +13,14 @@ from sectsum.cli import run
 
 TRAIN_DIGESTS = {
     "checkpoint.ckpt":
-        "9898f9af9d1e960d26c603012e49b465a3d39c5f868959a00bce16bb941abb6d",
+        "77c385d76a97f97c26258daccacc9190fa83ed12569a7127506f49fa37c53631",
     "best_checkpoint.ckpt":
-        "c98c6700d8748d323940f5a6fb69b34cab438e48e550ea249f60c337e59b1393",
+        "0747a5a9d5e39589875166cf81cfa3c998129ff29f36cd6e1361b46703f0fb07",
     "metrics.jsonl":
-        "4f9e63c85202bc269fa9a7f077fa7e32146de8c3909af412d7e2956fb19cd1e7",
+        "cfd263f1c2fbd71d80e13fa44df0cfe84538d705611c51239b602dcf2b89bc55",
 }
 GRADCHECK_STDOUT_DIGEST = (
-    "297132d7d84e978cee289df82134d2cd66f5aa980cf72a2b61e65427c56d9300"
+    "e6e6a01dae13b5d1673b03bbbff5a8e44174b6d812af597d46e64623d25c5546"
 )
 
 
