@@ -218,7 +218,7 @@ def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8, lengths=None,
         hidden, quality = hidden[None], quality[None]
     if hidden.ndim != 3 or quality.shape != hidden.shape[:-1]:
         raise ValueError("hidden must be (n, d) and quality (n,), or stacks of them")
-    n_docs, n, d = hidden.shape
+    n, d = hidden.shape[1:]
     real = None if lengths is None else np.arange(n) < np.asarray(lengths)[:, None]
     unit, norms = _unit_rows(hidden, quality, real)
     rows = quality[..., None] * unit
@@ -243,7 +243,7 @@ def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8, lengths=None,
         picked = np.zeros(in_minor.shape + (d,))
         picked[in_minor] = rows[in_subset]
     else:
-        in_subset = _subset_indices(subset, n)
+        in_subset = _subset_indices(subset, n if real is None else min(lengths))
         if not in_subset:
             raise ValueError("subset must be non-empty; skip the loss term instead")
         picked = rows[:, in_subset]
