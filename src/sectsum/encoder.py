@@ -541,12 +541,9 @@ def forward_document(doc, params, config, raw_features=None, with_caches=True):
     if isinstance(doc, (list, tuple)):
         raws = raw_features or [base_features(one, config) for one in doc]
         lengths = [len(raw) for raw in raws]
-        if len(raws) == 1:
-            raw = raws[0][None]
-        else:
-            raw = np.zeros((len(raws), max(lengths), raws[0].shape[1]))
-            for stacked, one in zip(raw, raws):
-                stacked[:len(one)] = one
+        raw = np.zeros((len(raws), max(lengths), raws[0].shape[1]))
+        for stacked, one in zip(raw, raws):
+            stacked[:len(one)] = one
     else:
         raw = base_features(doc, config) if raw_features is None else raw_features
         lengths = None
