@@ -15,8 +15,8 @@ near duplicate sentences (escalating tenfold up to 1e-4 on factorization
 failure); a zero ridge is exact and is what test oracles use. The loss takes
 a padded stack of documents, and each document escalates its own ridge.
 
-The primal kernel (:func:`build_kernel`, :func:`dpp_log_prob`) serves
-inspection and the tests; no training path builds it.
+The primal kernel of one document (:func:`build_kernel`, :func:`dpp_log_prob`)
+serves inspection and the tests; no training path builds it.
 """
 
 from __future__ import annotations
@@ -72,18 +72,15 @@ def build_kernel(hidden, quality, ridge=0.0):
         Per-sentence quality scores in (0, 1].
     ridge : float
         Stored on the kernel; applied to subset minors during factorization.
-
-    Leading axes on both (hidden (B, n, d), quality (B, n)) give a stack of
-    B kernels.
     """
     hidden = np.asarray(hidden, dtype=float)
     quality = np.asarray(quality, dtype=float)
-    if hidden.ndim < 2 or quality.shape != hidden.shape[:-1]:
+    if hidden.ndim != 2 or quality.shape != hidden.shape[:1]:
         raise ValueError("hidden must be (n, d) and quality (n,)")
     unit, _ = _unit_rows(hidden, quality)
-    similarity = unit @ unit.swapaxes(-1, -2)
-    similarity = 0.5 * (similarity + similarity.swapaxes(-1, -2))
-    kernel = quality[..., :, None] * similarity * quality[..., None, :]
+    similarity = unit @ unit.T
+    similarity = 0.5 * (similarity + similarity.T)
+    kernel = quality[:, None] * similarity * quality[None, :]
     return DppKernel(quality=quality, similarity=similarity, kernel=kernel,
                      ridge=float(ridge))
 
@@ -112,35 +109,25 @@ def _chol_logdet(matrix):
     return factor, 2.0 * np.log(diag).sum(axis=-1)
 
 
-def _minor_logdet(kernel_matrix, subset, ridge):
-    """Lower Cholesky factor, log det and ridge of the subset minor plus ridge,
-    for one kernel or a stack of them; see :func:`_ridged_logdet`."""
-    return _ridged_logdet(kernel_matrix[..., subset, :][..., subset], ridge)
-
-
-def _ridged_logdet(minor, ridge, real=None):
+def _ridged_logdet(minor, ridge, real):
     """Factor ``minor`` plus the ridge on the diagonal entries that ``real``
-    marks (every entry by default); the ridge escalates tenfold (up to 1e-4)
-    on failure, a zero ridge never. A stack is factored at ``ridge`` as one;
-    if any matrix fails, each escalates on its own, exactly as it would
-    alone. Returns the factor, the log det and the ridge of each matrix."""
-    shift = np.eye(minor.shape[-1])
-    if real is not None:
-        shift = shift * real[..., None, :]
+    marks; the ridge escalates tenfold (up to 1e-4) on failure, a zero ridge
+    never. A stack is factored at ``ridge`` as one; if any matrix fails,
+    each escalates on its own, exactly as it would alone. Returns the
+    factor, the log det and the ridge of each matrix."""
+    shift = np.eye(minor.shape[-1]) * real[..., None, :]
     eps = ridge
     while True:
         try:
             return *_chol_logdet(minor + eps * shift), np.full(minor.shape[:-2], eps)
         except np.linalg.LinAlgError:
             if minor.ndim > 2:
-                marks = [None] * len(minor) if real is None else real
                 factors, logdets, ridges = zip(*(
-                    _ridged_logdet(m, ridge, r) for m, r in zip(minor, marks)))
+                    _ridged_logdet(m, ridge, r) for m, r in zip(minor, real)))
                 return np.stack(factors), np.array(logdets), np.array(ridges)
             if eps == 0.0 or eps >= _MAX_RIDGE:
-                size = len(minor) if real is None else int(real.sum())
                 raise SingularMinorError(
-                    f"singular subset minor (|Y| = {size}, ridge = {eps:g})"
+                    f"singular subset minor (|Y| = {int(real.sum())}, ridge = {eps:g})"
                 ) from None
             eps = min(eps * 10.0, _MAX_RIDGE)
 
@@ -157,15 +144,15 @@ def dpp_log_prob(kernel, subset):
     """log P(Y) = log det(L_Y + ridge I) - log det(L + I).
 
     The empty subset is valid (numerator term 0). Duplicate rows with a zero
-    ridge raise :class:`SingularMinorError`. A stack of kernels gives one
-    log-probability per kernel.
+    ridge raise :class:`SingularMinorError`.
     """
-    n = kernel.kernel.shape[-1]
+    n = len(kernel.kernel)
     subset = _subset_indices(subset, n)
     _, log_norm = _chol_logdet(kernel.kernel + np.eye(n))
     if not subset:
         return -log_norm
-    _, log_minor, _ = _minor_logdet(kernel.kernel, subset, kernel.ridge)
+    minor = kernel.kernel[subset][:, subset]
+    _, log_minor, _ = _ridged_logdet(minor, kernel.ridge, np.ones(len(subset), dtype=bool))
     return log_minor - log_norm
 
 
@@ -233,25 +220,19 @@ def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8, lengths=None,
     # with identity, and the ridge goes on their real entries only.
     if np.ndim(subset) == 2:
         in_subset = np.asarray(subset, dtype=bool)
-        if in_subset.shape != quality.shape or \
-                (real is not None and np.any(in_subset & ~real)):
-            raise IndexError("subset mask does not fit the stacked documents")
-        sizes = in_subset.sum(axis=1)
-        if not sizes.all():
-            raise ValueError("subset must be non-empty; skip the loss term instead")
-        in_minor = np.arange(sizes.max()) < sizes[:, None]
-        picked = np.zeros(in_minor.shape + (d,))
-        picked[in_minor] = rows[in_subset]
     else:
-        in_subset = _subset_indices(subset, n if real is None else min(lengths))
-        if not in_subset:
-            raise ValueError("subset must be non-empty; skip the loss term instead")
-        picked = rows[:, in_subset]
-        in_minor = None
+        in_subset = np.zeros(quality.shape, dtype=bool)
+        in_subset[:, _subset_indices(subset, n)] = True
+    if in_subset.shape != quality.shape or (real is not None and np.any(in_subset & ~real)):
+        raise IndexError("subset mask does not fit the stacked documents")
+    sizes = in_subset.sum(axis=1)
+    if not sizes.all():
+        raise ValueError("subset must be non-empty; skip the loss term instead")
+    in_minor = np.arange(sizes.max()) < sizes[:, None]
+    picked = np.zeros(in_minor.shape + (d,))
+    picked[in_minor] = rows[in_subset]
     minor = picked @ picked.swapaxes(-1, -2)
-    eye = np.eye(minor.shape[-1])
-    if in_minor is not None:
-        minor += eye * ~in_minor[:, None, :]
+    minor += np.eye(minor.shape[-1]) * ~in_minor[:, None, :]
     minor_factor, log_minor, ridges = _ridged_logdet(minor, ridge, in_minor)
     value = log_norm - log_minor
 
@@ -262,10 +243,7 @@ def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8, lengths=None,
         # with the factor its log det came from.
         d_rows = 2.0 * np.linalg.solve(gram, rows.swapaxes(-1, -2)).swapaxes(-1, -2)
         solved = 2.0 * cho_solve((minor_factor, True), picked)
-        if in_minor is None:
-            d_rows[:, in_subset] -= solved
-        else:
-            d_rows[in_subset] -= solved[in_minor]
+        d_rows[in_subset] -= solved[in_minor]
 
         # Chain through b_i = q_i u_i and the row normalization u_i = h_i / |h_i|.
         d_quality = (d_rows * unit).sum(axis=-1)

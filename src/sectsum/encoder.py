@@ -516,8 +516,9 @@ def heads_forward(hidden, params):
     ``hidden`` (n, dim), strictly inside (0, 1); a non-finite logit (finite
     weights can still overflow ``hidden @ w``) raises :class:`NumericsError`.
     Batched ``hidden`` (B, n, dim) and parameter rows give (B, n)."""
-    z_sum = (hidden @ params.w_sum[..., None])[..., 0] + params.b_sum
-    z_seg = (hidden @ params.w_seg[..., None])[..., 0] + params.b_seg
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        z_sum = (hidden @ params.w_sum[..., None])[..., 0] + params.b_sum
+        z_seg = (hidden @ params.w_seg[..., None])[..., 0] + params.b_seg
     if not (np.isfinite(z_sum).all() and np.isfinite(z_seg).all()):
         raise NumericsError("non-finite head logit")
     return stable_sigmoid(z_sum), stable_sigmoid(z_seg)

@@ -151,9 +151,7 @@ class BatchLoss:
     mean parameter gradients, how many documents skipped the repulsion
     term for lack of positive summary labels, and, in batch order, each
     document's ``(summary_probs, boundary_probs)`` and the ridge its
-    repulsion term used (None where the term did not run). For a batch of
-    parameter rows, values, parts, probabilities and ridges carry its
-    leading axis."""
+    repulsion term used (None where the term did not run)."""
 
     value: float
     parts: dict
@@ -193,22 +191,18 @@ def total_loss(documents, params, config, feature_config, features=None,
     """Variant-dependent loss over a batch of labeled documents.
 
     The batch runs as stacks of documents of similar length (see
-    :func:`_stacks`), each padded to its longest document and taken through
-    one forward pass, one repulsion term and one backward pass; only a
-    gradient pass keeps activation caches. If any document fails (a
-    non-finite activation or loss, a zero-norm sentence, a singular minor),
-    the batch runs again one document at a time in batch order, so the
-    error raised is the one the first failing document raises alone.
+    :func:`_stacks`), each through :func:`_stack_loss`; only a gradient pass
+    keeps activation caches. If any document fails (a non-finite activation
+    or loss, a zero-norm sentence, a singular minor), the batch runs again
+    one document at a time in batch order, so the error raised is the one
+    the first failing document raises alone.
 
     Parameters
     ----------
     documents : list of Document
         Every document must carry labels.
     params : ModelParams
-        One parameter row, or, for values only, a batch of B rows (a (B, P)
-        vector); every value, part and head probability then has a leading
-        axis of B, each entry bitwise equal to its row's unbatched call, and
-        each document runs alone.
+        One parameter row.
     config : TrainConfig
     feature_config : FeatureConfig
     features : list of arrays or None
@@ -224,110 +218,112 @@ def total_loss(documents, params, config, feature_config, features=None,
     """
     if not documents:
         raise ValueError("empty batch")
-    if with_grads and params.vector.ndim != 1:
-        raise ValueError("gradients take one parameter row, not a batch")
+    if params.vector.ndim != 1:
+        raise ValueError("total_loss takes one parameter row, not a batch")
     if features is None:
         features = [base_features(doc, feature_config) for doc in documents]
     if len(features) != len(documents):
         raise ValueError(f"{len(features)} feature matrices for {len(documents)} documents")
     labels = [_doc_arrays(doc) for doc in documents]
-    alone = [[i] for i in range(len(documents))]
-    stacks = alone if params.vector.ndim != 1 else _stacks([len(d) for d in documents])
-    args = (documents, features, labels, params, config, feature_config, with_grads)
+    n_docs = len(documents)
+
+    def run(stacks):
+        grads = params.zeros_like() if with_grads else None
+        doc_values, doc_parts, head_probs, ridges = ([None] * n_docs for _ in range(4))
+        for stack in stacks:
+            values, parts, row_ridges, (p_sum, p_seg), stack_grads = _stack_loss(
+                [documents[i] for i in stack], [features[i] for i in stack],
+                [labels[i] for i in stack], params, config, feature_config, with_grads)
+            for row, i in enumerate(stack):
+                n = len(documents[i])
+                doc_values[i] = float(values[row])
+                doc_parts[i] = {k: float(v[row]) for k, v in parts.items()}
+                head_probs[i] = (p_sum[row, :n], p_seg[row, :n])
+                ridges[i] = None if np.isnan(row_ridges[row]) else float(row_ridges[row])
+            if with_grads:
+                grads.vector[...] += stack_grads.vector
+        if with_grads:
+            grads.vector[...] /= n_docs
+        repulsion = config.variant is Variant.FULL and config.beta > 0.0
+        return BatchLoss(
+            value=sum(doc_values) / n_docs,
+            parts={k: sum(p[k] for p in doc_parts) / n_docs for k in ("sum", "seg", "dpp")},
+            grads=grads,
+            dpp_skipped=ridges.count(None) if repulsion else 0,
+            head_probs=head_probs,
+            ridges=ridges,
+        )
+
+    alone = [[i] for i in range(n_docs)]
+    stacks = _stacks([len(doc) for doc in documents])
     try:
-        return _stacked_loss(stacks, *args)
+        return run(stacks)
     except (NumericsError, ZeroNormError, SingularMinorError, TrainingError):
         if stacks == alone:
             raise
-    return _stacked_loss(alone, *args)
+    return run(alone)
 
 
-def _stacked_loss(stacks, documents, features, labels, params, config,
-                  feature_config, with_grads):
-    """:func:`total_loss` over ``stacks`` (lists of batch positions), one
-    after another; a non-finite loss raises for the stack's first such
+def _stack_loss(docs, features, labels, params, config, feature_config, with_grads):
+    """The loss of one stack: ``docs`` padded to the longest and taken
+    through one forward pass, the cross-entropy terms against ``labels``
+    (:func:`_doc_arrays` of each document), one repulsion term and, with
+    gradients, one backward pass. Row r of the activations is
+    document r; or, for values only, one document is broadcast against a
+    batch of parameter rows (a (B, P) vector), row r then being parameter
+    row r.
+
+    Returns per-row values, parts (``dpp`` unscaled by beta), ridges (NaN
+    where the repulsion term did not run) and ``(summary_probs,
+    boundary_probs)``, and the stack's summed gradient (None without
+    gradients). A non-finite loss raises for the stack's first such
     document."""
-    n_docs = len(documents)
-    rows_batched = params.vector.ndim != 1
-    grads_total = params.zeros_like() if with_grads else None
-    doc_values, doc_parts, head_probs, ridges = ([None] * n_docs for _ in range(4))
-    skipped = 0
+    enc = forward_document(docs, params, feature_config, features, with_caches=with_grads)
+    p_sum, p_seg = enc.summary_probs, enc.boundary_probs
+    n_rows, n = p_sum.shape
+    lengths = np.array([len(doc) for doc in docs])
+    y_sum, y_seg = np.zeros((2, len(docs), n))
+    for row, (length, (doc_sum, doc_seg)) in enumerate(zip(lengths, labels)):
+        y_sum[row, :length], y_seg[row, :length] = doc_sum, doc_seg
+    padded = lengths if lengths.min() < n else None
+    parts = {"sum": bce_loss(p_sum, y_sum, padded),
+             "seg": np.zeros(n_rows), "dpp": np.zeros(n_rows)}
+    d_sum = _bce_grad(p_sum, y_sum, padded) if with_grads else None
+    d_seg = d_hidden = None
+    if config.variant is not Variant.BASE:
+        parts["seg"] = bce_loss(p_seg, y_seg, padded)
+        d_seg = _bce_grad(p_seg, y_seg, padded) if with_grads else None
 
-    for stack in stacks:
-        enc = forward_document([documents[i] for i in stack], params, feature_config,
-                               [features[i] for i in stack], with_caches=with_grads)
-        p_sum, p_seg = enc.summary_probs, enc.boundary_probs
-        n = p_sum.shape[-1]
-        lengths = np.array([len(documents[i]) for i in stack])
-        y_sum, y_seg = np.zeros((2, len(stack), n))
-        for row, i in enumerate(stack):
-            y_sum[row, :lengths[row]], y_seg[row, :lengths[row]] = labels[i]
-        padded = lengths if lengths.min() < n else None
-        # Row r of the activations is document stack[r], or one parameter row
-        # of the stack's only document.
-        parts = {"sum": bce_loss(p_sum, y_sum, padded),
-                 "seg": np.zeros(len(p_sum)), "dpp": np.zeros(len(p_sum))}
-        d_sum = _bce_grad(p_sum, y_sum, padded) if with_grads else None
-        d_seg = d_hidden = None
-        if config.variant is not Variant.BASE:
-            parts["seg"] = bce_loss(p_seg, y_seg, padded)
-            d_seg = _bce_grad(p_seg, y_seg, padded) if with_grads else None
-
-        row_ridges = np.full(len(p_sum), np.nan)
-        if config.variant is Variant.FULL and config.beta > 0.0:
-            in_subset = y_sum == 1.0
-            live = in_subset.any(axis=1)
-            skipped += int((~live).sum())
-            if len(stack) == 1:  # one document, whose subset every row shares
-                live = np.repeat(live, len(p_sum))
-                in_subset = np.flatnonzero(in_subset[0])
-            elif not live.all():
-                in_subset = in_subset[live]
-            if live.any():
-                every = live.all()
-                rep = dpp_loss_and_grad(
-                    enc.hidden if every else enc.hidden[live],
-                    p_sum if every else p_sum[live], in_subset,
-                    ridge=DEFAULT_DPP_RIDGE,
-                    lengths=None if padded is None else padded[live],
-                    with_grads=with_grads)
-                parts["dpp"][live] = rep.value
-                row_ridges[live] = rep.ridges
-                if with_grads:
-                    d_hidden = np.zeros_like(enc.hidden)
-                    d_hidden[live] = config.beta * rep.d_hidden
-                    d_sum[live] += config.beta * rep.d_quality
-        values = parts["sum"] + parts["seg"] + config.beta * parts["dpp"]
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            doc = documents[stack[0 if rows_batched else bad[0]]]
-            raise TrainingError(f"non-finite loss on document {doc.id!r}")
-
-        if rows_batched:
-            (i,) = stack
-            doc_values[i], doc_parts[i], head_probs[i] = values, parts, (p_sum, p_seg)
-            ridges[i] = None if np.isnan(row_ridges).all() else row_ridges
-        else:
-            for row, i in enumerate(stack):
-                doc_values[i] = float(values[row])
-                doc_parts[i] = {k: float(v[row]) for k, v in parts.items()}
-                head_probs[i] = (p_sum[row, :lengths[row]], p_seg[row, :lengths[row]])
-                ridges[i] = None if np.isnan(row_ridges[row]) else float(row_ridges[row])
-        if with_grads:
-            grads_total.vector[...] += backward_document(
-                enc, params, d_hidden=d_hidden, d_summary=d_sum, d_boundary=d_seg
-            ).vector
-
+    ridges = np.full(n_rows, np.nan)
+    if config.variant is Variant.FULL and config.beta > 0.0:
+        in_subset = np.broadcast_to(y_sum == 1.0, p_sum.shape)
+        live = in_subset.any(axis=1)
+        if live.any():
+            every = live.all()
+            rep = dpp_loss_and_grad(
+                enc.hidden if every else enc.hidden[live],
+                p_sum if every else p_sum[live],
+                in_subset if every else in_subset[live],
+                ridge=DEFAULT_DPP_RIDGE,
+                lengths=None if padded is None else padded[live],
+                with_grads=with_grads)
+            parts["dpp"][live] = rep.value
+            ridges[live] = rep.ridges
+            if with_grads:
+                d_hidden = np.zeros_like(enc.hidden)
+                d_hidden[live] = config.beta * rep.d_hidden
+                d_sum[live] += config.beta * rep.d_quality
+    values = parts["sum"] + parts["seg"] + config.beta * parts["dpp"]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        # with one document broadcast against parameter rows, a row is no document
+        doc = docs[bad[0] if len(docs) > 1 else 0]
+        raise TrainingError(f"non-finite loss on document {doc.id!r}")
+    grads = None
     if with_grads:
-        grads_total.vector[...] /= n_docs
-    return BatchLoss(
-        value=sum(doc_values) / n_docs,
-        parts={k: sum(p[k] for p in doc_parts) / n_docs for k in ("sum", "seg", "dpp")},
-        grads=grads_total,
-        dpp_skipped=skipped,
-        head_probs=head_probs,
-        ridges=ridges,
-    )
+        grads = backward_document(enc, params, d_hidden=d_hidden, d_summary=d_sum,
+                                  d_boundary=d_seg)
+    return values, parts, ridges, (p_sum, p_seg), grads
 
 
 def learning_rate_at(step, total_steps, base_rate, warmup_fraction):
@@ -538,8 +534,9 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
     error.
 
     The perturbed parameter rows are built ``_PROBE_ROWS`` at a time, and
-    each chunk is one batched value-only :func:`total_loss` call; every loss
-    is bitwise the one an unbatched call on that row gives.
+    each chunk is one value-only :func:`_stack_loss` pass, the document
+    broadcast against the chunk's rows; every loss is bitwise the one
+    :func:`total_loss` gives on that row.
 
     ``analytic`` lets callers supply (possibly tampered) gradients; by
     default they are computed from :func:`total_loss` on the document.
@@ -550,7 +547,7 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     if analytic is None:
         analytic = total_loss([doc], params, config, feature_config).grads
-    features = [base_features(doc, feature_config)]
+    features, labels = [base_features(doc, feature_config)], [_doc_arrays(doc)]
     theta = params.vector
     fd = np.empty_like(theta)
     half = _PROBE_ROWS // 2
@@ -562,8 +559,8 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
         rows[...] = theta
         rows[np.arange(m), entries] = theta[entries] + step
         rows[np.arange(m, 2 * m), entries] = theta[entries] - step
-        values = total_loss([doc], params._on(rows), config, feature_config,
-                            features=features, with_grads=False).value
+        values = _stack_loss([doc], features, labels, params._on(rows), config,
+                             feature_config, with_grads=False)[0]
         fd[entries] = (values[:m] - values[m:]) / (2.0 * step)
 
     a = analytic.vector

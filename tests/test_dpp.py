@@ -10,7 +10,6 @@ from sectsum import (
     ZeroNormError,
     build_kernel,
     brute_force_subset_sum,
-    dpp,
     dpp_log_prob,
     dpp_loss_and_grad,
 )
@@ -153,34 +152,31 @@ def test_loss_gradients_match_finite_differences():
 
 
 def test_duplicate_rows_escalate_ridge():
-    """Two identical sentences make the subset minor singular; the ridge is
-    escalated until the factorization succeeds and is reported back."""
+    """Two identical summary sentences, b = (0.5, 0) both times, make the
+    minor [[0.25, 0.25], [0.25, 0.25]] exactly singular until the ridge
+    changes 0.25: from 1e-20 the ridge escalates tenfold to 1e-16, and the
+    ridge it took is reported back."""
     hidden = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    quality = np.array([0.8, 0.8, 0.5])
-    res = dpp_loss_and_grad(hidden, quality, [0, 1], ridge=1e-8)
+    quality = np.array([0.5, 0.5, 0.5])
+    res = dpp_loss_and_grad(hidden, quality, [0, 1], ridge=1e-20)
     assert math.isfinite(res.value)
-    assert res.ridge_used >= 1e-8
+    assert res.ridge_used > 1e-20
+    assert res.ridge_used == pytest.approx(1e-16)
     assert np.all(np.isfinite(res.d_hidden))
 
 
-def test_stacked_log_prob_escalates_each_kernel_alone():
-    """A stack of kernels is factored at once; when one subset minor fails at
-    the requested ridge, each kernel escalates on its own, and every
-    log-probability is bitwise the one its kernel gives alone."""
-    rng = np.random.default_rng(3)
-    regular = [build_kernel(*random_instance(rng, 3, 3)).kernel for _ in range(2)]
-    # the {0, 1} minor has an eigenvalue of about -1.5e-8: it fails at ridge
-    # 1e-8 and factors at 1e-7
-    indefinite = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 - 3e-8, 0.0], [0.0, 0.0, 1.0]])
-    matrices = [regular[0], indefinite, regular[1]]
-
-    def kernel(matrix):
-        return DppKernel(quality=None, similarity=None, kernel=matrix, ridge=1e-8)
-
-    assert dpp._minor_logdet(indefinite, [0, 1], 1e-8)[2] == pytest.approx(1e-7)
-    stacked = dpp_log_prob(kernel(np.stack(matrices)), [0, 1])
-    alone = np.array([dpp_log_prob(kernel(m), [0, 1]) for m in matrices])
-    assert stacked.tobytes() == alone.tobytes()
+def test_log_prob_escalates_an_indefinite_minor():
+    """The {0, 1} minor of this kernel has an eigenvalue of about -1.5e-8:
+    it fails at the kernel's ridge 1e-8, and ``dpp_log_prob`` takes the
+    log-probability at the escalated ridge 1e-7."""
+    matrix = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 - 3e-8, 0.0], [0.0, 0.0, 1.0]])
+    assert np.linalg.eigvalsh(matrix[:2, :2] + 1e-8 * np.eye(2))[0] < 0.0
+    kernel = DppKernel(quality=None, similarity=None, kernel=matrix, ridge=1e-8)
+    at_escalated = DppKernel(quality=None, similarity=None, kernel=matrix, ridge=1e-7)
+    assert dpp_log_prob(kernel, [0, 1]) == dpp_log_prob(at_escalated, [0, 1])
+    expected = (np.linalg.slogdet(matrix[:2, :2] + 1e-7 * np.eye(2))[1]
+                - np.linalg.slogdet(matrix + np.eye(3))[1])
+    assert dpp_log_prob(kernel, [0, 1]) == pytest.approx(expected, rel=1e-9)
 
 
 def test_stacked_documents_escalate_their_own_ridge():

@@ -15,7 +15,7 @@ from sectsum import (
     TrainingError, Variant, base_features, brute_force_subset_sum, build_kernel, candidate_score,
     dpp_log_prob, dpp_loss_and_grad, encode_forward, greedy_summary_labels,
     heads_forward, init_params, lcs_length, rouge_l, rouge_n, seg_f1, select_top_k,
-    tokenize, total_loss, windowdiff,
+    tokenize, total_loss, training, windowdiff,
 )
 
 from conftest import (
@@ -183,6 +183,39 @@ def test_dpp_gradient_matches_primal_reference(instance):
     np.testing.assert_allclose(loss.d_quality, d_quality, rtol=1e-9, atol=1e-12)
 
 
+@FAST
+@given(well_posed_dpp.flatmap(lambda instance: st.tuples(
+    st.just(instance), st.permutations(range(len(instance[1]))))), st.integers(1, 3))
+def test_dpp_loss_is_invariant_to_row_order(drawn, extra):
+    """Permuting a document's rows, with Y permuted to match, keeps the value
+    up to rounding and permutes the gradients: for an index-list subset, and
+    for the original and the permuted document as one stack padded by
+    ``extra`` rows, with mask subsets."""
+    (hidden, quality, subset), perm = drawn
+    hidden, quality, perm = np.array(hidden), np.array(quality), np.array(perm)
+    kernel = build_kernel(hidden, quality).kernel
+    assume(np.linalg.cond(kernel[np.ix_(subset, subset)]) < 1e4)
+    n, d = hidden.shape
+    # row j of the permuted document is row perm[j] of the original
+    moved = [j for j in range(n) if perm[j] in subset]
+    loss = dpp_loss_and_grad(hidden, quality, subset)
+    stack_hidden = np.ones((2, n + extra, d))
+    stack_quality = np.full((2, n + extra), 0.5)
+    stack_hidden[0, :n], stack_hidden[1, :n] = hidden, hidden[perm]
+    stack_quality[0, :n], stack_quality[1, :n] = quality, quality[perm]
+    mask = np.zeros((2, n + extra), dtype=bool)
+    mask[0, subset], mask[1, moved] = True, True
+    stacked = dpp_loss_and_grad(stack_hidden, stack_quality, mask, lengths=[n, n])
+    permuted = dpp_loss_and_grad(hidden[perm], quality[perm], moved)
+    for value, d_hidden, d_quality in (
+            (permuted.value, permuted.d_hidden, permuted.d_quality),
+            (stacked.value[1], stacked.d_hidden[1, :n], stacked.d_quality[1, :n])):
+        assert value == pytest.approx(loss.value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(d_hidden, loss.d_hidden[perm], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(d_quality, loss.d_quality[perm], rtol=1e-9, atol=1e-12)
+    assert stacked.value[0] == pytest.approx(loss.value, rel=1e-12, abs=1e-12)
+
+
 # Words with case, unicode, inner and pure punctuation, and cue-phrase words;
 # the w-words widen the vocabulary so TF-IDF rows get long.
 feature_words = st.sampled_from(
@@ -228,7 +261,8 @@ def test_batched_forward_matches_each_row(shape):
     train_config = TrainConfig(variant=variant, beta=0.1)
     hidden, _ = encode_forward(raw @ batch.w_proj, batch)
     probs = heads_forward(hidden, batch)
-    values = total_loss([doc], batch, train_config, config, with_grads=False).value
+    values = training._stack_loss([doc], [raw], [training._doc_arrays(doc)], batch,
+                                  train_config, config, with_grads=False)[0]
     assert hidden.shape == (5, n, dim) and values.shape == (5,)
     for b, row in enumerate(rows):
         one = params.from_vector(row)

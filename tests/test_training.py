@@ -116,8 +116,10 @@ def test_total_loss_gradient_shapes(setup):
 def test_total_loss_gradients_take_one_parameter_row(setup):
     docs, fconfig, params = setup
     batch = params._on(np.stack([params.vector, params.vector]))
-    with pytest.raises(ValueError, match="one parameter row"):
-        total_loss(docs[:1], batch, TrainConfig(variant="base"), fconfig)
+    for with_grads in (True, False):
+        with pytest.raises(ValueError, match="one parameter row"):
+            total_loss(docs[:1], batch, TrainConfig(variant="base"), fconfig,
+                       with_grads=with_grads)
 
 
 def test_learning_rate_warmup_schedule():
