@@ -154,7 +154,7 @@ def build_parser():
     p.add_argument("--plot-data", action="store_true",
                    help="also write score-vs-k and boundary histogram CSVs")
     p.add_argument("--k-max", type=int, default=10,
-                   help="largest summary size for the score-vs-k sweep")
+                   help="largest summary size for the score-vs-k sweep, at least 1")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("analyze",
@@ -330,6 +330,8 @@ def _cmd_predict(args):
 
 
 def _cmd_eval(args):
+    if args.k_max < 1:
+        raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
     documents, _ = parse_corpus(args.corpus, strict=True)
     predictions = read_predictions(args.predictions)
     report = evaluate_full(predictions, documents)

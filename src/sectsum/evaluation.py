@@ -9,14 +9,15 @@ a section there).
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import CorpusError, tokenize
-from .inference import paired, select_top_k
-from .rouge import RougeScore, _score, rouge_l, rouge_n
+from .inference import paired, ranking
+from .rouge import Reference, RougeScore, RunningOverlap, _score, rouge_l, rouge_n
 
 __all__ = [
     "EvalReport",
@@ -54,8 +55,9 @@ def windowdiff(predicted, reference, n):
     The window size is half the mean reference segment length, rounded
     half-up and floored at 1: k = max(1, round(n / (2 * segments))). A sliding
     window of size k counts boundaries in (i, i + k] for both sides; the
-    score is the fraction of the n - k windows whose counts disagree. Raises
-    ``ValueError`` when n <= k (undefined).
+    score is the fraction of the n - k windows whose counts disagree, read
+    from running boundary counts in O(n). Raises ``ValueError`` when n <= k
+    (undefined).
     """
     pred = {int(b) for b in predicted if 0 < int(b) < n}
     ref = {int(b) for b in reference if 0 < int(b) < n}
@@ -63,13 +65,12 @@ def windowdiff(predicted, reference, n):
     k = max(1, math.floor(n / (2.0 * n_segments) + 0.5))
     if n <= k:
         raise ValueError(f"document too short for WindowDiff (n = {n}, k = {k})")
-    disagreements = 0
-    for i in range(n - k):
-        ref_count = sum(1 for b in ref if i < b <= i + k)
-        pred_count = sum(1 for b in pred if i < b <= i + k)
-        if ref_count != pred_count:
-            disagreements += 1
-    return disagreements / (n - k)
+    # surplus[j]: predicted minus reference boundaries at or before j
+    surplus = np.zeros(n + 1, dtype=np.int64)
+    surplus[list(pred)] += 1
+    surplus[list(ref)] -= 1
+    surplus = np.cumsum(surplus)
+    return int(np.count_nonzero(surplus[k:n] != surplus[:n - k])) / (n - k)
 
 
 def boundary_proximity_histogram(summary_indices, section_starts, n):
@@ -87,7 +88,7 @@ def boundary_proximity_histogram(summary_indices, section_starts, n):
         idx = int(idx)
         if not (0 <= idx < n):
             raise ValueError(f"summary index {idx} out of range")
-        section = max(i for i, b in enumerate(starts) if b <= idx)
+        section = bisect(starts, idx) - 1
         start = starts[section]
         end = starts[section + 1] - 1 if section + 1 < len(starts) else n - 1
         positive = idx - start + 1
@@ -154,18 +155,10 @@ def _mean_rouge(scores):
     )
 
 
-def _reference_tokens(doc):
+def _reference(doc):
     if not doc.reference_summary:
         raise CorpusError(f"document {doc.id!r} has no reference summary")
-    return tokenize(doc.reference_summary)
-
-
-def _score_summary(doc, selected, reference):
-    """ROUGE-1, ROUGE-2 and ROUGE-L of the selected sentences against the
-    reference tokens, and the summary's token count."""
-    system = doc.summary_tokens(selected)
-    return (rouge_n(system, reference, 1), rouge_n(system, reference, 2),
-            rouge_l(system, reference), len(system))
+    return Reference(tokenize(doc.reference_summary))
 
 
 def evaluate_full(predictions, documents):
@@ -182,7 +175,9 @@ def evaluate_full(predictions, documents):
         raise CorpusError("no predictions to evaluate")
     summaries, segs, wds = [], [], []
     for pred, doc in paired(predictions, documents):
-        summaries.append(_score_summary(doc, pred.selected, _reference_tokens(doc)))
+        system, reference = doc.summary_tokens(pred.selected), _reference(doc)
+        summaries.append((rouge_n(system, reference, 1), rouge_n(system, reference, 2),
+                          rouge_l(system, reference), len(system)))
         n = len(doc.sentences)
         hyp, ref = set(pred.boundaries), set(doc.section_starts)
         segs.append(seg_f1(hyp, ref, n=n))
@@ -206,22 +201,26 @@ def evaluate_full(predictions, documents):
 
 
 def score_vs_k(predictions, documents, k_max):
-    """Mean top-k ROUGE F1 and summary length for k = 1..k_max, ranking each
-    document's sentences by ``scores_sum``; one visit per document."""
-    columns = {k: ([], [], [], []) for k in range(1, k_max + 1)}
+    """Mean top-k ROUGE F1 and summary length for k = 1..k_max (at least 1),
+    ranking each document's sentences by ``scores_sum``. ROUGE-1/2 come from
+    running clipped counts as each ranked sentence joins; ROUGE-L is
+    rescored per k against the reference's cached bitmasks. Past a
+    document's length its rows repeat the full-document score."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    table = []  # per document, its (ROUGE-1, ROUGE-2, ROUGE-L, words) at each k
     for pred, doc in paired(predictions, documents):
-        scores = np.asarray(pred.scores_sum)
-        reference = _reference_tokens(doc)
-        for k, (r1, r2, rl, words) in columns.items():
-            s1, s2, sl, n_words = _score_summary(doc, select_top_k(scores, k), reference)
-            r1.append(s1.f1)
-            r2.append(s2.f1)
-            rl.append(sl.f1)
-            words.append(n_words)
-    return [{
-        "k": k,
-        "rouge1_f": float(np.mean(r1)),
-        "rouge2_f": float(np.mean(r2)),
-        "rougeL_f": float(np.mean(rl)),
-        "avg_words": float(np.mean(words)),
-    } for k, (r1, r2, rl, words) in columns.items()]
+        reference = _reference(doc)
+        state = RunningOverlap(reference, [s.tokens for s in doc.sentences])
+        order = ranking(pred.scores_sum).tolist()
+        rows = []
+        for k in range(1, min(k_max, len(order)) + 1):
+            state.add(order[k - 1])
+            r1, r2 = state.scores()
+            rl = rouge_l(doc.summary_tokens(order[:k]), reference)
+            rows.append((r1.f1, r2.f1, rl.f1, state.n_tokens))
+        table.append(rows + rows[-1:] * (k_max - len(rows)))
+    names = ("rouge1_f", "rouge2_f", "rougeL_f", "avg_words")
+    return [{"k": k, **{name: float(np.mean([rows[k - 1][m] for rows in table]))
+                        for m, name in enumerate(names)}}
+            for k in range(1, k_max + 1)]

@@ -25,6 +25,7 @@ from .oracle import SegLabelConvention
 
 __all__ = [
     "Prediction",
+    "ranking",
     "select_top_k",
     "predict_boundaries",
     "render_summary",
@@ -48,19 +49,20 @@ class Prediction:
     scores_seg: tuple
 
 
+def ranking(scores):
+    """Sentence indices by descending score, ties toward the lower index."""
+    scores = np.asarray(scores, dtype=float)
+    # lexsort's last key dominates: sort by descending score, then index.
+    return np.lexsort((np.arange(scores.shape[0]), -scores))
+
+
 def select_top_k(scores, k):
     """Indices of the ``k`` largest scores, ties broken toward the lower
     index, returned in ascending index order. ``k`` beyond the score count
     selects everything."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    scores = np.asarray(scores, dtype=float)
-    n = scores.shape[0]
-    if k >= n:
-        return tuple(range(n))
-    # lexsort's last key dominates: sort by descending score, then index.
-    order = np.lexsort((np.arange(n), -scores))
-    return tuple(sorted(int(i) for i in order[:k]))
+    return tuple(sorted(ranking(scores)[:k].tolist()))
 
 
 def predict_boundaries(scores, threshold=DEFAULT_BOUNDARY_THRESHOLD,

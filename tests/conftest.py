@@ -1,5 +1,6 @@
 import math
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.linalg import cho_factor, cho_solve
 from sectsum import (
     N_SCALAR_FEATURES, Document, FeatureConfig, SynthConfig, TrainingError, Variant,
     backward_document, base_features, build_kernel, candidate_score, dpp_log_prob,
-    forward_document, generate_synthetic, init_params, tokenize, total_loss, training,
+    forward_document, generate_synthetic, init_params, render_summary, rouge_l, rouge_n,
+    select_top_k, tokenize, total_loss, training,
 )
 from sectsum.dpp import SingularMinorError
 
@@ -46,6 +48,82 @@ def dp_lcs_length(a, b):
                 cur.append(max(prev[j], cur[j - 1]))
         prev = cur
     return prev[-1]
+
+
+def counter_rouge_n(system, reference, n):
+    """ROUGE-N by its definition: both sides' n-gram ``Counter``s, clipped
+    by ``Counter.__and__``; ``rouge_n`` must give the same floats."""
+    def grams(tokens):
+        return Counter(zip(*(tokens[i:] for i in range(n))))
+    sys_counts, ref_counts = grams(list(system)), grams(list(reference))
+    overlap = sum((sys_counts & ref_counts).values())
+    n_sys, n_ref = sum(sys_counts.values()), sum(ref_counts.values())
+    precision = overlap / n_sys if n_sys else 0.0
+    recall = overlap / n_ref if n_ref else 0.0
+    total = precision + recall
+    return (precision, recall, 2.0 * precision * recall / total if total else 0.0)
+
+
+def loop_score_vs_k(predictions, documents, k_max):
+    """The score-vs-k rows by their definition: for every k, each document's
+    top-k summary (``select_top_k``) is rendered, tokenized and scored from
+    scratch with ``rouge_n`` and ``rouge_l``. ``score_vs_k`` must equal it."""
+    by_id = {doc.id: doc for doc in documents}
+    rows = []
+    for k in range(1, k_max + 1):
+        r1, r2, rl, words = [], [], [], []
+        for pred in predictions:
+            doc = by_id[pred.doc_id]
+            selected = select_top_k(np.asarray(pred.scores_sum), k)
+            system = tokenize(render_summary(doc, selected))
+            reference = tokenize(doc.reference_summary)
+            r1.append(rouge_n(system, reference, 1).f1)
+            r2.append(rouge_n(system, reference, 2).f1)
+            rl.append(rouge_l(system, reference).f1)
+            words.append(len(system))
+        rows.append({"k": k, "rouge1_f": float(np.mean(r1)),
+                     "rouge2_f": float(np.mean(r2)),
+                     "rougeL_f": float(np.mean(rl)),
+                     "avg_words": float(np.mean(words))})
+    return rows
+
+
+def loop_windowdiff(predicted, reference, n):
+    """WindowDiff by its definition: each of the n - k windows counts both
+    sides' boundaries in (i, i + k] by a scan over the boundary sets."""
+    pred = {int(b) for b in predicted if 0 < int(b) < n}
+    ref = {int(b) for b in reference if 0 < int(b) < n}
+    k = max(1, math.floor(n / (2.0 * (len(ref) + 1)) + 0.5))
+    if n <= k:
+        raise ValueError(f"document too short for WindowDiff (n = {n}, k = {k})")
+    disagreements = 0
+    for i in range(n - k):
+        ref_count = sum(1 for b in ref if i < b <= i + k)
+        pred_count = sum(1 for b in pred if i < b <= i + k)
+        if ref_count != pred_count:
+            disagreements += 1
+    return disagreements / (n - k)
+
+
+def loop_boundary_proximity_histogram(summary_indices, section_starts, n):
+    """``boundary_proximity_histogram`` by a scan of the section starts for
+    each index's section."""
+    starts = sorted({int(b) for b in section_starts})
+    if not starts or starts[0] != 0 or starts[-1] >= n:
+        raise ValueError("section_starts must begin at 0 and stay below n")
+    counts = {}
+    for idx in summary_indices:
+        idx = int(idx)
+        if not (0 <= idx < n):
+            raise ValueError(f"summary index {idx} out of range")
+        section = max(i for i, b in enumerate(starts) if b <= idx)
+        start = starts[section]
+        end = starts[section + 1] - 1 if section + 1 < len(starts) else n - 1
+        positive = idx - start + 1
+        negative = idx - end - 1
+        offset = positive if abs(positive) <= abs(negative) else negative
+        counts[offset] = counts.get(offset, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def rescoring_greedy_labels(doc, max_sentences=None):

@@ -516,6 +516,8 @@ def test_exit_codes(tmp_path, capsys):
     ["predict", "--threads", "0"],
     ["train", "--threads", "0"],
     ["train", "--threads", "-3"],
+    ["eval", "--k-max", "0"],
+    ["eval", "--k-max", "-3"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
     checkpoint = tmp_path / "model.ckpt"
@@ -527,9 +529,17 @@ def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
         "predict": ["--corpus", str(labeled_corpus), "--checkpoint", str(checkpoint),
                     "--out", str(tmp_path / "pred")],
         "label": ["--corpus", str(labeled_corpus), "--out", str(tmp_path / "l.jsonl")],
+        "eval": ["--corpus", str(labeled_corpus), "--predictions",
+                 str(tmp_path / "pred" / "predictions.jsonl"), "--out", str(tmp_path / "eval"),
+                 "--plot-data"],
     }[argv[0]]
+    if argv[0] == "eval":
+        assert run(["predict", "--corpus", str(labeled_corpus), "--checkpoint",
+                    str(checkpoint), "--out", str(tmp_path / "pred")]) == 0
     assert run(argv + inputs) == 1
     assert "invalid arguments" in capsys.readouterr().err
+    # nothing is written before the settings are checked
+    assert not (tmp_path / "eval").exists()
 
 
 def test_help_exits_zero(capsys):

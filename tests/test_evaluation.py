@@ -10,17 +10,12 @@ from sectsum import (
     boundary_proximity_histogram,
     evaluate_full,
     generate_synthetic,
-    render_summary,
-    rouge_l,
-    rouge_n,
     seg_f1,
-    select_top_k,
-    tokenize,
     windowdiff,
 )
 from sectsum import evaluation
 
-from conftest import make_doc
+from conftest import loop_score_vs_k, make_doc
 
 
 def test_seg_f1_fixture():
@@ -177,28 +172,20 @@ def test_score_vs_k_rows_match_the_per_k_loop():
         n_documents=7, sections_per_document=(1, 3),
         sentences_per_section=(1, 4), duplicate_rate=0.6, rng_seed=3))
     rng = np.random.default_rng(0)
-    # scores on a coarse grid, so select_top_k breaks ties
+    # scores on a coarse grid, so the ranking breaks ties
     predictions = []
     for doc in reversed(docs):
         scores = tuple(float(v) for v in rng.integers(0, 4, len(doc.sentences)) / 4)
         predictions.append(Prediction(doc.id, (), (0,), scores, scores))
     # past the longest document, so every document runs out of sentences
     k_max = max(len(doc.sentences) for doc in docs) + 2
-    by_id = {doc.id: doc for doc in docs}
-    expected = []
-    for k in range(1, k_max + 1):
-        r1, r2, rl, words = [], [], [], []
-        for pred in predictions:
-            doc = by_id[pred.doc_id]
-            selected = select_top_k(np.asarray(pred.scores_sum), k)
-            system = tokenize(render_summary(doc, selected))
-            reference = tokenize(doc.reference_summary)
-            r1.append(rouge_n(system, reference, 1).f1)
-            r2.append(rouge_n(system, reference, 2).f1)
-            rl.append(rouge_l(system, reference).f1)
-            words.append(len(system))
-        expected.append({"k": k, "rouge1_f": float(np.mean(r1)),
-                         "rouge2_f": float(np.mean(r2)),
-                         "rougeL_f": float(np.mean(rl)),
-                         "avg_words": float(np.mean(words))})
-    assert evaluation.score_vs_k(predictions, docs, k_max) == expected
+    assert evaluation.score_vs_k(predictions, docs, k_max) == \
+        loop_score_vs_k(predictions, docs, k_max)
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_score_vs_k_needs_k_max_at_least_1(k_max):
+    doc = make_doc()
+    scores = (0.5, 0.25, 0.75)
+    with pytest.raises(ValueError, match="at least 1"):
+        evaluation.score_vs_k([Prediction(doc.id, (), (0,), scores, scores)], [doc], k_max)

@@ -11,15 +11,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sectsum import (
-    CUE_PHRASES, DEFAULT_DPP_RIDGE, Document, FeatureConfig, LabelSet, TrainConfig,
-    TrainingError, Variant, base_features, brute_force_subset_sum, build_kernel, candidate_score,
-    dpp_log_prob, dpp_loss_and_grad, encode_forward, greedy_summary_labels,
-    heads_forward, init_params, lcs_length, rouge_l, rouge_n, seg_f1, select_top_k,
-    tokenize, total_loss, training, windowdiff,
+    CUE_PHRASES, DEFAULT_DPP_RIDGE, Document, FeatureConfig, LabelSet, Prediction,
+    TrainConfig, TrainingError, Variant, base_features, boundary_proximity_histogram,
+    brute_force_subset_sum, build_kernel, candidate_score, dpp_log_prob, dpp_loss_and_grad,
+    encode_forward, evaluation, greedy_summary_labels, heads_forward, init_params,
+    lcs_length, rouge_l, rouge_n, seg_f1, select_top_k, tokenize, total_loss, training,
+    windowdiff,
 )
+from sectsum.rouge import Reference
 
 from conftest import (
-    dp_lcs_length, loop_base_features, loop_total_loss, primal_dpp_loss_and_grad,
+    counter_rouge_n, dp_lcs_length, loop_base_features, loop_boundary_proximity_histogram,
+    loop_score_vs_k, loop_total_loss, loop_windowdiff, primal_dpp_loss_and_grad,
     rescoring_greedy_labels,
 )
 
@@ -43,6 +46,17 @@ def test_rouge_self_score_is_one(text):
     assert rouge_n(text, text, 1).f1 == 1.0
     assert rouge_n(text, text, 2).f1 == 1.0
     assert rouge_l(text, text).f1 == 1.0
+
+
+@FAST
+@given(tokens, tokens, st.integers(1, 3))
+def test_rouge_against_a_reference_object_equals_the_token_list_call(system, reference, n):
+    assert dataclasses.astuple(rouge_n(system, reference, n)) == \
+        counter_rouge_n(system, reference, n)
+    counted = Reference(reference)
+    for _ in range(2):  # the second pass reads the counts and masks kept from the first
+        assert rouge_n(system, counted, n) == rouge_n(system, reference, n)
+        assert rouge_l(system, counted) == rouge_l(system, reference)
 
 
 # up to 150 tokens of four types: heavy repetition, and bitmasks of up to
@@ -93,6 +107,32 @@ def test_windowdiff_bounds_and_identity(case, other_bits):
     assert windowdiff(ref, set(ref), n) == 0.0
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or ``ValueError`` if it raises one."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+# boundaries outside (0, n) on both sides; n = 1 leaves no window (n <= k)
+@FAST
+@given(st.integers(1, 30), st.sets(st.integers(-3, 33)), st.sets(st.integers(-3, 33)))
+def test_windowdiff_matches_the_window_scan(n, predicted, reference):
+    assert _outcome(windowdiff, predicted, reference, n) == \
+        _outcome(loop_windowdiff, predicted, reference, n)
+
+
+# section starts that may miss 0, summary indices that may leave [0, n)
+@FAST
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, n - 1)), st.lists(st.integers(-2, n + 1), max_size=12))))
+def test_boundary_histogram_matches_the_section_scan(case):
+    n, starts, indices = case
+    assert _outcome(boundary_proximity_histogram, indices, starts, n) == \
+        _outcome(loop_boundary_proximity_histogram, indices, starts, n)
+
+
 # sentences of a small vocabulary, with punctuation-only (no tokens),
 # single-token and repeated-token sentences
 sentence_texts = st.one_of(
@@ -126,6 +166,32 @@ def test_greedy_oracle_properties(doc, max_sentences):
         assert order[0] == singles.index(max(singles))
     else:
         assert order == ()
+
+
+@st.composite
+def sweeps(draw):
+    """Up to three documents of sentences drawn from a pool of at most four
+    (so sentences repeat), with punctuation-only ones, scores on a coarse grid
+    (so ranks tie) and ``k_max`` up to past the longest document."""
+    documents, predictions = [], []
+    for j in range(draw(st.integers(1, 3))):
+        pool = draw(st.lists(sentence_texts, min_size=1, max_size=4))
+        texts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+        reference = " ".join(draw(st.lists(st.sampled_from(["a", "b", "c", "e"]),
+                                           min_size=1, max_size=12)))
+        documents.append(Document.build(f"d{j}", texts, reference_summary=reference))
+        scores = tuple(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]),
+                                     min_size=len(texts), max_size=len(texts))))
+        predictions.append(Prediction(f"d{j}", (), (0,), scores, scores))
+    return documents, predictions, draw(st.integers(1, 12))
+
+
+@settings(FAST, max_examples=200)
+@given(sweeps())
+def test_score_vs_k_matches_the_per_k_rescoring(sweep):
+    documents, predictions, k_max = sweep
+    assert evaluation.score_vs_k(predictions, documents, k_max) == \
+        loop_score_vs_k(predictions, documents, k_max)
 
 
 # n <= 8 encoded sentences of width 1-4, so minors wider than that are
