@@ -7,8 +7,10 @@ loss bottoms out early and the best checkpoint differs from the final one,
 and gradient accumulation so that a partial accumulation window is flushed.
 """
 
+import dataclasses
 import hashlib
 
+from sectsum import SynthConfig, generate_synthetic, write_corpus
 from sectsum.cli import run
 
 TRAIN_DIGESTS = {
@@ -18,6 +20,12 @@ TRAIN_DIGESTS = {
         "0747a5a9d5e39589875166cf81cfa3c998129ff29f36cd6e1361b46703f0fb07",
     "metrics.jsonl":
         "cfd263f1c2fbd71d80e13fa44df0cfe84538d705611c51239b602dcf2b89bc55",
+}
+LABEL_DIGESTS = {
+    ():
+        "1c8bebccecfac116a9aa4f4eba83a5aa4f230f74d2cee961c056e8959daa2343",
+    ("--max-sentences", "3", "--seg-label", "last"):
+        "038ee2ce25f3757ceaa47f59075e33625045957abe033c76839377ca2603962c",
 }
 GRADCHECK_STDOUT_DIGEST = (
     "e6e6a01dae13b5d1673b03bbbff5a8e44174b6d812af597d46e64623d25c5546"
@@ -45,3 +53,26 @@ def test_train_outputs_are_pinned(tmp_path):
 def test_gradcheck_stdout_is_pinned(capsys):
     assert run(["gradcheck"]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == GRADCHECK_STDOUT_DIGEST
+
+
+def test_label_outputs_are_pinned(tmp_path):
+    """Six synth-default documents and one each of 20 and 40 sections of 10
+    sentences (212 and 416 with their near-duplicates), written without
+    labels, labeled uncapped and with a cap."""
+    documents = []
+    for seed, sections, sentences, count in ((5, (3, 5), (3, 6), 6),
+                                             (6, (20, 20), (10, 10), 1),
+                                             (7, (40, 40), (10, 10), 1)):
+        config = SynthConfig(n_documents=count, sections_per_document=sections,
+                             sentences_per_section=sentences, rng_seed=seed)
+        documents.extend(dataclasses.replace(d, labels=None)
+                         for d in generate_synthetic(config))
+    assert sorted(len(d.sentences) for d in documents)[-2:] == [212, 416]
+    corpus = tmp_path / "raw.jsonl"
+    write_corpus(documents, corpus)
+    digests = {}
+    for flags in LABEL_DIGESTS:
+        out = tmp_path / "labeled.jsonl"
+        assert run(["label", "--corpus", str(corpus), "--out", str(out), *flags]) == 0
+        digests[flags] = _sha256(out.read_bytes())
+    assert digests == LABEL_DIGESTS
