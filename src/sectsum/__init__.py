@@ -57,6 +57,7 @@ from .evaluation import (
     evaluate_full,
     seg_f1,
     windowdiff,
+    with_references,
 )
 from .inference import (
     DEFAULT_BOUNDARY_THRESHOLD,

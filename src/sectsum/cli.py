@@ -47,8 +47,8 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .evaluation import evaluate_full, score_vs_k, selection_histogram
-from .inference import paired, predict_document, read_predictions, write_predictions
+from .evaluation import evaluate_full, score_vs_k, selection_histogram, with_references
+from .inference import predict_document, read_predictions, write_predictions
 from .oracle import SegLabelConvention, build_labels
 from .training import TrainConfig, TrainingError, fit, grad_check
 
@@ -333,8 +333,8 @@ def _cmd_eval(args):
     if args.k_max < 1:
         raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
     documents, _ = parse_corpus(args.corpus, strict=True)
-    predictions = read_predictions(args.predictions)
-    report = evaluate_full(predictions, documents)
+    scored = with_references(read_predictions(args.predictions), documents)
+    report = evaluate_full(scored)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with _atomic_write(out / "report.json", encoding="utf-8") as fh:
@@ -346,12 +346,12 @@ def _cmd_eval(args):
                 fh, fieldnames=["k", "rouge1_f", "rouge2_f", "rougeL_f", "avg_words"]
             )
             writer.writeheader()
-            writer.writerows(score_vs_k(predictions, documents, args.k_max))
+            writer.writerows(score_vs_k(scored, args.k_max))
         with _atomic_write(out / "boundary_histogram.csv", encoding="utf-8",
                            newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["offset", "count"])
-            selections = ((doc, p.selected) for p, doc in paired(predictions, documents))
+            selections = ((doc, pred.selected) for pred, doc, _ in scored)
             writer.writerows(selection_histogram(selections).items())
     print(
         f"evaluated {report.n_documents} documents: "

@@ -26,6 +26,7 @@ __all__ = [
     "boundary_proximity_histogram",
     "selection_histogram",
     "approx_randomization_test",
+    "with_references",
     "evaluate_full",
     "score_vs_k",
 ]
@@ -155,27 +156,32 @@ def _mean_rouge(scores):
     )
 
 
-def _reference(doc):
-    if not doc.reference_summary:
-        raise CorpusError(f"document {doc.id!r} has no reference summary")
-    return Reference(tokenize(doc.reference_summary))
+def with_references(predictions, documents):
+    """``(prediction, document, Reference)`` per prediction: an evaluation's
+    one :func:`paired` walk, each reference counted once for all its scores."""
+    scored = []
+    for pred, doc in paired(predictions, documents):
+        if not doc.reference_summary:
+            raise CorpusError(f"document {doc.id!r} has no reference summary")
+        scored.append((pred, doc, Reference(tokenize(doc.reference_summary))))
+    return scored
 
 
-def evaluate_full(predictions, documents):
-    """Summary and segmentation metrics in one report.
+def evaluate_full(scored):
+    """Summary and segmentation metrics in one report, over the
+    ``(prediction, document, reference)`` triples of :func:`with_references`.
 
     Overlap scores and summary length are macro-averaged over the
-    predictions; every predicted document must carry a reference summary.
-    Boundary metrics compare predicted section starts against each
-    document's ``section_starts`` (index 0 excluded). WindowDiff averages
-    over the documents where it is defined (n > k); it is None if no
-    document qualifies.
+    predictions. Boundary metrics compare predicted section starts against
+    each document's ``section_starts`` (index 0 excluded). WindowDiff
+    averages over the documents where it is defined (n > k); it is None if
+    no document qualifies.
     """
-    if not predictions:
+    if not scored:
         raise CorpusError("no predictions to evaluate")
     summaries, segs, wds = [], [], []
-    for pred, doc in paired(predictions, documents):
-        system, reference = doc.summary_tokens(pred.selected), _reference(doc)
+    for pred, doc, reference in scored:
+        system = doc.summary_tokens(pred.selected)
         summaries.append((rouge_n(system, reference, 1), rouge_n(system, reference, 2),
                           rouge_l(system, reference), len(system)))
         n = len(doc.sentences)
@@ -196,26 +202,27 @@ def evaluate_full(predictions, documents):
         seg_f1=seg.f1,
         windowdiff=float(np.mean(wds)) if wds else None,
         avg_summary_words=float(np.mean(words)),
-        n_documents=len(predictions),
+        n_documents=len(scored),
     )
 
 
-def score_vs_k(predictions, documents, k_max):
-    """Mean top-k ROUGE F1 and summary length for k = 1..k_max (at least 1),
-    ranking each document's sentences by ``scores_sum``. ROUGE-1/2 come from
-    running clipped counts as each ranked sentence joins; ROUGE-L is
+def score_vs_k(scored, k_max):
+    """Mean top-k ROUGE F1 and summary length for k = 1..k_max (at least 1)
+    over the triples of :func:`with_references`, ranking each document's
+    sentences by ``scores_sum``. ROUGE-1/2 come from running clipped counts
+    over the top ``k_max`` sentences as each ranked one joins; ROUGE-L is
     rescored per k against the reference's cached bitmasks. Past a
     document's length its rows repeat the full-document score."""
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     table = []  # per document, its (ROUGE-1, ROUGE-2, ROUGE-L, words) at each k
-    for pred, doc in paired(predictions, documents):
-        reference = _reference(doc)
-        state = RunningOverlap(reference, [s.tokens for s in doc.sentences])
-        order = ranking(pred.scores_sum).tolist()
+    for pred, doc, reference in scored:
+        order = ranking(pred.scores_sum)[:k_max].tolist()
+        top = sorted(order)  # the sweep never reads past these, in document order
+        state = RunningOverlap(reference, [doc.sentences[i].tokens for i in top])
         rows = []
-        for k in range(1, min(k_max, len(order)) + 1):
-            state.add(order[k - 1])
+        for k, i in enumerate(order, 1):
+            state.add(top.index(i))
             r1, r2 = state.scores()
             rl = rouge_l(doc.summary_tokens(order[:k]), reference)
             rows.append((r1.f1, r2.f1, rl.f1, state.n_tokens))

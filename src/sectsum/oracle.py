@@ -4,15 +4,17 @@ section boundary labels.
 The greedy labeler builds the extractive target for a document by repeatedly
 adding the sentence that most improves the average of unigram and bigram
 overlap F1 against the abstractive reference, stopping at the first step with
-no strict improvement. Each candidate is scored from running clipped n-gram
-counts of the selection, so a step costs time linear in the document's
-tokens. Boundary labels mark either the first or the last sentence of every
-section.
+no strict improvement. A step scores every open sentence at once: one
+integer-array pass over the document's sentence x reference-n-gram counts,
+O(sentences * reference n-gram types). Boundary labels mark either the first
+or the last sentence of every section.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+
+import numpy as np
 
 from .corpus import CorpusError, LabelSet, tokenize
 from .rouge import Reference, RunningOverlap, rouge_n
@@ -51,12 +53,10 @@ def greedy_summary_labels(doc, max_sentences=None):
 
     Ties on the score break toward the lowest sentence index; the loop stops
     as soon as no candidate strictly improves the score, so partial scores
-    along ``selection_order`` are strictly increasing. Each candidate is
-    scored from the running clipped counts of a
-    :class:`sectsum.rouge.RunningOverlap` (sentences without tokens are
-    skipped), in the float arithmetic of :func:`candidate_score`, which
-    rescores every accepted pick and must agree exactly. A step costs
-    O(total tokens of the document).
+    along ``selection_order`` are strictly increasing. A step scores all
+    open sentences with tokens in one :meth:`sectsum.rouge.RunningOverlap.joined`
+    array pass, in the float arithmetic of :func:`candidate_score`, which
+    rescores every accepted pick and must agree exactly.
     """
     if max_sentences is not None and max_sentences < 0:
         raise ValueError(f"max_sentences must be non-negative, got {max_sentences}")
@@ -65,27 +65,21 @@ def greedy_summary_labels(doc, max_sentences=None):
     reference = Reference(tokenize(doc.reference_summary))
     n = len(doc.sentences)
     limit = n if max_sentences is None else min(max_sentences, n)
-    tokens = [s.tokens for s in doc.sentences]
-    state = RunningOverlap(reference, tokens)
-    joined, spans = state.joined, state.spans  # the candidate loop is label's hot path
-
-    selected = []
-    best_score = 0.0
-    while len(selected) < limit:
-        best_idx = None
-        best_candidate = best_score
-        for i in range(n):
-            # a sentence without tokens scores exactly the current selection
-            if not tokens[i] or i in spans:
-                continue
-            r1, r2 = joined(i)
-            score = 0.5 * (r1.f1 + r2.f1)
-            if score > best_candidate:
-                best_candidate = score
-                best_idx = i
-        if best_idx is None:
+    state = RunningOverlap(reference, [s.tokens for s in doc.sentences])
+    # a sentence without tokens scores exactly the current selection
+    open_ = np.array([bool(s.tokens) for s in doc.sentences], dtype=bool)
+    selected, best_score = [], 0.0
+    while len(selected) < limit and open_.any():
+        candidates = np.flatnonzero(open_)
+        r1, r2 = state.joined(candidates)
+        scores = 0.5 * (r1 + r2)
+        best = int(np.argmax(scores))  # the first maximum: the lowest index
+        best_candidate = float(scores[best])
+        if not best_candidate > best_score:
             break
+        best_idx = int(candidates[best])
         state.add(best_idx)
+        open_[best_idx] = False
         selected.append(best_idx)
         best_score = candidate_score(selected, doc, reference)
         if best_score != best_candidate:
@@ -94,7 +88,8 @@ def greedy_summary_labels(doc, max_sentences=None):
                 f"differs from the full rescore {best_score!r} after picking "
                 f"sentence {best_idx}")
 
-    return tuple(int(i in spans) for i in range(n)), tuple(selected)
+    chosen = set(selected)
+    return tuple(int(i in chosen) for i in range(n)), tuple(selected)
 
 
 def boundary_labels(doc, convention=SegLabelConvention.FIRST):

@@ -7,15 +7,18 @@ bit-parallel LCS of Allison & Dix (1986) and Hyyrö (2004), one integer
 bitmask over the reference updated once per system token: O(|sys| *
 ceil(|ref| / 64)) word operations instead of a |sys| x |ref| table.
 A :class:`Reference` counts a reference once for every score against it; a
-:class:`RunningOverlap` keeps the ROUGE-1/2 counts of a growing selection.
+:class:`RunningOverlap` keeps the ROUGE-1/2 counts of a growing selection in
+integer arrays and scores every candidate sentence in one array pass.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 __all__ = ["RougeScore", "Reference", "RunningOverlap", "rouge_n", "rouge_l",
            "lcs_length"]
@@ -71,8 +74,9 @@ class Reference:
         masks, full = self.masks, (1 << len(self.tokens)) - 1
         v = full
         for x in system_tokens:
-            u = v & masks.get(x, 0)
-            v = ((v + u) | (v - u)) & full
+            if x in masks:  # any other token leaves the row as it is
+                u = v & masks[x]
+                v = ((v + u) | (v - u)) & full
         return len(self.tokens) - v.bit_count()
 
 
@@ -119,15 +123,14 @@ def rouge_l(system_tokens, reference):
                   len(reference.tokens))
 
 
-def _gain(room, delta):
-    """Change of the clipped overlap when ``delta`` (pairs of n-gram and
-    count change) joins a selection; ``room[g]`` is the reference count of
-    ``g`` minus the selection's. Sum of min(sys + d, ref) - min(sys, ref)."""
-    gain = 0
-    for g, d in delta:
-        r = room[g]
-        gain += min(d, r) - min(0, r)
-    return gain
+def _f1(overlap, n_system, n_reference):
+    """``_score(...).f1`` elementwise over integer arrays (``n_reference`` one
+    count), in its float order; a zero denominator gives 0.0 there too."""
+    precision = np.divide(overlap, n_system, out=np.zeros(len(overlap)), where=n_system > 0)
+    recall = overlap / n_reference if n_reference else np.zeros(len(overlap))
+    total = precision + recall
+    return np.divide(2.0 * precision * recall, total, out=np.zeros(len(overlap)),
+                     where=total > 0)
 
 
 class RunningOverlap:
@@ -135,67 +138,86 @@ class RunningOverlap:
     sentences (token sequences) against a :class:`Reference`. The selection
     reads in document order: a sentence landing between selected ``a < i <
     b`` adds its n-grams and the junction bigrams (last(a), first(i)) and
-    (last(i), first(b)), and removes (last(a), first(b)). ``room1``/``room2``
-    hold, per reference n-gram, the reference count minus the selection's, so
-    a gain costs time linear in the sentence's tokens. Sentences without
-    tokens never enter ``spans``."""
+    (last(i), first(b)), and removes (last(a), first(b)).
+
+    Reference unigrams get ids 0..u-1 and bigrams u+1..u+b; id u is any other
+    n-gram or a missing neighbour. ``_counts`` is the sentence x n-gram count
+    matrix (one bincount), ``_pair`` maps two unigram ids to a bigram id,
+    ``_before``/``_after`` hold the ids of the tokens next to each sentence in
+    the selection, and ``room`` the reference count minus the selection's per
+    n-gram. Sentences without tokens never enter ``spans``."""
 
     def __init__(self, reference, sentences):
-        self.sentences = sentences
-        self.n_reference = len(reference.tokens)
-        self.room1 = Counter(reference.ngrams(1))
-        self.room2 = Counter(reference.ngrams(2))
-        self._counts = [None] * len(sentences)
+        ids, pairs = {}, {}  # pairs: bigram id by x * (u + 1) + y
+        ref1 = [ids.setdefault(t, len(ids)) for t in reference.tokens]
+        u = len(ids)
+        ref2 = [pairs.setdefault(x * (u + 1) + y, u + 1 + len(pairs))
+                for x, y in zip(ref1, ref1[1:])]
+        width = u + 1 + len(pairs)
+        self._pair = np.full((u + 1, u + 1), u, dtype=np.intp)
+        self._pair.flat[list(pairs)] = list(pairs.values())
+        self.room = np.bincount(ref1 + ref2, minlength=width)
+        self._u, self.n_reference = u, len(reference.tokens)
+        self._n_bigrams = max(self.n_reference - 1, 0)
+        n = len(sentences)
+        self._lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+        # each sentence's token ids and then id u, so the bigrams that
+        # straddle two sentences land in column u
+        flat = np.array([ids.get(t, u) for s in sentences for t in (*s, None)], dtype=np.intp)
+        rows = np.repeat(np.arange(n), self._lengths + 1)
+        cells = np.concatenate((rows * width + flat,
+                                rows[1:] * width + self._pair[flat[:-1], flat[1:]]))
+        self._counts = np.bincount(cells, minlength=n * width).reshape(n, width)
+        self._scratch = np.empty_like(self._counts)
+        ends = np.cumsum(self._lengths + 1)
+        self._first, self._last = flat[ends - self._lengths - 1], flat[ends - 2]
+        self._before, self._after = np.full((2, n), u)
         self.spans = []  # selected sentences with tokens, in document order
-        self.overlap1 = self.overlap2 = self.n_tokens = 0
+        self.n_tokens = 0
 
-    def _count(self, i):
-        """Count sentence ``i``'s reference unigrams (pairs) and bigrams
-        (dict) and keep them; read them as ``self._counts[i] or self._count(i)``."""
-        tokens = self.sentences[i]
-        self._counts[i] = ([(g, c) for g, c in _ngrams(tokens, 1).items() if g in self.room1],
-                           {g: c for g, c in _ngrams(tokens, 2).items() if g in self.room2})
-        return self._counts[i]
+    def _junctions(self, i):
+        """Bigram ids of the two junctions sentence(s) ``i`` would make on
+        joining the selection, and of the one it would break."""
+        before, after = self._before[i], self._after[i]
+        return (self._pair[before, self._first[i]], self._pair[self._last[i], after],
+                self._pair[before, after])
 
-    def bigram_delta(self, i):
-        """Bigram count changes from inserting sentence ``i`` (with tokens)."""
-        spans, tokens = self.spans, self.sentences
-        k = bisect(spans, i)
-        # None stands for a missing neighbour; no reference bigram holds it
-        last = tokens[spans[k - 1]][-1] if k else None
-        first = tokens[spans[k]][0] if k < len(spans) else None
-        delta = dict((self._counts[i] or self._count(i))[1])
-        for g, d in (((last, tokens[i][0]), 1), ((tokens[i][-1], first), 1),
-                     ((last, first), -1)):
-            if g in self.room2:
-                delta[g] = delta.get(g, 0) + d
-        return delta.items()
+    def joined(self, candidates):
+        """ROUGE-1 and ROUGE-2 F1 arrays, the floats :func:`rouge_n` gives, if
+        each of ``candidates`` (an index array, with tokens, not selected)
+        joined the selection alone; one array pass, O(candidates * (u + b))."""
+        u, room, rows = self._u, self.room, np.arange(len(candidates))
+        # a fresh candidates x n-grams array per step would be mapped and unmapped
+        # anew; "clip" writes straight into the scratch rows, "raise" would buffer
+        delta = np.take(self._counts, candidates, axis=0, mode="clip",
+                        out=self._scratch[:len(candidates)])
+        # one junction per statement, so no (row, column) repeats within one
+        for column, change in zip(self._junctions(candidates), (1, 1, -1)):
+            delta[rows, column] += change
+        # with count changes d, sum(min(sys + d, ref)) = sum(sys) + sum(min(d, room))
+        clipped = np.minimum(delta, room, out=delta)
+        overlap1 = self.n_reference - int(room[:u].sum()) + clipped[:, :u].sum(1)
+        overlap2 = self._n_bigrams - int(room[u + 1:].sum()) + clipped[:, u + 1:].sum(1)
+        size = self.n_tokens + self._lengths[candidates]
+        return (_f1(overlap1, size, self.n_reference), _f1(overlap2, size - 1, self._n_bigrams))
 
-    def scores(self, gain1=0, gain2=0, n_new=0):
-        """ROUGE-1 and ROUGE-2 of the selection, plus ``gain1``/``gain2``
-        overlap and ``n_new`` tokens: the floats :func:`rouge_n` gives."""
-        size, n_ref = self.n_tokens + n_new, self.n_reference
-        return (_score(self.overlap1 + gain1, size, n_ref),
-                _score(self.overlap2 + gain2, max(size - 1, 0), max(n_ref - 1, 0)))
-
-    def joined(self, i):
-        """:meth:`scores` if sentence ``i`` (with tokens, not selected)
-        joined the selection, which stays as it is."""
-        return self.scores(_gain(self.room1, (self._counts[i] or self._count(i))[0]),
-                           _gain(self.room2, self.bigram_delta(i)),
-                           len(self.sentences[i]))
+    def scores(self):
+        """ROUGE-1 and ROUGE-2 of the selection, the floats :func:`rouge_n`
+        gives: per n-gram, clipped overlap is reference count minus room."""
+        u, room, size, n_ref = self._u, np.maximum(self.room, 0), self.n_tokens, self.n_reference
+        return (_score(n_ref - int(room[:u].sum()), size, n_ref),
+                _score(self._n_bigrams - int(room[u + 1:].sum()), max(size - 1, 0),
+                       self._n_bigrams))
 
     def add(self, i):
         """Add sentence ``i`` (not selected) to the selection."""
-        if not self.sentences[i]:
+        if not self._lengths[i]:
             return
-        delta1 = (self._counts[i] or self._count(i))[0]
-        delta2 = list(self.bigram_delta(i))
-        self.overlap1 += _gain(self.room1, delta1)
-        self.overlap2 += _gain(self.room2, delta2)
-        for g, c in delta1:
-            self.room1[g] -= c
-        for g, d in delta2:
-            self.room2[g] -= d
-        self.n_tokens += len(self.sentences[i])
-        insort(self.spans, i)
+        self.room -= self._counts[i]
+        for column, change in zip(self._junctions(i), (1, 1, -1)):
+            self.room[column] -= change
+        self.n_tokens += int(self._lengths[i])
+        k = bisect(self.spans, i)
+        self._after[self.spans[k - 1] + 1 if k else 0:i] = self._first[i]
+        self._before[i + 1:self.spans[k] if k < len(self.spans) else None] = self._last[i]
+        self.spans.insert(k, i)

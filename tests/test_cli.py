@@ -4,7 +4,7 @@ import time
 import pytest
 
 from sectsum import (
-    CorpusError, FeatureConfig, Prediction, corpus, evaluate_full, evaluation,
+    CorpusError, FeatureConfig, Prediction, corpus, evaluation,
     inference, init_params, parse_corpus, read_predictions, save_checkpoint,
     training, write_predictions,
 )
@@ -346,9 +346,7 @@ def test_prediction_for_unknown_document_is_rejected(tmp_path, capsys):
     with pytest.raises(CorpusError, match="ghost"):
         write_predictions([ghost], docs, tmp_path / "p.jsonl")
     with pytest.raises(CorpusError, match="ghost"):
-        evaluate_full([ghost], docs)
-    with pytest.raises(CorpusError, match="ghost"):
-        evaluation.score_vs_k([ghost], docs, 3)
+        evaluation.with_references([ghost], docs)
     records = _prediction_records(docs)
     records[2]["id"] = "ghost"
     predictions = _write_jsonl(tmp_path / "predictions.jsonl", records)

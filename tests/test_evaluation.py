@@ -12,6 +12,7 @@ from sectsum import (
     generate_synthetic,
     seg_f1,
     windowdiff,
+    with_references,
 )
 from sectsum import evaluation
 
@@ -134,9 +135,9 @@ def test_evaluate_full_macro_averages_rouge():
                      reference="u v")
     docs = [doc_a, doc_b]
     preds = [_prediction_for(doc_a, (0,)), _prediction_for(doc_b, (1,))]
-    assert evaluate_full(preds[:1], docs).rouge1.f1 == 1.0
-    assert evaluate_full(preds[1:], docs).rouge1.f1 == pytest.approx(0.5)
-    report = evaluate_full(preds, docs)
+    assert evaluate_full(with_references(preds[:1], docs)).rouge1.f1 == 1.0
+    assert evaluate_full(with_references(preds[1:], docs)).rouge1.f1 == pytest.approx(0.5)
+    report = evaluate_full(with_references(preds, docs))
     assert report.rouge1.f1 == pytest.approx(0.75)
     assert report.avg_summary_words == 2.0
 
@@ -144,7 +145,7 @@ def test_evaluate_full_macro_averages_rouge():
 def test_evaluate_full_needs_reference():
     doc = make_doc(reference=None)
     with pytest.raises(Exception, match="reference"):
-        evaluate_full([_prediction_for(doc, (0,))], [doc])
+        with_references([_prediction_for(doc, (0,))], [doc])
 
 
 def test_evaluate_full_report(tiny_corpus):
@@ -153,7 +154,7 @@ def test_evaluate_full_report(tiny_corpus):
     for doc in docs:
         selected = tuple(i for i, v in enumerate(doc.labels.summary_labels) if v)
         preds.append(_prediction_for(doc, selected, boundaries=doc.section_starts))
-    report = evaluate_full(preds, docs)
+    report = evaluate_full(with_references(preds, docs))
     # selections equal to the planted summaries score perfect overlap
     assert report.rouge1.f1 == pytest.approx(1.0)
     assert report.rouge2.f1 == pytest.approx(1.0)
@@ -179,7 +180,7 @@ def test_score_vs_k_rows_match_the_per_k_loop():
         predictions.append(Prediction(doc.id, (), (0,), scores, scores))
     # past the longest document, so every document runs out of sentences
     k_max = max(len(doc.sentences) for doc in docs) + 2
-    assert evaluation.score_vs_k(predictions, docs, k_max) == \
+    assert evaluation.score_vs_k(with_references(predictions, docs), k_max) == \
         loop_score_vs_k(predictions, docs, k_max)
 
 
@@ -188,4 +189,5 @@ def test_score_vs_k_needs_k_max_at_least_1(k_max):
     doc = make_doc()
     scores = (0.5, 0.25, 0.75)
     with pytest.raises(ValueError, match="at least 1"):
-        evaluation.score_vs_k([Prediction(doc.id, (), (0,), scores, scores)], [doc], k_max)
+        evaluation.score_vs_k(with_references([Prediction(doc.id, (), (0,), scores, scores)], [doc]),
+                              k_max)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,15 @@ def test_greedy_stops_when_no_improvement():
     labels, order = greedy_summary_labels(doc)
     assert order == (0,)
     assert labels == (1, 0)
+
+
+def test_zero_bigram_denominators_score_zero_without_warnings():
+    """A one-token reference has no bigrams, a one-token candidate neither,
+    and "." has no tokens: those F1 terms are 0.0, with no divide warning."""
+    doc = make_doc(texts=["a", "b c", "."], section_starts=(0,), reference="a")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert greedy_summary_labels(doc) == ((1, 0, 0), (0,))
 
 
 def test_greedy_tie_breaks_to_lowest_index():

@@ -1,9 +1,12 @@
 """Property tests of the metric, selection, oracle, DPP and featurizer
-invariants, of the batched forward against its unbatched rows, and of the
-stacked training loss against the one-document-at-a-time loop."""
+invariants, of ``label`` across corpora (metamorphic), of the batched forward
+against its unbatched rows, and of the stacked training loss against the
+one-document-at-a-time loop."""
 
 import dataclasses
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,9 @@ from sectsum import (
     brute_force_subset_sum, build_kernel, candidate_score, dpp_log_prob, dpp_loss_and_grad,
     encode_forward, evaluation, greedy_summary_labels, heads_forward, init_params,
     lcs_length, rouge_l, rouge_n, seg_f1, select_top_k, tokenize, total_loss, training,
-    windowdiff,
+    windowdiff, write_corpus,
 )
+from sectsum.cli import run
 from sectsum.rouge import Reference
 
 from conftest import (
@@ -168,6 +172,46 @@ def test_greedy_oracle_properties(doc, max_sentences):
         assert order == ()
 
 
+def _corpus(prefix):
+    """Up to four oracle documents with ids ``prefix0``, ``prefix1``, ..."""
+    return st.lists(oracle_docs, min_size=1, max_size=4).map(
+        lambda docs: [dataclasses.replace(d, id=f"{prefix}{j}") for j, d in enumerate(docs)])
+
+
+def _label_lines(documents, *flags):
+    """``label`` on a corpus of ``documents``: each output line by document id,
+    and the whole output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, out = Path(tmp) / "raw.jsonl", Path(tmp) / "labeled.jsonl"
+        write_corpus(documents, raw)
+        assert run(["label", "--corpus", str(raw), "--out", str(out), *flags]) == 0
+        labeled = out.read_bytes()
+    return {d.id: line for d, line in zip(documents, labeled.splitlines())}, labeled
+
+
+@settings(FAST, max_examples=30)
+@given(_corpus("d"), st.sampled_from([(), ("--max-sentences", "2")]))
+def test_label_is_idempotent_on_its_own_output(documents, flags):
+    _, once = _label_lines(documents, *flags)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labeled.jsonl"
+        path.write_bytes(once)
+        assert run(["label", "--corpus", str(path), "--in-place", *flags]) == 0
+        assert path.read_bytes() == once
+
+
+@settings(FAST, max_examples=30)
+@given(_corpus("d"), _corpus("e"), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_labels_of_a_document_ignore_the_rest_of_the_corpus(documents, others, keep):
+    """Reversing the corpus, or dropping some documents and adding others,
+    leaves every remaining document's labeled line byte for byte the same."""
+    lines, _ = _label_lines(documents)
+    assert _label_lines(documents[::-1])[0] == lines
+    kept = [d for d, k in zip(documents, keep) if k]
+    changed, _ = _label_lines(others[:1] + kept[::-1] + others[1:])
+    assert {d.id: changed[d.id] for d in kept} == {d.id: lines[d.id] for d in kept}
+
+
 @st.composite
 def sweeps(draw):
     """Up to three documents of sentences drawn from a pool of at most four
@@ -190,7 +234,7 @@ def sweeps(draw):
 @given(sweeps())
 def test_score_vs_k_matches_the_per_k_rescoring(sweep):
     documents, predictions, k_max = sweep
-    assert evaluation.score_vs_k(predictions, documents, k_max) == \
+    assert evaluation.score_vs_k(evaluation.with_references(predictions, documents), k_max) == \
         loop_score_vs_k(predictions, documents, k_max)
 
 
