@@ -4,8 +4,8 @@ All functions take token sequences (see :func:`sectsum.corpus.tokenize`) and
 return precision/recall/F1. Counts are clipped per n-gram type, matching the
 standard recall-oriented overlap definition. ROUGE-L uses the exact
 bit-parallel LCS of Allison & Dix (1986) and Hyyrö (2004), one integer
-bitmask over the reference updated once per system token: O(|sys| *
-ceil(|ref| / 64)) word operations instead of a |sys| x |ref| table.
+bitmask over the reference updated once per system token it holds: O(|sys|
+* ceil(|ref| / 64)) word operations instead of a |sys| x |ref| table.
 A :class:`Reference` counts a reference once for every score against it; a
 :class:`RunningOverlap` keeps the ROUGE-1/2 counts of a growing selection in
 integer arrays and scores every candidate sentence in one array pass.
