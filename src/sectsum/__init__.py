@@ -23,13 +23,10 @@ from .corpus import (
     write_corpus,
 )
 from .dpp import (
-    DppKernel,
     DppLoss,
     SingularMinorError,
     ZeroNormError,
-    build_kernel,
     brute_force_subset_sum,
-    dpp_log_prob,
     dpp_loss_and_grad,
 )
 from .encoder import (
@@ -37,7 +34,6 @@ from .encoder import (
     EncodedDocument,
     FeatureConfig,
     ModelParams,
-    N_SCALAR_FEATURES,
     NumericsError,
     backward_document,
     base_features,
@@ -46,9 +42,7 @@ from .encoder import (
     heads_forward,
     init_params,
     load_checkpoint,
-    position_encoding,
     save_checkpoint,
-    stable_sigmoid,
 )
 from .evaluation import (
     EvalReport,
@@ -76,19 +70,16 @@ from .oracle import (
     candidate_score,
     greedy_summary_labels,
 )
-from .rouge import RougeScore, lcs_length, rouge_l, rouge_n
+from .rouge import RougeScore, rouge_l, rouge_n
 from .training import (
     BatchLoss,
-    DEFAULT_DPP_RIDGE,
     FitResult,
     GradCheckReport,
     TrainConfig,
     TrainingError,
     Variant,
-    bce_loss,
     fit,
     grad_check,
-    learning_rate_at,
     total_loss,
 )
 

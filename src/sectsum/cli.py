@@ -206,8 +206,6 @@ def _cmd_synth(args):
 def _map_documents(worker, documents, threads):
     """``[worker(doc) for doc in documents]``, on ``threads`` worker processes
     when ``threads`` is above 1; the result order is the same either way."""
-    if threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {threads}")
     if threads > 1:
         with multiprocessing.Pool(threads) as pool:
             return list(pool.imap(worker, documents, chunksize=8))
@@ -265,8 +263,6 @@ def _load_train_config(args):
 def _cmd_train(args):
     if not 0.0 <= args.val_fraction < 1.0:
         raise ValueError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     config = _load_train_config(args)
     train_docs, _ = parse_corpus(args.corpus, strict=True)
     if args.val_corpus is not None:
@@ -422,6 +418,8 @@ def run(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -13,10 +13,11 @@ n x n matrix is formed: a document of n sentences of width d and summary Y
 costs O(n d^2 + |Y|^3). A ridge on the subset minor keeps training stable
 near duplicate sentences (escalating tenfold up to 1e-4 on factorization
 failure); a zero ridge is exact and is what test oracles use. The loss takes
-a padded stack of documents, and each document escalates its own ridge.
+a padded stack of documents, each with its own length and subset mask, and
+each document escalates its own ridge.
 
-The primal kernel of one document (:func:`build_kernel`, :func:`dpp_log_prob`)
-serves inspection and the tests; no training path builds it.
+Nothing here builds the primal n x n kernel: the tests build it as their
+reference, and :func:`brute_force_subset_sum` takes it.
 """
 
 from __future__ import annotations
@@ -28,12 +29,9 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 __all__ = [
-    "DppKernel",
     "DppLoss",
     "SingularMinorError",
     "ZeroNormError",
-    "build_kernel",
-    "dpp_log_prob",
     "dpp_loss_and_grad",
     "brute_force_subset_sum",
 ]
@@ -51,50 +49,13 @@ class ZeroNormError(ValueError):
     """Raised when an encoded sentence has zero norm (cosine undefined)."""
 
 
-@dataclass(frozen=True)
-class DppKernel:
-    """Quality vector, similarity matrix, and their product kernel."""
-
-    quality: np.ndarray
-    similarity: np.ndarray
-    kernel: np.ndarray
-    ridge: float
-
-
-def build_kernel(hidden, quality, ridge=0.0):
-    """Assemble L = diag(q) S diag(q) from encoded sentences and qualities.
-
-    Parameters
-    ----------
-    hidden : (n, d) array
-        Encoded sentence representations. Rows must have non-zero norm.
-    quality : (n,) array
-        Per-sentence quality scores in (0, 1].
-    ridge : float
-        Stored on the kernel; applied to subset minors during factorization.
-    """
-    hidden = np.asarray(hidden, dtype=float)
-    quality = np.asarray(quality, dtype=float)
-    if hidden.ndim != 2 or quality.shape != hidden.shape[:1]:
-        raise ValueError("hidden must be (n, d) and quality (n,)")
-    unit, _ = _unit_rows(hidden, quality)
-    similarity = unit @ unit.T
-    similarity = 0.5 * (similarity + similarity.T)
-    kernel = quality[:, None] * similarity * quality[None, :]
-    return DppKernel(quality=quality, similarity=similarity, kernel=kernel,
-                     ridge=float(ridge))
-
-
-def _unit_rows(hidden, quality, real=None):
+def _unit_rows(hidden, quality, real):
     """Unit rows u_i = h_i / |h_i| and the norms |h_i|, over the rows that
-    ``real`` marks (all by default); every other row gets norm 1 and is left
-    as it is."""
-    norms = np.linalg.norm(hidden, axis=-1)
-    if real is not None:
-        norms = np.where(real, norms, 1.0)
+    ``real`` marks; every other row gets norm 1 and is left as it is."""
+    norms = np.where(real, np.linalg.norm(hidden, axis=-1), 1.0)
     if np.any(norms == 0):
         raise ZeroNormError("zero-norm sentence representation; cosine undefined")
-    if np.any(quality <= 0 if real is None else (quality <= 0) & real):
+    if np.any((quality <= 0) & real):
         raise ValueError("quality scores must be positive")
     return hidden / norms[..., None], norms
 
@@ -132,85 +93,60 @@ def _ridged_logdet(minor, ridge, real):
             eps = min(eps * 10.0, _MAX_RIDGE)
 
 
-def _subset_indices(subset, n):
-    """Sorted distinct indices of ``subset``; IndexError unless all lie in [0, n)."""
-    subset = sorted(set(int(i) for i in subset))
-    if subset and (subset[0] < 0 or subset[-1] >= n):
-        raise IndexError(f"subset indices out of range for n = {n}")
-    return subset
-
-
-def dpp_log_prob(kernel, subset):
-    """log P(Y) = log det(L_Y + ridge I) - log det(L + I).
-
-    The empty subset is valid (numerator term 0). Duplicate rows with a zero
-    ridge raise :class:`SingularMinorError`.
-    """
-    n = len(kernel.kernel)
-    subset = _subset_indices(subset, n)
-    _, log_norm = _chol_logdet(kernel.kernel + np.eye(n))
-    if not subset:
-        return -log_norm
-    minor = kernel.kernel[subset][:, subset]
-    _, log_minor, _ = _ridged_logdet(minor, kernel.ridge, np.ones(len(subset), dtype=bool))
-    return log_minor - log_norm
-
-
 @dataclass(frozen=True)
 class DppLoss:
-    """Negative subset log-probability plus gradients with respect to the
-    encoded sentences and the quality scores (None when not asked for), the
-    ridge each document's minor took, and the largest of them."""
+    """Each document's negative subset log-probability plus gradients with
+    respect to the encoded sentences and the quality scores (None when not
+    asked for), the ridge each document's minor took, and the largest of
+    them."""
 
-    value: float
+    value: np.ndarray
     d_hidden: np.ndarray | None
     d_quality: np.ndarray | None
     ridge_used: float
     ridges: np.ndarray
 
 
-def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8, lengths=None,
+def dpp_loss_and_grad(hidden, quality, in_subset, lengths, ridge=1e-8,
                       with_grads=True):
-    """Repulsion loss -log P(Y | L) and its exact gradients.
+    """Repulsion loss -log P(Y | L) of each document of a padded stack, and
+    its exact gradients.
 
     Parameters
     ----------
-    hidden : (n, d) array, or a stack (G, n, d)
-        Encoded sentences; the similarity matrix is their cosine Gram.
-    quality : (n,) array, or (G, n)
-        Summary probabilities, strictly inside (0, 1).
-    subset : iterable of int, or a (G, n) boolean mask
-        Ground-truth summary indices Y (non-empty, each in [0, n)), shared
-        by every matrix of a stack; or, per stacked document, a mask row
-        marking its own Y.
+    hidden : (G, n, d) array
+        Encoded sentences of G documents padded to n rows; each document's
+        similarity matrix is the cosine Gram of its real rows.
+    quality : (G, n) array
+        Summary probabilities, strictly inside (0, 1) on the real rows.
+    in_subset : (G, n) boolean array
+        Per document, the mask of its ground-truth summary Y: non-empty, and
+        on real rows only.
+    lengths : (G,) ints
+        The real rows of each document. Padded rows take no part in the loss
+        and get zero gradients.
     ridge : float
         Diagonal ridge on the subset minor, applied consistently in the value
-        and the gradients. Each matrix of a stack escalates its own.
-    lengths : (G,) ints or None
-        The real rows of each stacked document, padded to n (default: all n
-        real). Padded rows take no part in the loss and get zero gradients.
+        and the gradients. Each document escalates its own.
     with_grads : bool
         When False, only the value is computed.
 
     Returns
     -------
     DppLoss
-        For a stack, value (G,), gradients (G, n, d) and (G, n) and ridges
-        (G,); ``ridge_used`` is the largest ridge in the stack.
+        Values (G,), gradients (G, n, d) and (G, n) and ridges (G,);
+        ``ridge_used`` is the largest ridge in the stack.
     """
     hidden = np.asarray(hidden, dtype=float)
     quality = np.asarray(quality, dtype=float)
-    single = hidden.ndim == 2
-    if single:
-        hidden, quality = hidden[None], quality[None]
+    in_subset = np.asarray(in_subset, dtype=bool)
     if hidden.ndim != 3 or quality.shape != hidden.shape[:-1]:
-        raise ValueError("hidden must be (n, d) and quality (n,), or stacks of them")
+        raise ValueError("hidden must be (G, n, d) and quality (G, n)")
     n, d = hidden.shape[1:]
-    real = None if lengths is None else np.arange(n) < np.asarray(lengths)[:, None]
+    real = np.arange(n) < np.asarray(lengths)[:, None]
     unit, norms = _unit_rows(hidden, quality, real)
     rows = quality[..., None] * unit
-    if real is not None:
-        rows[~real] = 0.0
+    rows[~real] = 0.0
 
     # log det(L + I) = log det(I_d + B^T B), a d x d factorization.
     gram = np.eye(d) + rows.swapaxes(-1, -2) @ rows
@@ -218,12 +154,7 @@ def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8, lengths=None,
 
     # Minors B_Y B_Y^T. Per-document subsets are padded to the largest |Y|
     # with identity, and the ridge goes on their real entries only.
-    if np.ndim(subset) == 2:
-        in_subset = np.asarray(subset, dtype=bool)
-    else:
-        in_subset = np.zeros(quality.shape, dtype=bool)
-        in_subset[:, _subset_indices(subset, n)] = True
-    if in_subset.shape != quality.shape or (real is not None and np.any(in_subset & ~real)):
+    if in_subset.shape != quality.shape or np.any(in_subset & ~real):
         raise IndexError("subset mask does not fit the stacked documents")
     sizes = in_subset.sum(axis=1)
     if not sizes.all():
@@ -251,10 +182,6 @@ def dpp_loss_and_grad(hidden, quality, subset, ridge=1e-8, lengths=None,
         radial = (d_unit * unit).sum(axis=-1, keepdims=True)
         d_hidden = (d_unit - radial * unit) / norms[..., None]
 
-    if single:
-        value, ridges = float(value[0]), ridges[0]
-        if with_grads:
-            d_hidden, d_quality = d_hidden[0], d_quality[0]
     return DppLoss(value=value, d_hidden=d_hidden, d_quality=d_quality,
                    ridge_used=float(ridges.max()), ridges=ridges)
 

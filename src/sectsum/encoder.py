@@ -31,11 +31,8 @@ __all__ = [
     "EncodedDocument",
     "NumericsError",
     "CheckpointError",
-    "N_SCALAR_FEATURES",
     "base_features",
     "init_params",
-    "position_encoding",
-    "stable_sigmoid",
     "encode_forward",
     "heads_forward",
     "forward_document",
@@ -278,6 +275,10 @@ def _params_on(vector, shapes, n_heads):
 def init_params(config, n_layers=2, n_heads=4, ffn_hidden=None, rng_seed=0):
     """Glorot-style random initialization; layer-norm gains start at one."""
     d = config.dim
+    for name, value, least in (("n_heads", n_heads, 1), ("n_layers", n_layers, 0),
+                               ("ffn_hidden", ffn_hidden, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     if d % n_heads != 0:
         raise ValueError(f"dim {d} not divisible by n_heads {n_heads}")
     if ffn_hidden is None:

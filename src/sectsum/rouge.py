@@ -20,8 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["RougeScore", "Reference", "RunningOverlap", "rouge_n", "rouge_l",
-           "lcs_length"]
+__all__ = ["RougeScore", "Reference", "RunningOverlap", "rouge_n", "rouge_l"]
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,14 @@ class Reference:
         return masks
 
     def lcs(self, system_tokens):
-        """LCS length of ``system_tokens`` and the reference (:func:`lcs_length`)."""
+        """Length of the longest common subsequence of ``system_tokens`` and
+        the reference.
+
+        Bit-parallel and exact (Allison & Dix 1986; Hyyrö 2004): ``v`` is one
+        row of the LCS table over the reference, bit j clear where the row
+        steps up at j, and each system token ``x`` updates it with
+        ``u = v & mask[x]``, ``v = (v + u) | (v - u)``.
+        """
         masks, full = self.masks, (1 << len(self.tokens)) - 1
         v = full
         for x in system_tokens:
@@ -97,17 +103,6 @@ def rouge_n(system_tokens, reference, n):
                   for g, c in _ngrams(system_tokens, n).items())
     return _score(overlap, max(len(system_tokens) - n + 1, 0),
                   max(len(reference.tokens) - n + 1, 0))
-
-
-def lcs_length(a, b):
-    """Length of the longest common subsequence of two token sequences.
-
-    Bit-parallel and exact (Allison & Dix 1986; Hyyrö 2004): ``v`` is one row
-    of the LCS table over ``b``, bit j clear where the row steps up at j, and
-    each token ``x`` of ``a`` updates it with ``u = v & mask[x]``,
-    ``v = (v + u) | (v - u)``. O(len(a) * ceil(len(b) / 64)) word operations.
-    """
-    return Reference(b).lcs(a)
 
 
 def rouge_l(system_tokens, reference):

@@ -40,9 +40,7 @@ __all__ = [
     "BatchLoss",
     "FitResult",
     "GradCheckReport",
-    "bce_loss",
     "total_loss",
-    "learning_rate_at",
     "fit",
     "grad_check",
 ]
@@ -103,45 +101,36 @@ class TrainConfig:
             self.beta = 0.0
 
 
-def _float_or_batch(value):
-    """A 0-d result as a Python float; a batched one as it is."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def _padding(lengths, n):
     """Mask of the padded entries of rows cut to ``lengths`` out of n."""
     return np.arange(n) >= np.asarray(lengths)[:, None]
 
 
-def bce_loss(probs, labels, lengths=None):
-    """Mean binary cross-entropy; probabilities clamped to [1e-7, 1 - 1e-7].
+def bce_loss(probs, labels, lengths):
+    """Row means of binary cross-entropy; probabilities clamped to
+    [1e-7, 1 - 1e-7].
 
-    ``probs`` (n,) gives a float; a batch (B, n) gives the B row means, with
-    ``labels`` (n,) shared by every row or one row of labels each.
-    ``lengths`` (one per row) counts the real entries of rows padded to n;
-    each mean leaves the rest out."""
+    ``probs`` (B, n) are rows padded to n, ``labels`` (B, n) or one row (n,)
+    shared by every row, and ``lengths`` (B,) counts each row's real
+    entries; each mean leaves the rest out. Returns the B means."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if labels.ndim == 0 or np.broadcast_shapes(probs.shape, labels.shape) != probs.shape:
         raise ValueError(f"shape mismatch: {probs.shape} vs {labels.shape}")
     p = np.clip(probs, _BCE_CLAMP, 1.0 - _BCE_CLAMP)
     terms = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    if lengths is None:
-        return _float_or_batch(terms.sum(axis=-1) / probs.shape[-1])
     return np.where(_padding(lengths, probs.shape[-1]), 0.0, terms).sum(axis=-1) / lengths
 
 
-def _bce_grad(probs, labels, lengths=None):
+def _bce_grad(probs, labels, lengths):
     """Gradient of :func:`bce_loss` with respect to the probabilities; zero
     on clamped and on padded entries."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     p = np.clip(probs, _BCE_CLAMP, 1.0 - _BCE_CLAMP)
-    count = probs.shape[-1] if lengths is None else np.asarray(lengths)[:, None]
-    grad = (-(labels / p) + (1.0 - labels) / (1.0 - p)) / count
-    zero = (probs < _BCE_CLAMP) | (probs > 1.0 - _BCE_CLAMP)
-    if lengths is not None:
-        zero |= _padding(lengths, probs.shape[-1])
+    grad = (-(labels / p) + (1.0 - labels) / (1.0 - p)) / np.asarray(lengths)[:, None]
+    zero = ((probs < _BCE_CLAMP) | (probs > 1.0 - _BCE_CLAMP)
+            | _padding(lengths, probs.shape[-1]))
     return np.where(zero, 0.0, grad)
 
 
@@ -285,14 +274,14 @@ def _stack_loss(docs, features, labels, params, config, feature_config, with_gra
     y_sum, y_seg = np.zeros((2, len(docs), n))
     for row, (length, (doc_sum, doc_seg)) in enumerate(zip(lengths, labels)):
         y_sum[row, :length], y_seg[row, :length] = doc_sum, doc_seg
-    padded = lengths if lengths.min() < n else None
-    parts = {"sum": bce_loss(p_sum, y_sum, padded),
+    lengths = np.broadcast_to(lengths, n_rows)  # one document against B parameter rows
+    parts = {"sum": bce_loss(p_sum, y_sum, lengths),
              "seg": np.zeros(n_rows), "dpp": np.zeros(n_rows)}
-    d_sum = _bce_grad(p_sum, y_sum, padded) if with_grads else None
+    d_sum = _bce_grad(p_sum, y_sum, lengths) if with_grads else None
     d_seg = d_hidden = None
     if config.variant is not Variant.BASE:
-        parts["seg"] = bce_loss(p_seg, y_seg, padded)
-        d_seg = _bce_grad(p_seg, y_seg, padded) if with_grads else None
+        parts["seg"] = bce_loss(p_seg, y_seg, lengths)
+        d_seg = _bce_grad(p_seg, y_seg, lengths) if with_grads else None
 
     ridges = np.full(n_rows, np.nan)
     if config.variant is Variant.FULL and config.beta > 0.0:
@@ -304,9 +293,8 @@ def _stack_loss(docs, features, labels, params, config, feature_config, with_gra
                 enc.hidden if every else enc.hidden[live],
                 p_sum if every else p_sum[live],
                 in_subset if every else in_subset[live],
-                ridge=DEFAULT_DPP_RIDGE,
-                lengths=None if padded is None else padded[live],
-                with_grads=with_grads)
+                lengths if every else lengths[live],
+                ridge=DEFAULT_DPP_RIDGE, with_grads=with_grads)
             parts["dpp"][live] = rep.value
             ridges[live] = rep.ridges
             if with_grads:

@@ -7,12 +7,13 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from sectsum import (
-    N_SCALAR_FEATURES, Document, FeatureConfig, SynthConfig, TrainingError, Variant,
-    backward_document, base_features, build_kernel, candidate_score, dpp_log_prob,
+    Document, FeatureConfig, SynthConfig, TrainingError, Variant,
+    backward_document, base_features, candidate_score, dpp_loss_and_grad,
     forward_document, generate_synthetic, init_params, render_summary, rouge_l, rouge_n,
     select_top_k, tokenize, total_loss, training,
 )
 from sectsum.dpp import SingularMinorError
+from sectsum.encoder import N_SCALAR_FEATURES
 
 # Lines appended by the acceptance tests; replayed after the run so they
 # stay visible even though pytest captures per-test stdout.
@@ -35,7 +36,7 @@ def make_doc(doc_id="doc0", texts=("alpha beta", "gamma delta", "alpha beta gamm
 
 def dp_lcs_length(a, b):
     """Longest common subsequence by the two-row dynamic program, O(len(a) *
-    len(b)) time: the reference for the bit-parallel ``lcs_length``."""
+    len(b)) time: the reference for the bit-parallel ``Reference.lcs``."""
     if not a or not b:
         return 0
     prev = [0] * (len(b) + 1)
@@ -147,6 +148,34 @@ def rescoring_greedy_labels(doc, max_sentences=None):
     return tuple(int(i in selected) for i in range(n)), tuple(selected)
 
 
+def primal_kernel(hidden, quality):
+    """The primal kernel L = diag(q) S diag(q) of one document, with S = U U^T
+    the cosine Gram of its unit rows U, and S itself."""
+    unit = hidden / np.linalg.norm(hidden, axis=1, keepdims=True)
+    similarity = unit @ unit.T
+    similarity = 0.5 * (similarity + similarity.T)
+    return quality[:, None] * similarity * quality[None, :], similarity
+
+
+def subset_masks(subsets, n):
+    """A (G, n) boolean mask, row g marking ``subsets[g]`` of a document of n
+    rows: the ``in_subset`` argument of ``dpp_loss_and_grad`` for G copies of
+    that document."""
+    mask = np.zeros((len(subsets), n), dtype=bool)
+    for row, subset in zip(mask, subsets):
+        row[list(subset)] = True
+    return mask
+
+
+def one_document(hidden, quality, subsets, **kwargs):
+    """``dpp_loss_and_grad`` of one unpadded document (n, d), once per subset:
+    a stack of len(subsets) copies of it."""
+    n = len(quality)
+    return dpp_loss_and_grad(np.broadcast_to(hidden, (len(subsets),) + hidden.shape),
+                             np.broadcast_to(quality, (len(subsets), n)),
+                             subset_masks(subsets, n), [n] * len(subsets), **kwargs)
+
+
 def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
     """The repulsion loss by its primal formula, with the ridge as given (no
     escalation): value, d_hidden and d_quality. The adjoint
@@ -155,10 +184,10 @@ def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
     S = U U^T as n x n matrices; ``dpp_loss_and_grad`` must agree with it."""
     hidden = np.asarray(hidden, dtype=float)
     quality = np.asarray(quality, dtype=float)
-    kernel = build_kernel(hidden, quality, ridge=ridge)
+    kernel, similarity = primal_kernel(hidden, quality)
     subset = sorted(set(subset))
-    full = kernel.kernel + np.eye(len(quality))
-    minor = kernel.kernel[np.ix_(subset, subset)] + ridge * np.eye(len(subset))
+    full = kernel + np.eye(len(quality))
+    minor = kernel[np.ix_(subset, subset)] + ridge * np.eye(len(subset))
     full_factor, minor_factor = np.linalg.cholesky(full), np.linalg.cholesky(minor)
     value = (2.0 * np.log(np.diag(full_factor)).sum()
              - 2.0 * np.log(np.diag(minor_factor)).sum())
@@ -168,7 +197,7 @@ def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
     d_kernel = inv_full.copy()
     d_kernel[np.ix_(subset, subset)] -= inv_minor
     d_kernel = 0.5 * (d_kernel + d_kernel.T)
-    d_quality = 2.0 * ((d_kernel * kernel.similarity) @ quality)
+    d_quality = 2.0 * ((d_kernel * similarity) @ quality)
     d_similarity = d_kernel * np.outer(quality, quality)
     norms = np.linalg.norm(hidden, axis=1)
     unit = hidden / norms[:, None]
@@ -181,8 +210,7 @@ def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
 def primal_ridge(hidden, quality, subset, ridge):
     """The ridge the subset minor L_Y of the primal kernel takes: ``ridge``,
     raised tenfold (up to 1e-4) until the Cholesky factorization succeeds."""
-    kernel = build_kernel(hidden, quality).kernel
-    minor = kernel[np.ix_(subset, subset)]
+    minor = primal_kernel(hidden, quality)[0][np.ix_(subset, subset)]
     eps = ridge
     while True:
         try:
@@ -229,14 +257,11 @@ def loop_total_loss(documents, params, config, feature_config, features=None,
                 skipped += 1
             else:
                 doc_ridge = primal_ridge(enc.hidden, p_sum, subset, ridge)
+                dpp_value, d_hidden, d_quality = primal_dpp_loss_and_grad(
+                    enc.hidden, p_sum, subset, doc_ridge)
                 if with_grads:
-                    dpp_value, d_hidden, d_quality = primal_dpp_loss_and_grad(
-                        enc.hidden, p_sum, subset, doc_ridge)
                     d_hidden = config.beta * d_hidden
                     d_sum = d_sum + config.beta * d_quality
-                else:
-                    dpp_value = -dpp_log_prob(build_kernel(enc.hidden, p_sum, doc_ridge),
-                                              subset)
                 parts["dpp"] += dpp_value
                 doc_value += config.beta * dpp_value
         ridges.append(doc_ridge)

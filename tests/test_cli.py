@@ -383,6 +383,29 @@ def test_predict_threads_match_sequential(tmp_path, labeled_corpus):
         (p_par / "predictions.jsonl").read_bytes()
 
 
+def test_prediction_of_a_document_ignores_the_rest_of_the_corpus(tmp_path, labeled_corpus):
+    """Reversing the corpus, or dropping half its documents, leaves every
+    remaining document's prediction line byte for byte the same."""
+    checkpoint = tmp_path / "model.ckpt"
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2, rng_seed=3), config)
+    lines = labeled_corpus.read_bytes().splitlines(keepends=True)
+
+    def predictions(name, corpus_lines):
+        corpus = tmp_path / f"{name}.jsonl"
+        corpus.write_bytes(b"".join(corpus_lines))
+        assert run(["predict", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+                    "--out", str(tmp_path / name), "--threads", "1"]) == 0
+        out = (tmp_path / name / "predictions.jsonl").read_bytes().splitlines()
+        return {json.loads(line)["id"]: line for line in out}
+
+    every = predictions("all", lines)
+    assert len(every) == len(lines) == 8
+    assert predictions("reversed", lines[::-1]) == every
+    half = predictions("half", lines[1::2])
+    assert len(half) == 4 and half == {i: every[i] for i in half}
+
+
 def test_predict_rejects_mistyped_checkpoint_header(tmp_path, capsys):
     """Header values are checked before anything is sized from them: an
     ``n_layers`` the body cannot hold exits 2 at once."""
@@ -514,8 +537,15 @@ def test_exit_codes(tmp_path, capsys):
     ["predict", "--threads", "0"],
     ["train", "--threads", "0"],
     ["train", "--threads", "-3"],
+    ["predict", "--threads", "-3"],
     ["eval", "--k-max", "0"],
     ["eval", "--k-max", "-3"],
+    ["train", "--heads", "0"],
+    ["train", "--heads", "-2"],
+    ["train", "--layers", "-1"],
+    ["train", "--ffn-hidden", "0"],
+    ["gradcheck", "--heads", "0"],
+    ["gradcheck", "--layers", "-1"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
     checkpoint = tmp_path / "model.ckpt"
@@ -535,9 +565,14 @@ def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
         assert run(["predict", "--corpus", str(labeled_corpus), "--checkpoint",
                     str(checkpoint), "--out", str(tmp_path / "pred")]) == 0
     assert run(argv + inputs) == 1
-    assert "invalid arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid arguments" in err
+    # a model shape is refused by name, not by a failing reshape later on
+    shape = {"--heads": "n_heads", "--layers": "n_layers", "--ffn-hidden": "ffn_hidden"}
+    assert argv[1] not in shape or f"{shape[argv[1]]} must be at least" in err
     # nothing is written before the settings are checked
-    assert not (tmp_path / "eval").exists()
+    for output in ("run", "l.jsonl", "eval") + (("pred",) if argv[0] != "eval" else ()):
+        assert not (tmp_path / output).exists()
 
 
 def test_help_exits_zero(capsys):

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from sectsum import (
-    DppKernel,
     SingularMinorError,
     ZeroNormError,
-    build_kernel,
     brute_force_subset_sum,
-    dpp_log_prob,
     dpp_loss_and_grad,
 )
+
+from conftest import one_document, primal_kernel, subset_masks
 
 
 def random_instance(rng, n, d):
@@ -21,41 +20,32 @@ def random_instance(rng, n, d):
     return hidden, quality
 
 
-def test_build_kernel_structure():
-    rng = np.random.default_rng(0)
-    hidden, quality = random_instance(rng, 6, 4)
-    kern = build_kernel(hidden, quality)
-    assert kern.kernel.shape == (6, 6)
-    np.testing.assert_allclose(kern.kernel, kern.kernel.T)
-    np.testing.assert_allclose(np.diag(kern.similarity), 1.0)
-    # self-similarity is one, so the diagonal is the squared quality
-    np.testing.assert_allclose(np.diag(kern.kernel), quality ** 2)
-    # cosine entries stay within [-1, 1]
-    assert np.all(np.abs(kern.similarity) <= 1.0 + 1e-12)
-
-
-def test_build_kernel_input_validation():
+def test_loss_input_validation():
     rng = np.random.default_rng(1)
     hidden, quality = random_instance(rng, 3, 4)
     hidden[1] = 0.0
     with pytest.raises(ValueError, match="zero-norm"):
-        build_kernel(hidden, quality)
+        one_document(hidden, quality, [[0]])
     hidden[1] = 1.0
     quality[0] = 0.0
     with pytest.raises(ValueError, match="positive"):
-        build_kernel(hidden, quality)
+        one_document(hidden, quality, [[1]])
     with pytest.raises(ValueError):
-        build_kernel(hidden, quality[:2])
+        dpp_loss_and_grad(hidden[None], quality[None, :2], subset_masks([[1]], 3), [3])
+    # a stack, not one document
+    with pytest.raises(ValueError):
+        dpp_loss_and_grad(hidden, quality, subset_masks([[1]], 3), [3])
 
 
 def test_zero_norm_sentence_raises_zero_norm_error():
+    """A zero row fails in a real row of the stack, and not in a padded one."""
     rng = np.random.default_rng(2)
     hidden, quality = random_instance(rng, 4, 3)
     hidden[2] = 0.0
     with pytest.raises(ZeroNormError, match="zero-norm"):
-        build_kernel(hidden, quality)
-    with pytest.raises(ZeroNormError):
-        dpp_loss_and_grad(hidden, quality, [0, 1])
+        one_document(hidden, quality, [[0, 1]])
+    padded = dpp_loss_and_grad(hidden[None], quality[None], subset_masks([[0, 1]], 4), [2])
+    assert np.isfinite(padded.value).all()
 
 
 def test_normalizer_identity_over_random_kernels():
@@ -64,42 +54,37 @@ def test_normalizer_identity_over_random_kernels():
     for _ in range(25):
         n = int(rng.integers(2, 9))
         hidden, quality = random_instance(rng, n, int(rng.integers(2, 6)))
-        kern = build_kernel(hidden, quality)
-        total = brute_force_subset_sum(kern.kernel)
-        direct = np.linalg.det(kern.kernel + np.eye(n))
+        kernel = primal_kernel(hidden, quality)[0]
+        total = brute_force_subset_sum(kernel)
+        direct = np.linalg.det(kernel + np.eye(n))
         assert total == pytest.approx(direct, rel=1e-10)
 
 
 def test_log_prob_identity_kernel():
-    """For L = I (n = 3) every singleton has P = det([1])/det(2 I) = 1/8."""
-    hidden = np.eye(3)
-    quality = np.ones(3)
-    kern = build_kernel(hidden, quality)
-    np.testing.assert_allclose(kern.kernel, np.eye(3), atol=1e-15)
-    expected = -3.0 * math.log(2.0)
-    for i in range(3):
-        assert dpp_log_prob(kern, [i]) == pytest.approx(expected)
-    # empty subset has determinant one, so the same probability here
-    assert dpp_log_prob(kern, []) == pytest.approx(expected)
+    """For L = I (n = 3, quality 1 and orthogonal rows) every singleton has
+    P = det([1]) / det(2 I) = 1/8, so each loss is 3 log 2."""
+    loss = one_document(np.eye(3), np.ones(3), [[0], [1], [2]], ridge=0.0)
+    np.testing.assert_allclose(loss.value, 3.0 * math.log(2.0), rtol=1e-12)
 
 
 def test_subset_probabilities_sum_to_one():
+    """exp(-loss) over every non-empty subset, in one stack, plus the empty
+    subset's 1 / det(L + I), sums to one."""
     rng = np.random.default_rng(3)
     for _ in range(5):
         n = int(rng.integers(2, 7))
         hidden, quality = random_instance(rng, n, 3)
-        kern = build_kernel(hidden, quality, ridge=1e-10)
-        total = 0.0
-        for r in range(n + 1):
-            for subset in itertools.combinations(range(n), r):
-                total += math.exp(dpp_log_prob(kern, subset))
-        assert total == pytest.approx(1.0, rel=1e-6)
+        subsets = [subset for r in range(1, n + 1)
+                   for subset in itertools.combinations(range(n), r)]
+        loss = one_document(hidden, quality, subsets, ridge=1e-10)
+        empty = 1.0 / np.linalg.det(primal_kernel(hidden, quality)[0] + np.eye(n))
+        assert np.exp(-loss.value).sum() + empty == pytest.approx(1.0, rel=1e-6)
 
 
 def test_log_prob_rejects_out_of_range():
-    kern = build_kernel(np.eye(3), np.ones(3))
-    with pytest.raises(IndexError):
-        dpp_log_prob(kern, [3])
+    """A subset mask of another width than the stack is refused."""
+    with pytest.raises(IndexError, match="does not fit"):
+        dpp_loss_and_grad(np.eye(3)[None], np.ones((1, 3)), subset_masks([[0]], 4), [3])
 
 
 def test_single_sentence_closed_form():
@@ -110,11 +95,11 @@ def test_single_sentence_closed_form():
     """
     q = 0.37
     hidden = np.array([[0.4, -1.2, 0.3]])
-    result = dpp_loss_and_grad(hidden, np.array([q]), [0], ridge=0.0)
+    result = one_document(hidden, np.array([q]), [[0]], ridge=0.0)
     expected = -math.log(q * q) + math.log1p(q * q)
-    assert result.value == pytest.approx(expected, rel=1e-12)
+    assert result.value[0] == pytest.approx(expected, rel=1e-12)
     expected_dq = -2.0 / q + 2.0 * q / (1.0 + q * q)
-    assert result.d_quality[0] == pytest.approx(expected_dq, rel=1e-12)
+    assert result.d_quality[0, 0] == pytest.approx(expected_dq, rel=1e-12)
     np.testing.assert_allclose(result.d_hidden, 0.0, atol=1e-12)
 
 
@@ -128,27 +113,27 @@ def test_loss_gradients_match_finite_differences():
         d = n + int(rng.integers(0, 3))
         hidden, quality = random_instance(rng, n, d)
         size = int(rng.integers(1, n + 1))
-        subset = sorted(rng.choice(n, size=size, replace=False).tolist())
-        res = dpp_loss_and_grad(hidden, quality, subset, ridge=1e-10)
+        subsets = [sorted(rng.choice(n, size=size, replace=False).tolist())]
+        res = one_document(hidden, quality, subsets, ridge=1e-10)
 
         for _ in range(6):
             i = int(rng.integers(n))
             j = int(rng.integers(d))
             bump = np.zeros_like(hidden)
             bump[i, j] = step
-            hi = dpp_loss_and_grad(hidden + bump, quality, subset, ridge=1e-10).value
-            lo = dpp_loss_and_grad(hidden - bump, quality, subset, ridge=1e-10).value
+            hi = one_document(hidden + bump, quality, subsets, ridge=1e-10).value[0]
+            lo = one_document(hidden - bump, quality, subsets, ridge=1e-10).value[0]
             fd = (hi - lo) / (2 * step)
-            assert fd == pytest.approx(res.d_hidden[i, j], rel=5e-4, abs=1e-7)
+            assert fd == pytest.approx(res.d_hidden[0, i, j], rel=5e-4, abs=1e-7)
 
         for _ in range(4):
             i = int(rng.integers(n))
             bump = np.zeros_like(quality)
             bump[i] = step
-            hi = dpp_loss_and_grad(hidden, quality + bump, subset, ridge=1e-10).value
-            lo = dpp_loss_and_grad(hidden, quality - bump, subset, ridge=1e-10).value
+            hi = one_document(hidden, quality + bump, subsets, ridge=1e-10).value[0]
+            lo = one_document(hidden, quality - bump, subsets, ridge=1e-10).value[0]
             fd = (hi - lo) / (2 * step)
-            assert fd == pytest.approx(res.d_quality[i], rel=5e-4, abs=1e-7)
+            assert fd == pytest.approx(res.d_quality[0, i], rel=5e-4, abs=1e-7)
 
 
 def test_duplicate_rows_escalate_ridge():
@@ -158,25 +143,11 @@ def test_duplicate_rows_escalate_ridge():
     ridge it took is reported back."""
     hidden = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     quality = np.array([0.5, 0.5, 0.5])
-    res = dpp_loss_and_grad(hidden, quality, [0, 1], ridge=1e-20)
-    assert math.isfinite(res.value)
+    res = one_document(hidden, quality, [[0, 1]], ridge=1e-20)
+    assert math.isfinite(res.value[0])
     assert res.ridge_used > 1e-20
     assert res.ridge_used == pytest.approx(1e-16)
     assert np.all(np.isfinite(res.d_hidden))
-
-
-def test_log_prob_escalates_an_indefinite_minor():
-    """The {0, 1} minor of this kernel has an eigenvalue of about -1.5e-8:
-    it fails at the kernel's ridge 1e-8, and ``dpp_log_prob`` takes the
-    log-probability at the escalated ridge 1e-7."""
-    matrix = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 - 3e-8, 0.0], [0.0, 0.0, 1.0]])
-    assert np.linalg.eigvalsh(matrix[:2, :2] + 1e-8 * np.eye(2))[0] < 0.0
-    kernel = DppKernel(quality=None, similarity=None, kernel=matrix, ridge=1e-8)
-    at_escalated = DppKernel(quality=None, similarity=None, kernel=matrix, ridge=1e-7)
-    assert dpp_log_prob(kernel, [0, 1]) == dpp_log_prob(at_escalated, [0, 1])
-    expected = (np.linalg.slogdet(matrix[:2, :2] + 1e-7 * np.eye(2))[1]
-                - np.linalg.slogdet(matrix + np.eye(3))[1])
-    assert dpp_log_prob(kernel, [0, 1]) == pytest.approx(expected, rel=1e-9)
 
 
 def test_stacked_documents_escalate_their_own_ridge():
@@ -194,20 +165,18 @@ def test_stacked_documents_escalate_their_own_ridge():
     quality = np.full((3, 5), 0.5)
     lengths = [3, 5, 4]
     subsets = [[0, 2], [0, 2], [1]]
-    mask = np.zeros((3, 5), dtype=bool)
-    for row, subset in zip(mask, subsets):
-        row[subset] = True
-    stacked = dpp_loss_and_grad(hidden, quality, mask, ridge=1e-20, lengths=lengths)
+    stacked = dpp_loss_and_grad(hidden, quality, subset_masks(subsets, 5), lengths,
+                                ridge=1e-20)
     assert stacked.ridges[0] == stacked.ridges[2] == 1e-20
     assert stacked.ridges[1] > 1e-20
     assert stacked.ridge_used == stacked.ridges[1]
     for g, (n, subset) in enumerate(zip(lengths, subsets)):
-        alone = dpp_loss_and_grad(hidden[g, :n], quality[g, :n], subset, ridge=1e-20)
+        alone = one_document(hidden[g, :n], quality[g, :n], [subset], ridge=1e-20)
         assert alone.ridge_used == stacked.ridges[g]
-        assert stacked.value[g] == pytest.approx(alone.value, rel=1e-12)
-        np.testing.assert_allclose(stacked.d_hidden[g, :n], alone.d_hidden,
+        assert stacked.value[g] == pytest.approx(alone.value[0], rel=1e-12)
+        np.testing.assert_allclose(stacked.d_hidden[g, :n], alone.d_hidden[0],
                                    rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(stacked.d_quality[g, :n], alone.d_quality,
+        np.testing.assert_allclose(stacked.d_quality[g, :n], alone.d_quality[0],
                                    rtol=1e-10, atol=1e-12)
         assert not stacked.d_hidden[g, n:].any() and not stacked.d_quality[g, n:].any()
 
@@ -216,21 +185,21 @@ def test_duplicate_rows_with_zero_ridge_raise():
     hidden = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     quality = np.array([0.8, 0.8, 0.5])
     with pytest.raises(SingularMinorError, match="ridge = 0"):
-        dpp_loss_and_grad(hidden, quality, [0, 1], ridge=0.0)
+        one_document(hidden, quality, [[0, 1]], ridge=0.0)
 
 
 def test_empty_subset_rejected():
     with pytest.raises(ValueError, match="non-empty"):
-        dpp_loss_and_grad(np.eye(2), np.array([0.5, 0.5]), [])
+        one_document(np.eye(2), np.array([0.5, 0.5]), [[]])
 
 
 @pytest.mark.parametrize("index", [-1, 5])
 def test_out_of_range_subset_index_raises(index):
-    hidden, quality = random_instance(np.random.default_rng(6), 5, 3)
-    with pytest.raises(IndexError, match="out of range"):
-        dpp_log_prob(build_kernel(hidden, quality), [index])
-    with pytest.raises(IndexError, match="out of range"):
-        dpp_loss_and_grad(hidden, quality, [index])
+    """A 5-sentence document padded to 7 rows: rows 5 and 6 (-1) are padding,
+    and a subset that marks one of them is refused."""
+    hidden, quality = random_instance(np.random.default_rng(6), 7, 3)
+    with pytest.raises(IndexError, match="does not fit"):
+        dpp_loss_and_grad(hidden[None], quality[None], subset_masks([[0, index]], 7), [5])
 
 
 def test_brute_force_limit():
@@ -241,5 +210,5 @@ def test_brute_force_limit():
 def test_ridge_used_matches_request_when_regular():
     rng = np.random.default_rng(5)
     hidden, quality = random_instance(rng, 4, 3)
-    res = dpp_loss_and_grad(hidden, quality, [0, 2], ridge=1e-8)
+    res = one_document(hidden, quality, [[0, 2]], ridge=1e-8)
     assert res.ridge_used == pytest.approx(1e-8)

@@ -11,7 +11,6 @@ from sectsum import (
     FeatureConfig,
     ModelParams,
     NumericsError,
-    N_SCALAR_FEATURES,
     backward_document,
     base_features,
     encode_forward,
@@ -19,11 +18,11 @@ from sectsum import (
     heads_forward,
     init_params,
     load_checkpoint,
-    position_encoding,
     save_checkpoint,
-    stable_sigmoid,
 )
-from sectsum.encoder import _block_shapes
+from sectsum.encoder import (
+    N_SCALAR_FEATURES, _block_shapes, position_encoding, stable_sigmoid,
+)
 
 from conftest import make_doc
 

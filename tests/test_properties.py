@@ -14,20 +14,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sectsum import (
-    CUE_PHRASES, DEFAULT_DPP_RIDGE, Document, FeatureConfig, LabelSet, Prediction,
+    CUE_PHRASES, Document, FeatureConfig, LabelSet, Prediction, Sentence, SynthConfig,
     TrainConfig, TrainingError, Variant, base_features, boundary_proximity_histogram,
-    brute_force_subset_sum, build_kernel, candidate_score, dpp_log_prob, dpp_loss_and_grad,
-    encode_forward, evaluation, greedy_summary_labels, heads_forward, init_params,
-    lcs_length, rouge_l, rouge_n, seg_f1, select_top_k, tokenize, total_loss, training,
-    windowdiff, write_corpus,
+    brute_force_subset_sum, candidate_score, dpp_loss_and_grad, encode_forward, evaluation,
+    generate_synthetic, greedy_summary_labels, heads_forward, init_params, parse_corpus,
+    rouge_l, rouge_n, seg_f1, select_top_k, tokenize, total_loss, training, windowdiff,
+    write_corpus,
 )
 from sectsum.cli import run
 from sectsum.rouge import Reference
+from sectsum.training import DEFAULT_DPP_RIDGE
 
 from conftest import (
     counter_rouge_n, dp_lcs_length, loop_base_features, loop_boundary_proximity_histogram,
     loop_score_vs_k, loop_total_loss, loop_windowdiff, primal_dpp_loss_and_grad,
-    rescoring_greedy_labels,
+    one_document, primal_kernel, rescoring_greedy_labels, subset_masks,
 )
 
 # derandomize: the same examples on every run, and no example database on disk
@@ -72,10 +73,10 @@ long_tokens = st.integers(0, 150).flatmap(
 @FAST
 @given(long_tokens, long_tokens)
 def test_lcs_length_matches_dynamic_program(a, b):
-    assert lcs_length(a, b) == dp_lcs_length(a, b)
-    assert lcs_length(b, a) == lcs_length(a, b)
-    assert lcs_length(a, []) == lcs_length([], a) == 0
-    assert lcs_length(a, a) == len(a)
+    assert Reference(b).lcs(a) == dp_lcs_length(a, b)
+    assert Reference(a).lcs(b) == Reference(b).lcs(a)
+    assert Reference([]).lcs(a) == Reference(a).lcs([]) == 0
+    assert Reference(a).lcs(a) == len(a)
 
 
 @FAST
@@ -213,6 +214,40 @@ def test_labels_of_a_document_ignore_the_rest_of_the_corpus(documents, others, k
 
 
 @st.composite
+def synth_corpora(draw):
+    """A synthetic corpus in which some sentences are non-ASCII text, and some
+    documents have no labels (``labels: null``), no selection order or no
+    reference summary."""
+    documents = generate_synthetic(SynthConfig(
+        n_documents=draw(st.integers(1, 4)), sections_per_document=(1, 3),
+        sentences_per_section=(1, 4), rng_seed=draw(st.integers(0, 2 ** 16))))
+    words = ["naïve", "日本", "Café", "Ωmega", "—", "😀", "\\", '"q"', "w"]
+    text = st.lists(st.sampled_from(words), min_size=1, max_size=6).map(" ".join)
+    changed = []
+    for doc in documents:
+        sentences = tuple(Sentence.from_text(draw(text)) if draw(st.booleans()) else s
+                          for s in doc.sentences)
+        labels = draw(st.sampled_from([None, doc.labels, dataclasses.replace(
+            doc.labels, selection_order=None)]))
+        reference = draw(st.sampled_from([None, doc.reference_summary, draw(text)]))
+        changed.append(dataclasses.replace(doc, sentences=sentences, labels=labels,
+                                           reference_summary=reference))
+    return changed
+
+
+@settings(FAST, max_examples=40)
+@given(synth_corpora())
+def test_write_parse_write_reproduces_the_bytes(documents):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.jsonl", Path(tmp) / "second.jsonl"
+        write_corpus(documents, first)
+        parsed, skipped = parse_corpus(first)
+        assert skipped == 0 and parsed == documents
+        write_corpus(parsed, second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+@st.composite
 def sweeps(draw):
     """Up to three documents of sentences drawn from a pool of at most four
     (so sentences repeat), with punctuation-only ones, scores on a coarse grid
@@ -252,15 +287,16 @@ dpp_instances = st.tuples(st.integers(1, 8), st.integers(1, 4)).flatmap(
 @FAST
 @given(dpp_instances)
 def test_dpp_normalizer_and_subset_log_probs(instance):
-    hidden, quality = instance
-    kern = build_kernel(np.array(hidden), np.array(quality),
-                        ridge=DEFAULT_DPP_RIDGE)
+    """The normalizer identity holds, and every non-empty subset, all of them
+    in one stack, has a log-probability -loss of at most 0."""
+    hidden, quality = np.array(instance[0]), np.array(instance[1])
+    kernel = primal_kernel(hidden, quality)[0]
     n = len(quality)
-    assert brute_force_subset_sum(kern.kernel) == pytest.approx(
-        np.linalg.det(kern.kernel + np.eye(n)), rel=1e-9)
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            assert dpp_log_prob(kern, subset) <= 0.0
+    assert brute_force_subset_sum(kernel) == pytest.approx(
+        np.linalg.det(kernel + np.eye(n)), rel=1e-9)
+    subsets = [subset for size in range(1, n + 1) for subset in combinations(range(n), size)]
+    loss = one_document(hidden, quality, subsets, ridge=DEFAULT_DPP_RIDGE, with_grads=False)
+    assert np.all(-loss.value <= 0.0)
 
 
 # n <= 8 sentences of width 1-6 with a non-empty subset Y of at most that
@@ -279,18 +315,18 @@ well_posed_dpp = st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
 @given(well_posed_dpp)
 def test_dpp_gradient_matches_primal_reference(instance):
     hidden, quality, subset = np.array(instance[0]), np.array(instance[1]), instance[2]
-    kernel = build_kernel(hidden, quality).kernel
+    kernel = primal_kernel(hidden, quality)[0]
     # well conditioned: the subset minor is far from singular, so the ridge
     # never escalates
     assume(np.linalg.cond(kernel[np.ix_(subset, subset)]) < 1e4)
     value, d_hidden, d_quality = primal_dpp_loss_and_grad(
         hidden, quality, subset, DEFAULT_DPP_RIDGE)
-    loss = dpp_loss_and_grad(hidden, quality, subset, ridge=DEFAULT_DPP_RIDGE)
+    loss = one_document(hidden, quality, [subset], ridge=DEFAULT_DPP_RIDGE)
     # the dual normalizer log det(I_d + B^T B) rounds differently
-    assert loss.value == pytest.approx(value, rel=1e-12)
+    assert loss.value[0] == pytest.approx(value, rel=1e-12)
     assert loss.ridge_used == DEFAULT_DPP_RIDGE
-    np.testing.assert_allclose(loss.d_hidden, d_hidden, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(loss.d_quality, d_quality, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(loss.d_hidden[0], d_hidden, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(loss.d_quality[0], d_quality, rtol=1e-9, atol=1e-12)
 
 
 @FAST
@@ -298,32 +334,31 @@ def test_dpp_gradient_matches_primal_reference(instance):
     st.just(instance), st.permutations(range(len(instance[1]))))), st.integers(1, 3))
 def test_dpp_loss_is_invariant_to_row_order(drawn, extra):
     """Permuting a document's rows, with Y permuted to match, keeps the value
-    up to rounding and permutes the gradients: for an index-list subset, and
+    up to rounding and permutes the gradients: for each document alone, and
     for the original and the permuted document as one stack padded by
-    ``extra`` rows, with mask subsets."""
+    ``extra`` rows."""
     (hidden, quality, subset), perm = drawn
     hidden, quality, perm = np.array(hidden), np.array(quality), np.array(perm)
-    kernel = build_kernel(hidden, quality).kernel
+    kernel = primal_kernel(hidden, quality)[0]
     assume(np.linalg.cond(kernel[np.ix_(subset, subset)]) < 1e4)
     n, d = hidden.shape
     # row j of the permuted document is row perm[j] of the original
     moved = [j for j in range(n) if perm[j] in subset]
-    loss = dpp_loss_and_grad(hidden, quality, subset)
+    loss = one_document(hidden, quality, [subset])
     stack_hidden = np.ones((2, n + extra, d))
     stack_quality = np.full((2, n + extra), 0.5)
     stack_hidden[0, :n], stack_hidden[1, :n] = hidden, hidden[perm]
     stack_quality[0, :n], stack_quality[1, :n] = quality, quality[perm]
-    mask = np.zeros((2, n + extra), dtype=bool)
-    mask[0, subset], mask[1, moved] = True, True
-    stacked = dpp_loss_and_grad(stack_hidden, stack_quality, mask, lengths=[n, n])
-    permuted = dpp_loss_and_grad(hidden[perm], quality[perm], moved)
+    stacked = dpp_loss_and_grad(stack_hidden, stack_quality,
+                                subset_masks([subset, moved], n + extra), [n, n])
+    permuted = one_document(hidden[perm], quality[perm], [moved])
     for value, d_hidden, d_quality in (
-            (permuted.value, permuted.d_hidden, permuted.d_quality),
+            (permuted.value[0], permuted.d_hidden[0], permuted.d_quality[0]),
             (stacked.value[1], stacked.d_hidden[1, :n], stacked.d_quality[1, :n])):
-        assert value == pytest.approx(loss.value, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(d_hidden, loss.d_hidden[perm], rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(d_quality, loss.d_quality[perm], rtol=1e-9, atol=1e-12)
-    assert stacked.value[0] == pytest.approx(loss.value, rel=1e-12, abs=1e-12)
+        assert value == pytest.approx(loss.value[0], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(d_hidden, loss.d_hidden[0, perm], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(d_quality, loss.d_quality[0, perm], rtol=1e-9, atol=1e-12)
+    assert stacked.value[0] == pytest.approx(loss.value[0], rel=1e-12, abs=1e-12)
 
 
 # Words with case, unicode, inner and pure punctuation, and cue-phrase words;

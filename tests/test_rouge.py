@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from sectsum import lcs_length, rouge_l, rouge_n
+from sectsum import rouge_l, rouge_n
+from sectsum.rouge import Reference
+
+from conftest import dp_lcs_length
 
 
 def test_rouge1_fixture():
@@ -76,11 +79,12 @@ def test_precision_recall_exchange_symmetry():
 
 
 def test_lcs_length_basics():
-    assert lcs_length(["a", "b", "c"], ["a", "c"]) == 2
-    assert lcs_length([], ["a"]) == 0
-    assert lcs_length(["x"], ["y"]) == 0
+    assert Reference(["a", "c"]).lcs(["a", "b", "c"]) == 2
+    assert Reference(["a"]).lcs([]) == 0
+    assert Reference([]).lcs(["a"]) == 0
+    assert Reference(["y"]).lcs(["x"]) == 0
     seq = ["a", "b", "a", "b"]
-    assert lcs_length(seq, seq) == 4
+    assert Reference(seq).lcs(seq) == 4
 
 
 def test_lcs_symmetry_and_bounds():
@@ -89,6 +93,6 @@ def test_lcs_symmetry_and_bounds():
     for _ in range(40):
         a = list(rng.choice(vocab, size=rng.integers(0, 12)))
         b = list(rng.choice(vocab, size=rng.integers(0, 12)))
-        l = lcs_length(a, b)
-        assert l == lcs_length(b, a)
+        l = Reference(b).lcs(a)
+        assert l == Reference(a).lcs(b) == dp_lcs_length(a, b)
         assert 0 <= l <= min(len(a), len(b))

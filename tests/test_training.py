@@ -11,15 +11,14 @@ from sectsum import (
     NumericsError,
     TrainConfig,
     Variant,
-    bce_loss,
     dpp,
     fit,
     grad_check,
     init_params,
-    learning_rate_at,
     total_loss,
     training,
 )
+from sectsum.training import bce_loss, learning_rate_at
 
 from conftest import loop_grad_check
 
@@ -29,18 +28,21 @@ def test_bce_frozen_values():
 
     probs (0.9, 0.8), labels (1, 1): -(ln 0.9 + ln 0.8)/2 = 0.16425203...
     probs (0.6, 0.3), labels (1, 0): -(ln 0.6 + ln 0.7)/2 = 0.43375028...
+    One stack: the first row is (0.9, 0.8, 0.5) with labels all 1, so its
+    mean is (2 * 0.16425203... + ln 2)/3; the second row is padded by one
+    entry, which its mean leaves out.
     """
-    assert bce_loss(np.array([0.9, 0.8]), np.array([1, 1])) == \
-        pytest.approx(0.1642520335, rel=1e-8)
-    assert bce_loss(np.array([0.6, 0.3]), np.array([1, 0])) == \
-        pytest.approx(0.4337502838, rel=1e-9)
+    values = bce_loss(np.array([[0.9, 0.8, 0.5], [0.6, 0.3, 0.01]]),
+                      np.array([[1, 1, 1], [1, 0, 1]]), [3, 2])
+    assert values[0] == pytest.approx((2 * 0.1642520335 + math.log(2)) / 3, rel=1e-8)
+    assert values[1] == pytest.approx(0.4337502838, rel=1e-9)
 
 
 def test_bce_clamps_saturated_probabilities():
     # a confident wrong answer is clamped, not infinite
-    value = bce_loss(np.array([1.0]), np.array([0]))
+    value, other = bce_loss(np.array([[1.0], [0.0]]), np.array([[0], [1]]), [1, 1])
     assert value == pytest.approx(-math.log(1e-7), rel=1e-6)
-    assert math.isfinite(bce_loss(np.array([0.0]), np.array([1])))
+    assert math.isfinite(other)
 
 
 def test_train_config_variant_handling():
