@@ -14,6 +14,9 @@ seed 0 is used. Outputs are bitwise identical across runs at a fixed BLAS
 thread count (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``): the reductions
 inside matrix products, and so ``train`` checkpoints, depend on it.
 ``--threads`` of ``label`` and ``predict`` does not change their output.
+``predict`` scores documents of one sentence count together, in stacks of
+one forward pass each and without padding, so a document's prediction does
+not depend on the other documents of the corpus.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import multiprocessing
 import sys
 from pathlib import Path
@@ -48,7 +52,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .evaluation import evaluate_full, score_vs_k, selection_histogram, with_references
-from .inference import predict_document, read_predictions, write_predictions
+from .inference import length_stacks, predict_document, read_predictions, write_predictions
 from .oracle import SegLabelConvention, build_labels
 from .training import TrainConfig, TrainingError, fit, grad_check
 
@@ -203,13 +207,14 @@ def _cmd_synth(args):
     return 0
 
 
-def _map_documents(worker, documents, threads):
-    """``[worker(doc) for doc in documents]``, on ``threads`` worker processes
-    when ``threads`` is above 1; the result order is the same either way."""
+def _map_documents(worker, items, threads):
+    """``[worker(item) for item in items]`` (documents for ``label``, stacks
+    of documents for ``predict``), on ``threads`` worker processes when
+    ``threads`` is above 1; the result order is the same either way."""
     if threads > 1:
         with multiprocessing.Pool(threads) as pool:
-            return list(pool.imap(worker, documents, chunksize=8))
-    return [worker(doc) for doc in documents]
+            return list(pool.imap(worker, items, chunksize=8))
+    return [worker(item) for item in items]
 
 
 def _label_one(doc, convention, max_sentences):
@@ -218,6 +223,8 @@ def _label_one(doc, convention, max_sentences):
 
 
 def _cmd_label(args):
+    if args.max_sentences is not None and args.max_sentences < 0:
+        raise ValueError(f"--max-sentences must be at least 0, got {args.max_sentences}")
     documents, skipped = parse_corpus(args.corpus, strict=True)
     convention = SegLabelConvention(args.seg_label)
     worker = functools.partial(_label_one, convention=convention,
@@ -309,6 +316,10 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
+    if args.k < 0:
+        raise ValueError(f"--k must be at least 0, got {args.k}")
+    if not math.isfinite(args.threshold):
+        raise ValueError(f"--threshold must be finite, got {args.threshold}")
     documents, _ = parse_corpus(args.corpus, strict=True)
     params, feature_config = load_checkpoint(args.checkpoint)
     convention = SegLabelConvention(args.seg_label)
@@ -316,7 +327,9 @@ def _cmd_predict(args):
         predict_document, params=params, config=feature_config, k=args.k,
         threshold=args.threshold, convention=convention,
     )
-    predictions = _map_documents(worker, documents, args.threads)
+    stacks = _map_documents(worker, length_stacks(documents, params.n_heads), args.threads)
+    by_id = {pred.doc_id: pred for stack in stacks for pred in stack}  # ids are unique
+    predictions = [by_id[doc.id] for doc in documents]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "predictions.jsonl"

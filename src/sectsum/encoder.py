@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import zlib
 from dataclasses import dataclass, field, fields
 
@@ -96,7 +97,10 @@ def base_features(doc, config):
     Columns: L2-normalized hashed bag-of-words counts, then normalized
     position i/n, log(1 + token count), cosine similarity of the sentence
     TF-IDF vector to the document centroid, and a cue-lexicon indicator.
-    Both word blocks come from one sentence x word-type count matrix.
+    Both word blocks come from one sentence x word-type count matrix, built
+    by one ``np.bincount``; the hashed block is that matrix times the
+    word-type x bucket one-hot matrix, and the cue column is one search of
+    each lowercased sentence for the alternation of the lowercased phrases.
     Deterministic: the word hash is crc32, independent of process state.
     """
     n = len(doc.sentences)
@@ -105,47 +109,50 @@ def base_features(doc, config):
     lengths = [len(sent.tokens) for sent in doc.sentences]
     vocab = sorted(set(tokens))
     column = {tok: j for j, tok in enumerate(vocab)}
-    tf = np.zeros((n, len(vocab)))
-    np.add.at(tf, (np.repeat(np.arange(n), lengths),
-                   np.array([column[tok] for tok in tokens], dtype=np.intp)), 1.0)
+    cells = np.repeat(np.arange(n) * len(vocab), lengths) + np.fromiter(
+        map(column.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    tf = np.bincount(cells, minlength=n * len(vocab)).reshape(n, len(vocab)).astype(float)
 
     out = np.zeros((n, buckets + N_SCALAR_FEATURES))
+    word_bucket = np.zeros((len(vocab), buckets))
+    word_bucket[np.arange(len(vocab)),
+                [zlib.crc32(tok.encode("utf-8")) % buckets for tok in vocab]] = 1.0
+    # The counts are integers, so the product and every sum of squares are
+    # exact, and these norms equal a per-row np.linalg.norm bit for bit.
     hashed = out[:, :buckets]
-    word_bucket = np.array([zlib.crc32(tok.encode("utf-8")) % buckets for tok in vocab],
-                           dtype=np.intp)
-    np.add.at(hashed.T, word_bucket, tf.T)
-    # The counts are integers, so every sum of squares is exact and these
-    # norms equal a per-row np.linalg.norm bit for bit.
+    hashed[...] = tf @ word_bucket
     norms = np.sqrt((hashed * hashed).sum(axis=1))
     hashed /= np.where(norms > 0, norms, 1.0)[:, None]
 
     out[:, buckets] = np.arange(n) / n
     out[:, buckets + 1] = [math.log1p(length) for length in lengths]
     out[:, buckets + 2] = _centroid_similarity(tf)
-    lexicon = [phrase.lower() for phrase in config.cue_lexicon]
-    for i, sent in enumerate(doc.sentences):
-        text = sent.text.lower()
-        if any(phrase in text for phrase in lexicon):
-            out[i, buckets + 3] = 1.0
+    if config.cue_lexicon:  # an empty alternation would match every sentence
+        cue = re.compile("|".join(re.escape(phrase.lower()) for phrase in config.cue_lexicon))
+        out[:, buckets + 3] = [cue.search(sent.text.lower()) is not None
+                               for sent in doc.sentences]
     return out
 
 
 def _centroid_similarity(tf):
     """Cosine of each sentence's TF-IDF vector against the document centroid,
-    from the sentence x word-type count matrix ``tf``."""
+    from the sentence x word-type count matrix ``tf``. Each norm is
+    ``sqrt(row.dot(row))``, which is what ``np.linalg.norm`` computes on a
+    row; the dot products stay per row, as a matrix product rounds
+    differently."""
     n = tf.shape[0]
     df = (tf > 0).sum(axis=0)
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
     vec = tf * idf
     centroid = vec.mean(axis=0)
-    c_norm = np.linalg.norm(centroid)
+    c_norm = math.sqrt(centroid.dot(centroid))
     sims = np.zeros(n)
     if c_norm == 0:
         return sims
-    for i in range(n):
-        v_norm = np.linalg.norm(vec[i])
+    for i, row in enumerate(vec):
+        v_norm = math.sqrt(row.dot(row))
         if v_norm > 0:
-            sims[i] = float(vec[i] @ centroid) / (v_norm * c_norm)
+            sims[i] = float(row.dot(centroid)) / (v_norm * c_norm)
     return sims
 
 

@@ -30,12 +30,18 @@ __all__ = [
     "predict_boundaries",
     "render_summary",
     "predict_document",
+    "length_stacks",
     "paired",
     "write_predictions",
     "read_predictions",
 ]
 
 DEFAULT_BOUNDARY_THRESHOLD = 0.5
+
+# Largest G * n_heads * n * n attention-score count of one prediction stack
+# of G documents of n sentences: peak memory stays bounded whatever the
+# corpus size, while short documents still share one forward pass.
+_STACK_ATTENTION_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -94,21 +100,47 @@ def render_summary(doc, selected):
     return " ".join(doc.sentences[i].text for i in sorted(selected))
 
 
-def predict_document(doc, params, config, k,
+def predict_document(docs, params, config, k,
                      threshold=DEFAULT_BOUNDARY_THRESHOLD,
                      convention=SegLabelConvention.FIRST):
-    """Score one document and apply both decision rules."""
-    enc = forward_document(doc, params, config, with_caches=False)
-    selected = select_top_k(enc.summary_probs, k)
-    boundaries = predict_boundaries(enc.boundary_probs, threshold=threshold,
-                                    convention=convention)
-    return Prediction(
-        doc_id=doc.id,
-        selected=selected,
-        boundaries=boundaries,
-        scores_sum=tuple(float(v) for v in enc.summary_probs),
-        scores_seg=tuple(float(v) for v in enc.boundary_probs),
-    )
+    """Score a stack of documents of one sentence count in one forward pass
+    and apply both decision rules; returns their predictions in order.
+
+    The stack is never padded, so each prediction is bit for bit the one the
+    document gets alone. Documents of different lengths raise ValueError;
+    :func:`length_stacks` groups a corpus into such stacks.
+    """
+    if len({len(doc.sentences) for doc in docs}) != 1:
+        raise ValueError("predict_document takes one or more documents of one "
+                         "sentence count")
+    enc = forward_document(docs, params, config, with_caches=False)
+    return [
+        Prediction(
+            doc_id=doc.id,
+            selected=select_top_k(summary_probs, k),
+            boundaries=predict_boundaries(boundary_probs, threshold=threshold,
+                                          convention=convention),
+            scores_sum=tuple(summary_probs.tolist()),
+            scores_seg=tuple(boundary_probs.tolist()),
+        )
+        for doc, summary_probs, boundary_probs
+        in zip(docs, enc.summary_probs, enc.boundary_probs)
+    ]
+
+
+def length_stacks(documents, n_heads):
+    """``documents`` cut into stacks for :func:`predict_document`: lists of
+    documents of one sentence count n, in corpus order, at most
+    ``_STACK_ATTENTION_ENTRIES // (n_heads * n * n)`` to a stack and at least
+    one, so a stack's attention scores stay within that budget."""
+    by_length = {}
+    for doc in documents:
+        by_length.setdefault(len(doc.sentences), []).append(doc)
+    stacks = []
+    for n, group in by_length.items():
+        size = max(1, _STACK_ATTENTION_ENTRIES // (n_heads * n * n))
+        stacks += [group[start:start + size] for start in range(0, len(group), size)]
+    return stacks
 
 
 def paired(predictions, documents):

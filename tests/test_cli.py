@@ -528,6 +528,7 @@ def test_exit_codes(tmp_path, capsys):
     ["gradcheck", "--step", "0"],
     ["gradcheck", "--tolerance", "nan"],
     ["predict", "--threshold", "nan"],
+    ["predict", "--k", "-1"],
     ["label", "--max-sentences", "-1"],
     ["train", "--val-fraction", "nan"],
     ["train", "--val-fraction", "-0.5"],
@@ -573,6 +574,28 @@ def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
     # nothing is written before the settings are checked
     for output in ("run", "l.jsonl", "eval") + (("pred",) if argv[0] != "eval" else ()):
         assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--k", "-1"],
+    ["predict", "--threshold", "nan"],
+    ["label", "--max-sentences", "-1"],
+], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_invalid_number_exits_1_on_an_empty_corpus(tmp_path, capsys, argv):
+    """The number arguments are checked before any input is read, so an
+    empty corpus, which gives no document to fail on, still exits 1."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    checkpoint = tmp_path / "model.ckpt"
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2), config)
+    inputs = {
+        "predict": ["--checkpoint", str(checkpoint), "--out", str(tmp_path / "pred")],
+        "label": ["--out", str(tmp_path / "l.jsonl")],
+    }[argv[0]]
+    assert run(argv + ["--corpus", str(empty)] + inputs) == 1
+    assert "invalid arguments" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists() and not (tmp_path / "l.jsonl").exists()
 
 
 def test_help_exits_zero(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from sectsum import (
     CorpusError,
+    Document,
     SegLabelConvention,
     predict_boundaries,
     predict_document,
@@ -13,6 +14,8 @@ from sectsum import (
     select_top_k,
     write_predictions,
 )
+
+from sectsum import inference
 
 from conftest import make_doc
 
@@ -61,7 +64,7 @@ def test_render_summary_sorted_join():
 def test_predict_document_fields(small_model, tiny_corpus):
     config, params = small_model
     doc = tiny_corpus[0]
-    pred = predict_document(doc, params, config, k=3)
+    [pred] = predict_document([doc], params, config, k=3)
     assert pred.doc_id == doc.id
     assert len(pred.selected) == 3
     assert pred.selected == tuple(sorted(pred.selected))
@@ -72,9 +75,45 @@ def test_predict_document_fields(small_model, tiny_corpus):
     assert pred.selected == top
 
 
+def _docs_of_lengths(lengths):
+    rng = np.random.default_rng(4)
+    return [Document.build(f"d{i}", [" ".join(f"w{v}" for v in rng.integers(0, 12, 4))
+                                     for _ in range(n)])
+            for i, n in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("budget, expected", [
+    (None, [["d0", "d2", "d3", "d5", "d7"], ["d1", "d6"], ["d4"]]),
+    # two 6-sentence documents at 2 heads: the group of five splits
+    (2 * 2 * 6 * 6, [["d0", "d2"], ["d3", "d5"], ["d7"], ["d1", "d6"], ["d4"]]),
+], ids=["default", "split"])
+def test_stacked_documents_get_their_predictions_alone(small_model, monkeypatch, budget,
+                                                       expected):
+    """Documents are stacked by sentence count in corpus order, and every
+    document of a stack gets bit for bit the prediction it gets alone."""
+    config, params = small_model
+    if budget is not None:
+        monkeypatch.setattr(inference, "_STACK_ATTENTION_ENTRIES", budget)
+    stacks = inference.length_stacks(_docs_of_lengths([6, 4, 6, 6, 9, 6, 4, 6]), params.n_heads)
+    assert [[doc.id for doc in stack] for stack in stacks] == expected
+    for stack in stacks:
+        alone = [predict_document([doc], params, config, k=2)[0] for doc in stack]
+        assert predict_document(stack, params, config, k=2) == alone
+
+
+def test_predict_document_never_pads(small_model, monkeypatch):
+    config, params = small_model
+    calls = []
+    monkeypatch.setattr(inference, "forward_document", lambda *a, **kw: calls.append(a))
+    for docs in (_docs_of_lengths([6, 4]), []):
+        with pytest.raises(ValueError, match="one sentence count"):
+            predict_document(docs, params, config, k=2)
+    assert calls == []
+
+
 def test_predictions_round_trip(tmp_path, small_model, tiny_corpus):
     config, params = small_model
-    preds = [predict_document(doc, params, config, k=2) for doc in tiny_corpus]
+    preds = [predict_document([doc], params, config, k=2)[0] for doc in tiny_corpus]
     path = tmp_path / "predictions.jsonl"
     write_predictions(preds, tiny_corpus, path)
     loaded = read_predictions(path)
@@ -87,7 +126,7 @@ def test_predictions_round_trip(tmp_path, small_model, tiny_corpus):
 
 def test_write_predictions_unknown_document(tmp_path, small_model, tiny_corpus):
     config, params = small_model
-    pred = predict_document(tiny_corpus[0], params, config, k=1)
+    [pred] = predict_document([tiny_corpus[0]], params, config, k=1)
     ghost = pred.__class__(doc_id="missing", selected=(0,), boundaries=(0,),
                            scores_sum=(0.5,), scores_seg=(0.5,))
     with pytest.raises(CorpusError, match="missing"):

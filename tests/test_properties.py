@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sectsum import (
@@ -361,19 +361,29 @@ def test_dpp_loss_is_invariant_to_row_order(drawn, extra):
     assert stacked.value[0] == pytest.approx(loss.value[0], rel=1e-12, abs=1e-12)
 
 
-# Words with case, unicode, inner and pure punctuation, and cue-phrase words;
-# the w-words widen the vocabulary so TF-IDF rows get long.
+# Words with case, unicode, inner and pure punctuation, regex metacharacters
+# ("xzy" matches an unescaped "x.y") and cue-phrase words; the w-words widen
+# the vocabulary so TF-IDF rows get long.
 feature_words = st.sampled_from(
-    ["a", "B", "naïve", "日本", "Café", "--", "...", "it's", "x.y", "so", "next",
-     "we", "need", "moving", "on", "to"] + [f"w{i}" for i in range(30)])
+    ["a", "B", "naïve", "日本", "Café", "--", "...", "it's", "x.y", "xzy", "(", "f(x)",
+     "so", "next", "we", "need", "moving", "on", "to"] + [f"w{i}" for i in range(30)])
 feature_docs = st.builds(
     lambda texts: Document.build("d", texts),
     st.lists(st.lists(feature_words, max_size=12).map(" ".join), min_size=1,
              max_size=20))
 
 
+# Cue lexicons: none, the default, phrases with uppercase letters and regex
+# metacharacters, and one with an empty phrase, which flags every sentence.
+cue_lexicons = [(), CUE_PHRASES, ("CAFÉ", "x.y", "("), ("Naïve B", "")]
+cue_doc = Document.build("d", ["Café w1", "xzy", "f(x) w2", "naïve b"])
+
+
 @settings(FAST, max_examples=200)
-@given(feature_docs, st.integers(4, 9), st.sampled_from([(), CUE_PHRASES]))
+@given(feature_docs, st.integers(4, 9), st.sampled_from(cue_lexicons))
+@example(cue_doc, 4, cue_lexicons[0])
+@example(cue_doc, 4, cue_lexicons[2])
+@example(cue_doc, 4, cue_lexicons[3])
 def test_base_features_match_the_loop_reference(doc, buckets, lexicon):
     # few buckets, so distinct words collide in them
     config = FeatureConfig(dim=4, hash_buckets=buckets, cue_lexicon=lexicon)
