@@ -13,10 +13,10 @@ All randomness flows from ``--seed``; when omitted the documented default
 seed 0 is used. Outputs are bitwise identical across runs at a fixed BLAS
 thread count (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``): the reductions
 inside matrix products, and so ``train`` checkpoints, depend on it.
-``--threads`` of ``label`` and ``predict`` does not change their output.
-``predict`` scores documents of one sentence count together, in stacks of
-one forward pass each and without padding, so a document's prediction does
-not depend on the other documents of the corpus.
+Every command runs in one process. ``predict`` scores documents of one
+sentence count together, in stacks of one forward pass each and without
+padding, so a document's prediction does not depend on the other documents
+of the corpus.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
-import multiprocessing
 import sys
 from pathlib import Path
 
@@ -105,8 +103,6 @@ def build_parser():
                    help="boundary label convention")
     p.add_argument("--max-sentences", type=int, default=None,
                    help="cap on greedy summary size")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for labeling")
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("train", help="train a scoring model")
@@ -147,8 +143,6 @@ def build_parser():
                    help="boundary decision threshold")
     p.add_argument("--seg-label", choices=["first", "last"], default="first",
                    help="convention the model was trained with")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for scoring")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("eval", help="evaluate predictions against a corpus")
@@ -207,29 +201,16 @@ def _cmd_synth(args):
     return 0
 
 
-def _map_documents(worker, items, threads):
-    """``[worker(item) for item in items]`` (documents for ``label``, stacks
-    of documents for ``predict``), on ``threads`` worker processes when
-    ``threads`` is above 1; the result order is the same either way."""
-    if threads > 1:
-        with multiprocessing.Pool(threads) as pool:
-            return list(pool.imap(worker, items, chunksize=8))
-    return [worker(item) for item in items]
-
-
-def _label_one(doc, convention, max_sentences):
-    labels = build_labels(doc, convention=convention, max_sentences=max_sentences)
-    return dataclasses.replace(doc, labels=labels)
-
-
 def _cmd_label(args):
     if args.max_sentences is not None and args.max_sentences < 0:
         raise ValueError(f"--max-sentences must be at least 0, got {args.max_sentences}")
     documents, skipped = parse_corpus(args.corpus, strict=True)
     convention = SegLabelConvention(args.seg_label)
-    worker = functools.partial(_label_one, convention=convention,
-                               max_sentences=args.max_sentences)
-    labeled = _map_documents(worker, documents, args.threads)
+    labeled = [
+        dataclasses.replace(doc, labels=build_labels(
+            doc, convention=convention, max_sentences=args.max_sentences))
+        for doc in documents
+    ]
     out_path = args.corpus if args.in_place else args.out
     write_corpus(labeled, out_path)
     print(f"labeled {len(labeled)} documents -> {out_path}")
@@ -270,6 +251,8 @@ def _load_train_config(args):
 def _cmd_train(args):
     if not 0.0 <= args.val_fraction < 1.0:
         raise ValueError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     config = _load_train_config(args)
     train_docs, _ = parse_corpus(args.corpus, strict=True)
     if args.val_corpus is not None:
@@ -323,12 +306,12 @@ def _cmd_predict(args):
     documents, _ = parse_corpus(args.corpus, strict=True)
     params, feature_config = load_checkpoint(args.checkpoint)
     convention = SegLabelConvention(args.seg_label)
-    worker = functools.partial(
-        predict_document, params=params, config=feature_config, k=args.k,
-        threshold=args.threshold, convention=convention,
-    )
-    stacks = _map_documents(worker, length_stacks(documents, params.n_heads), args.threads)
-    by_id = {pred.doc_id: pred for stack in stacks for pred in stack}  # ids are unique
+    by_id = {  # ids are unique
+        pred.doc_id: pred
+        for stack in length_stacks(documents, params.n_heads)
+        for pred in predict_document(stack, params, feature_config, args.k,
+                                     threshold=args.threshold, convention=convention)
+    }
     predictions = [by_id[doc.id] for doc in documents]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -431,8 +414,6 @@ def run(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -179,9 +179,19 @@ def write_predictions(predictions, documents, path):
             fh.write("\n")
 
 
+def _distinct_indices(value, name):
+    indices = _int_list(value, name)
+    if len(set(indices)) != len(indices):
+        raise CorpusError(f"{name} repeats an index")
+    return indices
+
+
 def read_predictions(path):
-    """Read prediction JSONL back into :class:`Prediction` objects."""
+    """Read prediction JSONL back into :class:`Prediction` objects. A record
+    that repeats an earlier record's id, or an index within its ``selected``
+    or ``boundaries``, raises :class:`CorpusError`."""
     predictions = []
+    first_line = {}  # document id -> line number
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -193,8 +203,8 @@ def read_predictions(path):
                 record["id"].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
                 pred = Prediction(
                     doc_id=record["id"],
-                    selected=_int_list(record["selected"], "selected"),
-                    boundaries=_int_list(record["boundaries"], "boundaries"),
+                    selected=_distinct_indices(record["selected"], "selected"),
+                    boundaries=_distinct_indices(record["boundaries"], "boundaries"),
                     scores_sum=tuple(record["scores_sum"]),
                     scores_seg=tuple(record["scores_seg"]),
                 )
@@ -205,5 +215,9 @@ def read_predictions(path):
                        for v in pred.scores_sum + pred.scores_seg):
                 raise CorpusError(f"line {line_no}: non-finite or non-numeric score "
                                   "in prediction record")
+            if pred.doc_id in first_line:
+                raise CorpusError(f"line {line_no}: document id {pred.doc_id!r} repeats "
+                                  f"line {first_line[pred.doc_id]}")
+            first_line[pred.doc_id] = line_no
             predictions.append(pred)
     return predictions

@@ -356,7 +356,7 @@ def _validation_metrics(val_docs, params, config, feature_config, features,
     }
 
 
-def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
+def fit(train_docs, config, feature_config=None, val_docs=(),
         n_layers=2, n_heads=4, ffn_hidden=None, eval_top_k=3):
     """Train a model with Adam and linear warmup.
 
@@ -370,11 +370,9 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
     val_docs : list of Document
         Optional labeled validation documents; per-epoch metrics are logged
         against them and the best-validation-loss parameters are retained.
-    params : ModelParams or None
-        Warm start (copied, never modified); by default parameters are
-        initialized from the config seed.
     n_layers, n_heads, ffn_hidden
-        Architecture knobs used only when ``params`` is None.
+        Architecture knobs; the parameters are initialized from the config
+        seed.
     eval_top_k
         Summary size for the per-epoch validation ROUGE-1; validation
         boundaries use ``inference.DEFAULT_BOUNDARY_THRESHOLD``.
@@ -391,11 +389,8 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
     for doc in [*train_docs, *val_docs]:
         _doc_arrays(doc)  # a missing label stops the run before its first step
     feature_config = feature_config or FeatureConfig()
-    if params is None:
-        params = init_params(feature_config, n_layers=n_layers, n_heads=n_heads,
-                             ffn_hidden=ffn_hidden, rng_seed=config.rng_seed)
-    else:
-        params = params.copy()
+    params = init_params(feature_config, n_layers=n_layers, n_heads=n_heads,
+                         ffn_hidden=ffn_hidden, rng_seed=config.rng_seed)
     train_features = [base_features(doc, feature_config) for doc in train_docs]
     val_features = [base_features(doc, feature_config) for doc in val_docs]
     rng = np.random.default_rng(config.rng_seed)
@@ -404,7 +399,7 @@ def fit(train_docs, config, feature_config=None, val_docs=(), params=None,
     updates_per_epoch = math.ceil(batches_per_epoch / config.grad_accumulation)
     total_updates = config.epochs * updates_per_epoch
 
-    theta = params.vector  # Adam updates the working copy in place
+    theta = params.vector  # Adam updates the parameters in place
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     update = 0

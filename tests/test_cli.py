@@ -114,16 +114,6 @@ def test_predict_write_failing_halfway_leaves_no_output(tmp_path, labeled_corpus
     assert list(out.iterdir()) == []
 
 
-def test_label_threads_match_sequential(tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    _synth(path, docs=6)
-    seq, par = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
-    assert run(["label", "--corpus", str(path), "--out", str(seq)]) == 0
-    assert run(["label", "--corpus", str(path), "--out", str(par),
-                "--threads", "2"]) == 0
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def _train(tmp_path, corpus, out, extra=()):
     args = ["train", "--corpus", str(corpus), "--out", str(out),
             "--epochs", "2", "--dim", "8", "--hash-buckets", "16",
@@ -316,12 +306,15 @@ def _write_jsonl(path, records):
     ("selected", lambda n: "ab"),
     ("boundaries", lambda n: [0, 999]),
     ("boundaries", lambda n: [0, True]),
+    ("selected", lambda n: [1, 1, 1]),
+    ("boundaries", lambda n: [0, 1, 0]),
     ("scores_sum", lambda n: [0.5] * (n - 1)),
     ("scores_seg", lambda n: [0.5] * (n + 1)),
     ("id", lambda n: ["x"]),
     ("id", lambda n: {}),
 ], ids=["selected_negative", "selected_n", "selected_float", "selected_str",
-        "boundary_past_end", "boundary_bool", "scores_sum_short", "scores_seg_long",
+        "boundary_past_end", "boundary_bool", "selected_repeat", "boundary_repeat",
+        "scores_sum_short", "scores_seg_long",
         "id_list", "id_object"])
 def test_prediction_that_does_not_fit_its_document_exits_2(tmp_path, capsys,
                                                           field, value):
@@ -336,6 +329,19 @@ def test_prediction_that_does_not_fit_its_document_exits_2(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert docs[1].id in err or "line 2" in err, err
+
+
+def test_prediction_that_repeats_a_document_id_exits_2(tmp_path, capsys):
+    """A repeated document would count twice in every mean of the report."""
+    corpus = tmp_path / "corpus.jsonl"
+    _synth(corpus, docs=5)
+    docs, _ = parse_corpus(corpus)
+    records = _prediction_records(docs)
+    predictions = _write_jsonl(tmp_path / "predictions.jsonl", records + records[1:2])
+    assert run(["eval", "--corpus", str(corpus), "--predictions", str(predictions),
+                "--out", str(tmp_path / "eval")]) == 2
+    assert f"line 6: document id {docs[1].id!r} repeats line 2" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_prediction_for_unknown_document_is_rejected(tmp_path, capsys):
@@ -370,19 +376,6 @@ def test_train_zero_norm_sentence_is_numeric_failure(tmp_path, labeled_corpus,
     assert "zero-norm" in capsys.readouterr().err
 
 
-def test_predict_threads_match_sequential(tmp_path, labeled_corpus):
-    out = tmp_path / "run"
-    assert _train(tmp_path, labeled_corpus, out, ["--variant", "base"]) == 0
-    p_seq, p_par = tmp_path / "p1", tmp_path / "p2"
-    for target, threads in ((p_seq, "1"), (p_par, "2")):
-        assert run(["predict", "--corpus", str(labeled_corpus),
-                    "--checkpoint", str(out / "checkpoint.ckpt"),
-                    "--out", str(target), "--k", "2",
-                    "--threads", threads]) == 0
-    assert (p_seq / "predictions.jsonl").read_bytes() == \
-        (p_par / "predictions.jsonl").read_bytes()
-
-
 def test_prediction_of_a_document_ignores_the_rest_of_the_corpus(tmp_path, labeled_corpus):
     """Reversing the corpus, or dropping half its documents, leaves every
     remaining document's prediction line byte for byte the same."""
@@ -395,7 +388,7 @@ def test_prediction_of_a_document_ignores_the_rest_of_the_corpus(tmp_path, label
         corpus = tmp_path / f"{name}.jsonl"
         corpus.write_bytes(b"".join(corpus_lines))
         assert run(["predict", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
-                    "--out", str(tmp_path / name), "--threads", "1"]) == 0
+                    "--out", str(tmp_path / name)]) == 0
         out = (tmp_path / name / "predictions.jsonl").read_bytes().splitlines()
         return {json.loads(line)["id"]: line for line in out}
 
@@ -474,16 +467,14 @@ def test_empty_input_exits_2(tmp_path, labeled_corpus, capsys, command):
     assert "data error: no " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_label_without_reference_exits_2(tmp_path, capsys, threads):
+def test_label_without_reference_exits_2(tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
     _synth(path, docs=4)
     records = [json.loads(line) for line in path.read_text().splitlines()]
     records[2]["reference_summary"] = None
     _write_jsonl(path, records)
     out = tmp_path / "labeled.jsonl"
-    assert run(["label", "--corpus", str(path), "--out", str(out),
-                "--threads", threads]) == 2
+    assert run(["label", "--corpus", str(path), "--out", str(out)]) == 2
     assert f"document {records[2]['id']!r} has no reference summary" \
         in capsys.readouterr().err
     assert not out.exists()
@@ -533,12 +524,8 @@ def test_exit_codes(tmp_path, capsys):
     ["train", "--val-fraction", "nan"],
     ["train", "--val-fraction", "-0.5"],
     ["train", "--val-fraction", "1.0"],
-    ["label", "--threads", "0"],
-    ["label", "--threads", "-3"],
-    ["predict", "--threads", "0"],
     ["train", "--threads", "0"],
     ["train", "--threads", "-3"],
-    ["predict", "--threads", "-3"],
     ["eval", "--k-max", "0"],
     ["eval", "--k-max", "-3"],
     ["train", "--heads", "0"],
@@ -574,6 +561,21 @@ def test_invalid_settings_exit_1(tmp_path, labeled_corpus, capsys, argv):
     # nothing is written before the settings are checked
     for output in ("run", "l.jsonl", "eval") + (("pred",) if argv[0] != "eval" else ()):
         assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("command", ["label", "predict"])
+def test_threads_is_a_usage_error_of_label_and_predict(tmp_path, labeled_corpus, capsys,
+                                                      command):
+    """Both commands run in one process and take no worker count."""
+    checkpoint = tmp_path / "model.ckpt"
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2), config)
+    out = tmp_path / "out"
+    inputs = {"label": ["--out", str(out)],
+              "predict": ["--checkpoint", str(checkpoint), "--out", str(out)]}[command]
+    assert run([command, "--corpus", str(labeled_corpus), "--threads", "2"] + inputs) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

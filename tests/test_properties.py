@@ -5,8 +5,9 @@ one-document-at-a-time loop."""
 
 import dataclasses
 import tempfile
-from itertools import combinations
+from itertools import combinations, pairwise
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sectsum import (
     write_corpus,
 )
 from sectsum.cli import run
+from sectsum.inference import length_stacks
 from sectsum.rouge import Reference
 from sectsum.training import DEFAULT_DPP_RIDGE
 
@@ -498,3 +500,37 @@ def test_stacked_loss_matches_the_document_loop(specs, model, poisoned):
     with pytest.raises(TrainingError) as want:
         loop_total_loss(docs, params, train_config, config)
     assert str(got.value) == str(want.value)
+
+
+@FAST
+@given(st.lists(st.integers(1, 60), max_size=20))
+def test_training_stacks_sort_stably_and_bound_the_padding(lengths):
+    """``training._stacks`` orders the batch positions by length, ties in
+    batch order, and pads no document past ``_MAX_PADDING`` times its length."""
+    stacks = training._stacks(lengths)
+    order = [i for stack in stacks for i in stack]
+    assert sorted(order) == list(range(len(lengths)))
+    assert all((lengths[a], a) < (lengths[b], b) for a, b in pairwise(order))
+    for stack in stacks:
+        padded = max(lengths[i] for i in stack)
+        assert all(padded <= training._MAX_PADDING * lengths[i] for i in stack)
+
+
+@FAST
+@given(st.lists(st.sampled_from([1, 3, 7, 100, 128, 200, 256, 300]), max_size=30),
+       st.sampled_from([1, 2, 4]))
+@example([128] * 9 + [3, 128], 4)  # 2**18 // (4 * 128**2) = 4 to a stack
+def test_length_stacks_partition_the_corpus_within_the_attention_budget(lengths, heads):
+    """Every document lands in exactly one stack of one sentence count, each
+    length's documents keep corpus order, and a stack of n-sentence documents
+    holds at most max(1, 2**18 // (heads * n * n)) of them."""
+    documents = [SimpleNamespace(id=i, sentences=(None,) * n) for i, n in enumerate(lengths)]
+    stacks = length_stacks(documents, heads)
+    assert sorted(doc.id for stack in stacks for doc in stack) == list(range(len(lengths)))
+    for n in set(lengths):
+        in_stacks = [doc.id for stack in stacks for doc in stack if len(doc.sentences) == n]
+        assert in_stacks == [i for i, m in enumerate(lengths) if m == n]
+    for stack in stacks:
+        n = len(stack[0].sentences)
+        assert all(len(doc.sentences) == n for doc in stack)
+        assert 1 <= len(stack) <= max(1, 2 ** 18 // (heads * n * n))
