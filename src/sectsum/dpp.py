@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 __all__ = [
     "DppLoss",
@@ -150,7 +149,7 @@ def dpp_loss_and_grad(hidden, quality, in_subset, lengths, ridge=1e-8,
 
     # log det(L + I) = log det(I_d + B^T B), a d x d factorization.
     gram = np.eye(d) + rows.swapaxes(-1, -2) @ rows
-    _, log_norm = _chol_logdet(gram)
+    gram_factor, log_norm = _chol_logdet(gram)
 
     # Minors B_Y B_Y^T. Per-document subsets are padded to the largest |Y|
     # with identity, and the ridge goes on their real entries only.
@@ -170,10 +169,13 @@ def dpp_loss_and_grad(hidden, quality, in_subset, lengths, ridge=1e-8,
     d_hidden = d_quality = None
     if with_grads:
         # d value / dB = 2 (L + I)^-1 B = 2 B (I_d + B^T B)^-1, minus
-        # 2 A^-1 B_Y on the rows of Y, where A = B_Y B_Y^T + eps I is solved
-        # with the factor its log det came from.
-        d_rows = 2.0 * np.linalg.solve(gram, rows.swapaxes(-1, -2)).swapaxes(-1, -2)
-        solved = 2.0 * cho_solve((minor_factor, True), picked)
+        # 2 A^-1 B_Y on the rows of Y, where A = B_Y B_Y^T + eps I. Both
+        # solves go through the Cholesky factor C of their log det, as
+        # M^-1 = C^-T C^-1, over the whole stack at once.
+        gram_inv = np.linalg.inv(gram_factor)
+        d_rows = 2.0 * (rows @ gram_inv.swapaxes(-1, -2)) @ gram_inv
+        minor_inv = np.linalg.inv(minor_factor)
+        solved = 2.0 * (minor_inv.swapaxes(-1, -2) @ (minor_inv @ picked))
         d_rows[in_subset] -= solved[in_minor]
 
         # Chain through b_i = q_i u_i and the row normalization u_i = h_i / |h_i|.

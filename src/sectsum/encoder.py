@@ -337,16 +337,6 @@ def stable_sigmoid(z):
     return np.clip(out, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
-def _gelu(z):
-    return 0.5 * z * (1.0 + erf(z / math.sqrt(2.0)))
-
-
-def _gelu_grad(z):
-    cdf = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
-    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return cdf + z * pdf
-
-
 def _softmax(scores):
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -411,7 +401,8 @@ def _layer_forward(x, lp, n_heads, key_bias=None, with_cache=True):
     mid = x + merged @ lp.w_o
     normed2, ln2_cache = _layernorm_forward(mid, lp.ln2_gain, lp.ln2_bias)
     z = normed2 @ lp.w_ff1 + lp.b_ff1[..., None, :]
-    act = _gelu(z)
+    cdf = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))  # GELU(z) = z * Phi(z)
+    act = z * cdf
     out = mid + act @ lp.w_ff2 + lp.b_ff2[..., None, :]
     if not with_cache:
         return out, None
@@ -419,7 +410,7 @@ def _layer_forward(x, lp, n_heads, key_bias=None, with_cache=True):
         "ln1": ln1_cache, "ln2": ln2_cache,
         "normed1": normed1, "normed2": normed2,
         "qh": qh, "kh": kh, "vh": vh, "attn": attn, "merged": merged,
-        "z": z, "act": act,
+        "z": z, "cdf": cdf, "act": act,
     }
     return out, cache
 
@@ -432,7 +423,8 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
     grad_lp.b_ff2[...] += _rows(d_out).sum(axis=0)
     grad_lp.w_ff2[...] += _rows(cache["act"]).T @ _rows(d_out)
     d_act = d_out @ lp.w_ff2.T
-    d_z = d_act * _gelu_grad(cache["z"])
+    z = cache["z"]
+    d_z = d_act * (cache["cdf"] + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
     grad_lp.b_ff1[...] += _rows(d_z).sum(axis=0)
     grad_lp.w_ff1[...] += _rows(cache["normed2"]).T @ _rows(d_z)
     d_normed2 = d_z @ lp.w_ff1.T

@@ -363,6 +363,51 @@ def test_dpp_loss_is_invariant_to_row_order(drawn, extra):
     assert stacked.value[0] == pytest.approx(loss.value[0], rel=1e-12, abs=1e-12)
 
 
+# 2-4 documents of width 2-6 and distinct lengths 1-8, each with a non-empty
+# subset Y of at most min(length, width) sentences
+dpp_stacks = st.integers(2, 6).flatmap(lambda d: st.lists(
+    st.integers(1, 8), min_size=2, max_size=4, unique=True).flatmap(
+    lambda lengths: st.tuples(*(st.tuples(
+        st.lists(st.lists(st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+                          min_size=d, max_size=d), min_size=n, max_size=n),
+        st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n),
+        st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, d)).map(sorted))
+        for n in lengths))))
+
+
+@FAST
+@given(dpp_stacks)
+def test_stacked_dpp_matches_the_primal_reference_per_document(documents):
+    """A stack of documents of different lengths and summary sizes, padded
+    with rows that would change any document they leaked into: each
+    document's value and gradients are those of the primal reference on it
+    alone, so neither the identity-padded minors nor the batched solves mix
+    documents, and padded rows get zero gradients."""
+    documents = [(np.array(h), np.array(q), y) for h, q, y in documents]
+    for hidden, quality, subset in documents:
+        kernel = primal_kernel(hidden, quality)[0]
+        assume(np.linalg.cond(kernel[np.ix_(subset, subset)]) < 1e4)
+    lengths = [len(q) for _, q, _ in documents]
+    n, d = max(lengths), documents[0][0].shape[1]
+    stack_hidden = np.full((len(documents), n, d), 2.0)
+    stack_quality = np.full((len(documents), n), 0.9)
+    for g, (hidden, quality, _) in enumerate(documents):
+        stack_hidden[g, :lengths[g]], stack_quality[g, :lengths[g]] = hidden, quality
+    loss = dpp_loss_and_grad(stack_hidden, stack_quality,
+                             subset_masks([y for _, _, y in documents], n), lengths,
+                             ridge=DEFAULT_DPP_RIDGE)
+    assert list(loss.ridges) == [DEFAULT_DPP_RIDGE] * len(documents)
+    for g, (hidden, quality, subset) in enumerate(documents):
+        value, d_hidden, d_quality = primal_dpp_loss_and_grad(
+            hidden, quality, subset, DEFAULT_DPP_RIDGE)
+        m = lengths[g]
+        # the tolerances of test_dpp_gradient_matches_primal_reference
+        assert loss.value[g] == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(loss.d_hidden[g, :m], d_hidden, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(loss.d_quality[g, :m], d_quality, rtol=1e-9, atol=1e-12)
+        assert not loss.d_hidden[g, m:].any() and not loss.d_quality[g, m:].any()
+
+
 # Words with case, unicode, inner and pure punctuation, regex metacharacters
 # ("xzy" matches an unescaped "x.y") and cue-phrase words; the w-words widen
 # the vocabulary so TF-IDF rows get long.
@@ -514,6 +559,25 @@ def test_training_stacks_sort_stably_and_bound_the_padding(lengths):
     for stack in stacks:
         padded = max(lengths[i] for i in stack)
         assert all(padded <= training._MAX_PADDING * lengths[i] for i in stack)
+
+
+@FAST
+@given(st.integers(9, 30).flatmap(lambda shortest: st.lists(
+    st.integers(shortest, min(30, 3 * shortest)), min_size=1, max_size=8)))
+def test_a_batch_of_synth_default_lengths_is_one_stack(lengths):
+    """Eight or fewer documents of 9 to 30 sentences, the longest at most
+    three times the shortest, run as one stack."""
+    assert training._stacks(lengths) == [sorted(range(len(lengths)), key=lengths.__getitem__)]
+
+
+@FAST
+@given(st.lists(st.integers(50, 60) | st.integers(200, 215), min_size=2, max_size=8))
+def test_long_and_short_long_docs_lengths_never_share_a_stack(lengths):
+    """Documents of about 50 and about 200 sentences (the long-docs
+    workload's classes) never share a stack, so a 50-sentence document is
+    never padded to 200 rows."""
+    for stack in training._stacks(lengths):
+        assert len({lengths[i] >= 200 for i in stack}) == 1
 
 
 @FAST
