@@ -15,11 +15,11 @@ from sectsum.cli import run
 
 TRAIN_DIGESTS = {
     "checkpoint.ckpt":
-        "77c385d76a97f97c26258daccacc9190fa83ed12569a7127506f49fa37c53631",
+        "7c731467afd81e7018ea1cee299a515268e37d0813ff9f7a45a1230d1a0d9faf",
     "best_checkpoint.ckpt":
-        "0747a5a9d5e39589875166cf81cfa3c998129ff29f36cd6e1361b46703f0fb07",
+        "6c069a73c52ea1d85dba0fd902ce4486d86187ee66f36bc42796d84e13442f1d",
     "metrics.jsonl":
-        "cfd263f1c2fbd71d80e13fa44df0cfe84538d705611c51239b602dcf2b89bc55",
+        "335d199bacb4841267d0b196ce19f19a5b595f2ffcd4f1783e5628ce5b0007b9",
 }
 LABEL_DIGESTS = {
     ():
