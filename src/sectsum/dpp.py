@@ -169,9 +169,9 @@ def dpp_loss_and_grad(hidden, quality, in_subset, lengths, ridge=1e-8,
     d_hidden = d_quality = None
     if with_grads:
         # d value / dB = 2 (L + I)^-1 B = 2 B (I_d + B^T B)^-1, minus
-        # 2 A^-1 B_Y on the rows of Y, where A = B_Y B_Y^T + eps I. Both
-        # solves go through the Cholesky factor C of their log det, as
-        # M^-1 = C^-T C^-1, over the whole stack at once.
+        # 2 A^-1 B_Y on the rows of Y, where A = B_Y B_Y^T + eps I. Both are
+        # solved as M^-1 = C^-T C^-1 through the Cholesky factor C of their
+        # log det (pivots checked positive), for the whole stack at once.
         gram_inv = np.linalg.inv(gram_factor)
         d_rows = 2.0 * (rows @ gram_inv.swapaxes(-1, -2)) @ gram_inv
         minor_inv = np.linalg.inv(minor_factor)

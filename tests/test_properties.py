@@ -572,7 +572,7 @@ def test_a_batch_of_synth_default_lengths_is_one_stack(lengths):
 
 @FAST
 @given(st.lists(st.integers(50, 60) | st.integers(200, 215), min_size=2, max_size=8))
-def test_long_and_short_long_docs_lengths_never_share_a_stack(lengths):
+def test_documents_of_about_50_and_200_sentences_never_share_a_stack(lengths):
     """Documents of about 50 and about 200 sentences (the long-docs
     workload's classes) never share a stack, so a 50-sentence document is
     never padded to 200 rows."""
