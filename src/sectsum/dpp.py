@@ -35,6 +35,8 @@ __all__ = [
     "brute_force_subset_sum",
 ]
 
+# The subset minor's ridge in training and certification.
+DEFAULT_DPP_RIDGE = 1e-8
 _MAX_RIDGE = 1e-4
 _BRUTE_FORCE_LIMIT = 16
 
@@ -106,7 +108,7 @@ class DppLoss:
     ridges: np.ndarray
 
 
-def dpp_loss_and_grad(hidden, quality, in_subset, lengths, ridge=1e-8,
+def dpp_loss_and_grad(hidden, quality, in_subset, lengths, ridge=DEFAULT_DPP_RIDGE,
                       with_grads=True):
     """Repulsion loss -log P(Y | L) of each document of a padded stack, and
     its exact gradients.

@@ -228,9 +228,6 @@ class ModelParams:
         # Pickle the vector once and rebuild the views on it when unpickled.
         return _params_on, (self.vector, self._shapes(), self.n_heads)
 
-    def copy(self):
-        return self._on(self.vector.copy())
-
     def zeros_like(self):
         return self._on(np.zeros_like(self.vector))
 

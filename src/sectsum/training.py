@@ -21,7 +21,7 @@ import numpy as np
 
 from . import evaluation, inference
 from .corpus import CorpusError, tokenize
-from .dpp import SingularMinorError, ZeroNormError, dpp_loss_and_grad
+from .dpp import DEFAULT_DPP_RIDGE, SingularMinorError, ZeroNormError, dpp_loss_and_grad
 from .encoder import (
     FeatureConfig,
     NumericsError,
@@ -48,8 +48,6 @@ __all__ = [
 # Clamp applied to probabilities inside the BCE value; gradients are zero in
 # the clamped region so value and gradient describe the same function.
 _BCE_CLAMP = 1e-7
-
-DEFAULT_DPP_RIDGE = 1e-8
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -101,37 +99,29 @@ class TrainConfig:
             self.beta = 0.0
 
 
-def _padding(lengths, n):
-    """Mask of the padded entries of rows cut to ``lengths`` out of n."""
-    return np.arange(n) >= np.asarray(lengths)[:, None]
-
-
-def bce_loss(probs, labels, lengths):
-    """Row means of binary cross-entropy; probabilities clamped to
-    [1e-7, 1 - 1e-7].
+def bce_loss(probs, labels, lengths, with_grads=False):
+    """Row means of binary cross-entropy, probabilities clamped to
+    [1e-7, 1 - 1e-7], and their gradients.
 
     ``probs`` (B, n) are rows padded to n, ``labels`` (B, n) or one row (n,)
     shared by every row, and ``lengths`` (B,) counts each row's real
-    entries; each mean leaves the rest out. Returns the B means."""
+    entries; each mean leaves the rest out. Returns the B means and their
+    (B, n) gradients with respect to ``probs``, zero on clamped and on
+    padded entries (None unless ``with_grads``)."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if labels.ndim == 0 or np.broadcast_shapes(probs.shape, labels.shape) != probs.shape:
         raise ValueError(f"shape mismatch: {probs.shape} vs {labels.shape}")
+    lengths = np.asarray(lengths)
     p = np.clip(probs, _BCE_CLAMP, 1.0 - _BCE_CLAMP)
+    padded = np.arange(probs.shape[-1]) >= lengths[:, None]
     terms = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    return np.where(_padding(lengths, probs.shape[-1]), 0.0, terms).sum(axis=-1) / lengths
-
-
-def _bce_grad(probs, labels, lengths):
-    """Gradient of :func:`bce_loss` with respect to the probabilities; zero
-    on clamped and on padded entries."""
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    p = np.clip(probs, _BCE_CLAMP, 1.0 - _BCE_CLAMP)
-    grad = (-(labels / p) + (1.0 - labels) / (1.0 - p)) / np.asarray(lengths)[:, None]
-    zero = ((probs < _BCE_CLAMP) | (probs > 1.0 - _BCE_CLAMP)
-            | _padding(lengths, probs.shape[-1]))
-    return np.where(zero, 0.0, grad)
+    values = np.where(padded, 0.0, terms).sum(axis=-1) / lengths
+    if not with_grads:
+        return values, None
+    grads = (-(labels / p) + (1.0 - labels) / (1.0 - p)) / lengths[:, None]
+    clamped = (probs < _BCE_CLAMP) | (probs > 1.0 - _BCE_CLAMP)
+    return values, np.where(clamped | padded, 0.0, grads)
 
 
 @dataclass
@@ -225,7 +215,7 @@ def total_loss(documents, params, config, feature_config, features=None,
         for stack in stacks:
             values, parts, row_ridges, (p_sum, p_seg), stack_grads = _stack_loss(
                 [documents[i] for i in stack], [features[i] for i in stack],
-                [labels[i] for i in stack], params, config, feature_config, with_grads)
+                [labels[i] for i in stack], params, config, with_grads)
             for row, i in enumerate(stack):
                 n = len(documents[i])
                 doc_values[i] = float(values[row])
@@ -258,21 +248,21 @@ def total_loss(documents, params, config, feature_config, features=None,
     return run(alone)
 
 
-def _stack_loss(docs, features, labels, params, config, feature_config, with_grads):
-    """The loss of one stack: ``docs`` padded to the longest and taken
-    through one forward pass, the cross-entropy terms against ``labels``
+def _stack_loss(docs, features, labels, params, config, with_grads):
+    """The loss of one stack: the :func:`base_features` matrices
+    ``features`` of ``docs`` padded to the longest and taken through one
+    forward pass, the cross-entropy terms against ``labels``
     (:func:`_doc_arrays` of each document), one repulsion term and, with
-    gradients, one backward pass. Row r of the activations is
-    document r; or, for values only, one document is broadcast against a
-    batch of parameter rows (a (B, P) vector), row r then being parameter
-    row r.
+    gradients, one backward pass. Row r of the activations is document r;
+    or, for values only, one document is broadcast against a batch of
+    parameter rows (a (B, P) vector), row r then being parameter row r.
 
     Returns per-row values, parts (``dpp`` unscaled by beta), ridges (NaN
     where the repulsion term did not run) and ``(summary_probs,
     boundary_probs)``, and the stack's summed gradient (None without
     gradients). A non-finite loss raises for the stack's first such
     document."""
-    enc = forward_document(docs, params, feature_config, features, with_caches=with_grads)
+    enc = forward_document(docs, params, None, features, with_caches=with_grads)
     p_sum, p_seg = enc.summary_probs, enc.boundary_probs
     n_rows, n = p_sum.shape
     lengths = np.array([len(doc) for doc in docs])
@@ -280,26 +270,20 @@ def _stack_loss(docs, features, labels, params, config, feature_config, with_gra
     for row, (length, (doc_sum, doc_seg)) in enumerate(zip(lengths, labels)):
         y_sum[row, :length], y_seg[row, :length] = doc_sum, doc_seg
     lengths = np.broadcast_to(lengths, n_rows)  # one document against B parameter rows
-    parts = {"sum": bce_loss(p_sum, y_sum, lengths),
-             "seg": np.zeros(n_rows), "dpp": np.zeros(n_rows)}
-    d_sum = _bce_grad(p_sum, y_sum, lengths) if with_grads else None
+    sum_values, d_sum = bce_loss(p_sum, y_sum, lengths, with_grads)
+    parts = {"sum": sum_values, "seg": np.zeros(n_rows), "dpp": np.zeros(n_rows)}
     d_seg = d_hidden = None
     if config.variant is not Variant.BASE:
-        parts["seg"] = bce_loss(p_seg, y_seg, lengths)
-        d_seg = _bce_grad(p_seg, y_seg, lengths) if with_grads else None
+        parts["seg"], d_seg = bce_loss(p_seg, y_seg, lengths, with_grads)
 
     ridges = np.full(n_rows, np.nan)
     if config.variant is Variant.FULL and config.beta > 0.0:
         in_subset = np.broadcast_to(y_sum == 1.0, p_sum.shape)
-        live = in_subset.any(axis=1)
-        if live.any():
-            every = live.all()
-            rep = dpp_loss_and_grad(
-                enc.hidden if every else enc.hidden[live],
-                p_sum if every else p_sum[live],
-                in_subset if every else in_subset[live],
-                lengths if every else lengths[live],
-                ridge=DEFAULT_DPP_RIDGE, with_grads=with_grads)
+        live = np.flatnonzero(in_subset.any(axis=1))
+        if live.size:
+            rep = dpp_loss_and_grad(enc.hidden[live], p_sum[live], in_subset[live],
+                                    lengths[live], ridge=DEFAULT_DPP_RIDGE,
+                                    with_grads=with_grads)
             parts["dpp"][live] = rep.value
             ridges[live] = rep.ridges
             if with_grads:
@@ -491,26 +475,6 @@ class GradCheckReport:
         return lines
 
 
-def _term_grad_norms(doc, params, config, feature_config):
-    """Norm of each loss term's parameter gradient (0.0 for inactive terms).
-
-    The gradients of the cumulative objectives base, joint and full come from
-    :func:`total_loss`; each term's gradient is the difference between the
-    objective that adds it and the one before.
-    """
-    variants = [Variant.BASE, Variant.JOINT, Variant.FULL]
-    active = variants[:variants.index(config.variant) + 1]
-    grads = [
-        total_loss([doc], params, replace(config, variant=variant),
-                   feature_config).grads.vector
-        for variant in active
-    ]
-    norms = {"sum": float(np.linalg.norm(grads[0])), "seg": 0.0, "dpp": 0.0}
-    for term, lower, upper in zip(("seg", "dpp"), grads, grads[1:]):
-        norms[term] = float(np.linalg.norm(upper - lower))
-    return norms
-
-
 def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
                analytic=None):
     """Certify analytic gradients against central finite differences.
@@ -526,16 +490,25 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
     broadcast against the chunk's rows; every loss is bitwise the one
     :func:`total_loss` gives on that row.
 
-    ``analytic`` lets callers supply (possibly tampered) gradients; by
-    default they are computed from :func:`total_loss` on the document.
+    The document is featurized once. One gradient pass of
+    :func:`_stack_loss` per cumulative objective (base, joint, full, up to
+    ``config.variant``) gives each term's gradient norm (0.0 for inactive
+    terms) as the norm of the difference between the objective that adds
+    the term and the one before. The last objective's gradient is the
+    analytic one, unless ``analytic`` supplies (possibly tampered) gradients.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
-    if analytic is None:
-        analytic = total_loss([doc], params, config, feature_config).grads
     features, labels = [base_features(doc, feature_config)], [_doc_arrays(doc)]
+    variants = list(Variant)
+    grads = [_stack_loss([doc], features, labels, params, replace(config, variant=variant),
+                         with_grads=True)[-1].vector
+             for variant in variants[:variants.index(config.variant) + 1]]
+    norms = {"sum": float(np.linalg.norm(grads[0])), "seg": 0.0, "dpp": 0.0}
+    for term, lower, upper in zip(("seg", "dpp"), grads, grads[1:]):
+        norms[term] = float(np.linalg.norm(upper - lower))
     theta = params.vector
     fd = np.empty_like(theta)
     half = _PROBE_ROWS // 2
@@ -548,10 +521,10 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
         rows[np.arange(m), entries] = theta[entries] + step
         rows[np.arange(m, 2 * m), entries] = theta[entries] - step
         values = _stack_loss([doc], features, labels, params._on(rows), config,
-                             feature_config, with_grads=False)[0]
+                             with_grads=False)[0]
         fd[entries] = (values[:m] - values[m:]) / (2.0 * step)
 
-    a = analytic.vector
+    a = grads[-1] if analytic is None else analytic.vector
     with np.errstate(invalid="ignore"):
         rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-5)
     rel[~(np.isfinite(a) & np.isfinite(fd))] = np.inf
@@ -559,7 +532,7 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
 
     return GradCheckReport(
         block_errors=block_errors,
-        term_grad_norms=_term_grad_norms(doc, params, config, feature_config),
+        term_grad_norms=norms,
         max_error=max(block_errors.values()),
         tolerance=tolerance,
         step=step,

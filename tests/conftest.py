@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import zlib
 from collections import Counter
@@ -336,7 +337,7 @@ def loop_grad_check(params, doc, config, feature_config, step=1e-5, analytic=Non
     for bit."""
     if analytic is None:
         analytic = total_loss([doc], params, config, feature_config).grads
-    probe = params.copy()
+    probe = params.from_vector(params.vector)
     features = [base_features(doc, feature_config)]
 
     def loss_at():
@@ -361,6 +362,22 @@ def loop_grad_check(params, doc, config, feature_config, step=1e-5, analytic=Non
                 worst = math.inf
         block_errors[name] = worst
     return block_errors
+
+
+def loop_term_grad_norms(params, doc, config, feature_config):
+    """``grad_check``'s per-term gradient norms by their definition: the
+    ``total_loss`` gradients of the cumulative objectives base, joint and
+    full (up to ``config.variant``), each term's norm that of the difference
+    between the objective that adds it and the one before (0.0 for inactive
+    terms). ``grad_check`` must equal them bit for bit."""
+    variants = [Variant.BASE, Variant.JOINT, Variant.FULL]
+    grads = [total_loss([doc], params, dataclasses.replace(config, variant=variant),
+                        feature_config).grads.vector
+             for variant in variants[:variants.index(config.variant) + 1]]
+    norms = {"sum": float(np.linalg.norm(grads[0])), "seg": 0.0, "dpp": 0.0}
+    for term, lower, upper in zip(("seg", "dpp"), grads, grads[1:]):
+        norms[term] = float(np.linalg.norm(upper - lower))
+    return norms
 
 
 @pytest.fixture(scope="session")

@@ -88,7 +88,7 @@ def test_zeroed_output_projections_pass_features_through(small_model, tiny_corpu
     """With w_o, w_ff2 and b_ff2 zeroed, each block is the identity and the
     encoder output equals projected features plus the position encoding."""
     config, params = small_model
-    params = params.copy()
+    params = params.from_vector(params.vector)
     for lp in params.layers:
         lp.w_o[:] = 0.0
         lp.w_ff2[:] = 0.0
@@ -119,7 +119,7 @@ def test_heads_forward_formula(small_model, tiny_corpus):
 @pytest.mark.parametrize("head", ["w_sum", "w_seg"])
 def test_heads_forward_rejects_an_overflowing_logit(small_model, head):
     _, params = small_model
-    huge = params.copy()
+    huge = params.from_vector(params.vector)
     getattr(huge, head)[...] = 1e308  # finite, but 10 * 1e308 overflows
     with pytest.raises(NumericsError, match="head logit"):
         heads_forward(np.full((3, params.dim), 10.0), huge)
@@ -140,7 +140,7 @@ def test_backward_matches_finite_differences_on_features(small_model, tiny_corpu
     through the heads and the whole attention stack."""
     config, params = small_model
     doc = tiny_corpus[2]
-    probe = params.copy()
+    probe = params.from_vector(params.vector)
 
     def objective():
         return float(np.sum(forward_document(doc, probe, config).summary_probs))
@@ -164,7 +164,7 @@ def test_backward_matches_finite_differences_on_features(small_model, tiny_corpu
 
 def test_encode_forward_rejects_non_finite(small_model, tiny_corpus):
     config, params = small_model
-    params = params.copy()
+    params = params.from_vector(params.vector)
     params.layers[0].w_q[0, 0] = np.nan
     x = base_features(tiny_corpus[0], config) @ params.w_proj
     with pytest.raises(NumericsError, match="layer 0"):
@@ -270,7 +270,7 @@ def test_checkpoint_rejects_corruption(tmp_path, small_model):
     (tmp_path / "trailing.ckpt").write_bytes(raw + b"\0" * 8)
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(tmp_path / "trailing.ckpt")
-    poisoned = params.copy()
+    poisoned = params.from_vector(params.vector)
     poisoned.layers[0].w_q[0, 0] = np.nan
     save_checkpoint(tmp_path / "nan.ckpt", poisoned, config)
     with pytest.raises(CheckpointError, match="non-finite"):

@@ -408,6 +408,43 @@ def test_stacked_dpp_matches_the_primal_reference_per_document(documents):
         assert not loss.d_hidden[g, m:].any() and not loss.d_quality[g, m:].any()
 
 
+# A stack of 1-4 cross-entropy rows padded to width 1-8: each entry is a
+# probability, inside the clamp or on or past it, and a 0/1 label; entries
+# past a row's length are padding and may hold anything.
+clamped_probs = st.sampled_from([0.0, 1e-9, 1.0 - 1e-9, 1.0])
+bce_stacks = st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(1, n),
+              st.lists(st.tuples(st.floats(0.01, 0.99) | clamped_probs, st.integers(0, 1)),
+                       min_size=n, max_size=n)),
+    min_size=1, max_size=4))
+
+
+@FAST
+@given(bce_stacks)
+def test_bce_gradient_matches_central_differences(rows):
+    """``bce_loss(..., with_grads=True)`` on padded rows: its gradient is the
+    central difference of its value on real entries the clamp leaves alone,
+    exactly zero on clamped and on padded entries, and its values are
+    bitwise those of a value-only call."""
+    lengths = np.array([length for length, _ in rows])
+    probs = np.array([[p for p, _ in entries] for _, entries in rows])
+    labels = np.array([[y for _, y in entries] for _, entries in rows], dtype=float)
+    values, grads = training.bce_loss(probs, labels, lengths, with_grads=True)
+    alone, no_grads = training.bce_loss(probs, labels, lengths)
+    assert no_grads is None and values.tobytes() == alone.tobytes()
+    frozen = ((probs < 1e-7) | (probs > 1.0 - 1e-7)
+              | (np.arange(probs.shape[1]) >= lengths[:, None]))
+    assert not grads[frozen].any()
+    step = 1e-6
+    for b, j in zip(*np.nonzero(~frozen)):
+        up, down = probs.copy(), probs.copy()
+        up[b, j] += step
+        down[b, j] -= step
+        fd = (training.bce_loss(up, labels, lengths)[0][b]
+              - training.bce_loss(down, labels, lengths)[0][b]) / (2.0 * step)
+        assert grads[b, j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
 # Words with case, unicode, inner and pure punctuation, regex metacharacters
 # ("xzy" matches an unescaped "x.y") and cue-phrase words; the w-words widen
 # the vocabulary so TF-IDF rows get long.
@@ -464,7 +501,7 @@ def test_batched_forward_matches_each_row(shape):
     hidden, _ = encode_forward(raw @ batch.w_proj, batch)
     probs = heads_forward(hidden, batch)
     values = training._stack_loss([doc], [raw], [training._doc_arrays(doc)], batch,
-                                  train_config, config, with_grads=False)[0]
+                                  train_config, with_grads=False)[0]
     assert hidden.shape == (5, n, dim) and values.shape == (5,)
     for b, row in enumerate(rows):
         one = params.from_vector(row)

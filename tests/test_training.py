@@ -9,10 +9,12 @@ from sectsum import (
     FeatureConfig,
     LabelSet,
     NumericsError,
+    SynthConfig,
     TrainConfig,
     Variant,
     dpp,
     fit,
+    generate_synthetic,
     grad_check,
     init_params,
     total_loss,
@@ -20,7 +22,7 @@ from sectsum import (
 )
 from sectsum.training import bce_loss, learning_rate_at
 
-from conftest import loop_grad_check
+from conftest import loop_grad_check, loop_term_grad_norms
 
 
 def test_bce_frozen_values():
@@ -32,15 +34,15 @@ def test_bce_frozen_values():
     mean is (2 * 0.16425203... + ln 2)/3; the second row is padded by one
     entry, which its mean leaves out.
     """
-    values = bce_loss(np.array([[0.9, 0.8, 0.5], [0.6, 0.3, 0.01]]),
-                      np.array([[1, 1, 1], [1, 0, 1]]), [3, 2])
+    values, _ = bce_loss(np.array([[0.9, 0.8, 0.5], [0.6, 0.3, 0.01]]),
+                         np.array([[1, 1, 1], [1, 0, 1]]), [3, 2])
     assert values[0] == pytest.approx((2 * 0.1642520335 + math.log(2)) / 3, rel=1e-8)
     assert values[1] == pytest.approx(0.4337502838, rel=1e-9)
 
 
 def test_bce_clamps_saturated_probabilities():
     # a confident wrong answer is clamped, not infinite
-    value, other = bce_loss(np.array([[1.0], [0.0]]), np.array([[0], [1]]), [1, 1])
+    (value, other), _ = bce_loss(np.array([[1.0], [0.0]]), np.array([[0], [1]]), [1, 1])
     assert value == pytest.approx(-math.log(1e-7), rel=1e-6)
     assert math.isfinite(other)
 
@@ -255,7 +257,7 @@ def test_grad_check_flags_injected_fault(setup):
     doc = docs[0]
     config = TrainConfig(variant="joint")
     honest = total_loss([doc], params, config, fconfig, with_grads=True)
-    broken = honest.grads.copy()
+    broken = honest.grads.from_vector(honest.grads.vector)
     broken.w_sum[...] *= 1.5  # a deliberately wrong analytic block
     report = grad_check(params, doc, config, fconfig, analytic=broken)
     assert not report.passed
@@ -278,10 +280,32 @@ def test_grad_check_flags_non_finite_analytic(setup):
 
 @pytest.mark.parametrize("variant, beta", [("base", 0.0), ("joint", 0.0), ("full", 0.1)])
 def test_grad_check_matches_the_loop_reference(setup, variant, beta):
+    """Block errors and per-term norms equal their definitions exactly; the
+    norms come from gradient passes of the stack loss on one featurization,
+    the reference's from ``total_loss``."""
     docs, fconfig, params = setup
+    assert any(docs[0].labels.summary_labels)  # the repulsion term runs
     config = TrainConfig(variant=variant, beta=beta)
     report = grad_check(params, docs[0], config, fconfig)
     assert report.block_errors == loop_grad_check(params, docs[0], config, fconfig)
+    assert report.term_grad_norms == loop_term_grad_norms(params, docs[0], config, fconfig)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a summary of more sentences "
+                   "than dim leaves the subset minor ridge-dominated, and finite "
+                   "differences cannot certify its gradient")
+def test_grad_check_certifies_more_picks_than_dim():
+    """Five summary sentences against width 4. Four picks pass (max rel err
+    1.2e-5); five fail at 1.5e-2 until the minor takes its dual form."""
+    doc = generate_synthetic(SynthConfig(n_documents=1, sentences_per_section=(4, 4),
+                                         sections_per_document=(2, 2), rng_seed=0))[0]
+    labels = dataclasses.replace(doc.labels, summary_labels=(1,) * 5 + (0,) * 3,
+                                 selection_order=None)
+    fconfig = FeatureConfig(dim=4, hash_buckets=8)
+    params = init_params(fconfig, n_layers=1, n_heads=1, rng_seed=0)
+    report = grad_check(params, dataclasses.replace(doc, labels=labels),
+                        TrainConfig(variant="full", beta=0.1), fconfig)
+    assert report.passed, report.max_error
 
 
 def test_grad_check_ridge_escalation_inside_a_chunk(monkeypatch):
@@ -325,7 +349,7 @@ def test_grad_check_report_lines(setup):
 
 def test_nan_parameters_raise_numerics_error(setup):
     docs, fconfig, params = setup
-    poisoned = params.copy()
+    poisoned = params.from_vector(params.vector)
     poisoned.layers[0].w_q[0, 0] = np.nan
     with pytest.raises(NumericsError):
         total_loss(docs[:1], poisoned, TrainConfig(variant="base"), fconfig)
