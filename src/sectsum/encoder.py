@@ -21,9 +21,9 @@ import zlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import erf
 
 from .corpus import CUE_PHRASES, _atomic_write
+from .special import normal_cdf
 
 __all__ = [
     "FeatureConfig",
@@ -224,10 +224,6 @@ class ModelParams:
     def _on(self, vector):
         return _params_on(vector, self._shapes(), self.n_heads)
 
-    def __reduce__(self):
-        # Pickle the vector once and rebuild the views on it when unpickled.
-        return _params_on, (self.vector, self._shapes(), self.n_heads)
-
     def zeros_like(self):
         return self._on(np.zeros_like(self.vector))
 
@@ -397,10 +393,13 @@ def _layer_forward(x, lp, n_heads, key_bias=None, with_cache=True):
     merged = _merge_heads(attn @ vh)
     mid = x + merged @ lp.w_o
     normed2, ln2_cache = _layernorm_forward(mid, lp.ln2_gain, lp.ln2_bias)
-    z = normed2 @ lp.w_ff1 + lp.b_ff1[..., None, :]
-    cdf = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))  # GELU(z) = z * Phi(z)
+    z = normed2 @ lp.w_ff1
+    z += lp.b_ff1[..., None, :]
+    cdf = normal_cdf(z)  # GELU(z) = z * Phi(z)
     act = z * cdf
-    out = mid + act @ lp.w_ff2 + lp.b_ff2[..., None, :]
+    out = act @ lp.w_ff2
+    out += mid
+    out += lp.b_ff2[..., None, :]
     if not with_cache:
         return out, None
     cache = {
@@ -421,7 +420,14 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
     grad_lp.w_ff2[...] += _rows(cache["act"]).T @ _rows(d_out)
     d_act = d_out @ lp.w_ff2.T
     z = cache["z"]
-    d_z = d_act * (cache["cdf"] + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+    # GELU'(z) = Phi(z) + z phi(z), phi(z) = exp(-z^2 / 2) / sqrt(2 pi)
+    d_z = np.multiply(z, -0.5)
+    d_z *= z
+    np.exp(d_z, out=d_z)
+    d_z *= z
+    d_z /= math.sqrt(2.0 * math.pi)
+    d_z += cache["cdf"]
+    d_z *= d_act
     grad_lp.b_ff1[...] += _rows(d_z).sum(axis=0)
     grad_lp.w_ff1[...] += _rows(cache["normed2"]).T @ _rows(d_z)
     d_normed2 = d_z @ lp.w_ff1.T

@@ -54,10 +54,11 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 # Perturbed parameter rows per batched value pass in grad_check (both signs
-# of 64 entries). At the default gradcheck model, peak memory grows by about
+# of 128 entries). At the default gradcheck model, peak memory grows by about
 # 7 KB per row: the rows and one layer's activations, as a value pass keeps
-# no activation caches.
-_PROBE_ROWS = 128
+# no activation caches. Fewer, larger passes pay GELU's per-call costs less
+# often.
+_PROBE_ROWS = 256
 
 
 class TrainingError(Exception):

@@ -5,7 +5,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from sectsum import (
     Document, FeatureConfig, SynthConfig, TrainingError, Variant,
@@ -177,6 +176,12 @@ def one_document(hidden, quality, subsets, **kwargs):
                              subset_masks(subsets, n), [n] * len(subsets), **kwargs)
 
 
+def _inverse_from_factor(factor):
+    """M^-1 = C^-T C^-1 from the lower Cholesky factor C of M."""
+    factor_inv = np.linalg.solve(factor, np.eye(len(factor)))
+    return factor_inv.T @ factor_inv
+
+
 def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
     """The repulsion loss by its primal formula, with the ridge as given (no
     escalation): value, d_hidden and d_quality. The adjoint
@@ -193,8 +198,8 @@ def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
     value = (2.0 * np.log(np.diag(full_factor)).sum()
              - 2.0 * np.log(np.diag(minor_factor)).sum())
 
-    inv_full = cho_solve(cho_factor(full, lower=True), np.eye(len(quality)))
-    inv_minor = cho_solve(cho_factor(minor, lower=True), np.eye(len(subset)))
+    inv_full = _inverse_from_factor(full_factor)
+    inv_minor = _inverse_from_factor(minor_factor)
     d_kernel = inv_full.copy()
     d_kernel[np.ix_(subset, subset)] -= inv_minor
     d_kernel = 0.5 * (d_kernel + d_kernel.T)

@@ -8,6 +8,7 @@ from sectsum import (
     SingularMinorError,
     ZeroNormError,
     brute_force_subset_sum,
+    dpp,
     dpp_loss_and_grad,
 )
 
@@ -179,6 +180,45 @@ def test_stacked_documents_escalate_their_own_ridge():
         np.testing.assert_allclose(stacked.d_quality[g, :n], alone.d_quality[0],
                                    rtol=1e-10, atol=1e-12)
         assert not stacked.d_hidden[g, n:].any() and not stacked.d_quality[g, n:].any()
+
+
+def _cholesky_failing_below(monkeypatch, ridge):
+    """Make ``np.linalg.cholesky``, as ``dpp`` calls it, fail on a subset
+    minor whose ridge is below ``ridge``; returns the ridges tried, in order.
+    The one-sentence minor of b = (0.5, 0, 0) is 0.25 + ridge; the
+    normalizer's I_d + B^T B has diagonal entries of at least 1."""
+    cholesky = np.linalg.cholesky
+    tried = []
+
+    def fake(matrix):
+        diag = np.diagonal(matrix, axis1=-2, axis2=-1)
+        if np.all(diag < 1.0):
+            tried.append(float(diag.flat[0]) - 0.25)
+            if tried[-1] < ridge:
+                raise np.linalg.LinAlgError("forced failure")
+        return cholesky(matrix)
+
+    monkeypatch.setattr(dpp.np.linalg, "cholesky", fake)
+    return tried
+
+
+def test_ridge_escalates_tenfold_from_the_default(monkeypatch):
+    """A minor that fails at 1e-8 and 1e-7 factors at 1e-6, reached by
+    tenfold steps (after the stack's own try at 1e-8), and that is the ridge
+    reported."""
+    tried = _cholesky_failing_below(monkeypatch, 5e-7)
+    res = one_document(np.eye(3), np.full(3, 0.5), [[0]], ridge=1e-8)
+    assert tried == pytest.approx([1e-8, 1e-8, 1e-7, 1e-6], rel=1e-6)
+    assert res.ridge_used == 1e-6
+    assert res.ridges.tolist() == [1e-6]
+
+
+def test_minor_that_never_factors_raises_at_the_largest_ridge(monkeypatch):
+    tried = _cholesky_failing_below(monkeypatch, math.inf)
+    with pytest.raises(SingularMinorError, match=r"ridge = 0\.0001\)"):
+        one_document(np.eye(3), np.full(3, 0.5), [[0]], ridge=1e-8)
+    assert tried[:5] == pytest.approx([1e-8, 1e-8, 1e-7, 1e-6, 1e-5], rel=1e-6)
+    assert tried[-1] == pytest.approx(1e-4, rel=1e-6)
 
 
 def test_duplicate_rows_with_zero_ridge_raise():

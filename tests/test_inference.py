@@ -55,6 +55,16 @@ def test_predict_boundaries_last_convention():
                               SegLabelConvention.LAST) == (0, 1)
 
 
+@pytest.mark.parametrize("convention, starts", [
+    (SegLabelConvention.FIRST, (0, 2)),
+    (SegLabelConvention.LAST, (0, 3)),
+])
+def test_score_exactly_at_the_threshold_is_a_boundary(convention, starts):
+    """"At or above": a score equal to the threshold labels its sentence."""
+    scores = np.array([0.1, 0.3, 0.7, 0.2, 0.1])
+    assert predict_boundaries(scores, 0.7, convention) == starts
+
+
 def test_render_summary_sorted_join():
     doc = make_doc()
     assert render_summary(doc, (2, 0)) == "alpha beta alpha beta gamma"
