@@ -15,11 +15,11 @@ from sectsum.cli import run
 
 TRAIN_DIGESTS = {
     "checkpoint.ckpt":
-        "7c731467afd81e7018ea1cee299a515268e37d0813ff9f7a45a1230d1a0d9faf",
+        "240f61940a001330b7ffcd53df8bedb4b3735436c87cb73a4bf3b19107292334",
     "best_checkpoint.ckpt":
-        "6c069a73c52ea1d85dba0fd902ce4486d86187ee66f36bc42796d84e13442f1d",
+        "4ccd7f757e52bc568ba5b1aad5b419df9dc5ce54e40c0e298f8b4f71d612d5f0",
     "metrics.jsonl":
-        "335d199bacb4841267d0b196ce19f19a5b595f2ffcd4f1783e5628ce5b0007b9",
+        "6983f48cfb1b2339bc725a1384f87c90ca43e7742750bbbe5fd39aa1b4472189",
 }
 LABEL_DIGESTS = {
     ():
@@ -28,7 +28,7 @@ LABEL_DIGESTS = {
         "038ee2ce25f3757ceaa47f59075e33625045957abe033c76839377ca2603962c",
 }
 GRADCHECK_STDOUT_DIGEST = (
-    "e6e6a01dae13b5d1673b03bbbff5a8e44174b6d812af597d46e64623d25c5546"
+    "5ce4096b1b55b474d8ead8e4b8ad57741f9e3d7e9887ec51f8d31a53d551db0c"
 )
 
 
