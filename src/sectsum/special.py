@@ -71,11 +71,11 @@ _FAR = 1.0 / 0.35
 _HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
 
 
-def _horner(coefs, v, out=None):
-    """sum(coefs[k] v^(deg - k)) by Horner's rule, into ``out`` if given
-    (which must not be ``v``). Coefficients are scalars, or columns that
-    evaluate one polynomial per row of ``v``."""
-    acc = np.multiply(v, coefs[0], out=out)
+def _horner(coefs, v):
+    """sum(coefs[k] v^(deg - k)) by Horner's rule, as a new array.
+    Coefficients are scalars, or columns that evaluate one polynomial per
+    row of ``v``."""
+    acc = v * coefs[0]
     for c in coefs[1:-1]:
         acc += c
         acc *= v
@@ -115,7 +115,9 @@ def erf(x):
     a = np.abs(xs)
     # Every gathered entry goes through P and Q in |x| - 1 and R and S in
     # 1/x^2, four rows of one Horner pass. Each form is finite on the other
-    # interval, where R/S < 0 keeps exp from overflowing.
+    # interval, where R/S < 0 keeps exp from overflowing. Horner works
+    # entry by entry, so no value depends on the other entries (a BLAS
+    # product's would), and a batched forward pass equals its rows.
     v = np.empty((4, a.size))
     np.subtract(a, 1.0, out=v[0])
     v[1] = v[0]

@@ -3,7 +3,8 @@
 ``math.erf`` is the oracle: the kernel must be within 1 ulp of it everywhere,
 including both sides of every interval edge of the piecewise form, signed
 zeros, subnormals, huge finite values, infinities and NaN, without a
-floating-point warning (overflow in x*x was one, before the clamp).
+floating-point warning (x*x overflows on huge inputs unless they are
+clamped first).
 """
 
 import math
