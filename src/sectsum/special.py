@@ -98,8 +98,12 @@ _FAR_COLUMNS = _columns(_R_FAR, _S_FAR)
 def erf(x):
     """The error function, elementwise, as a new float array of ``x``'s
     shape."""
-    x = np.asarray(x, dtype=float)
-    clamped = np.minimum(x, 6.0, out=np.empty_like(x))  # NaN stays NaN
+    return _erf_clamping(np.array(x, dtype=float))
+
+
+def _erf_clamping(clamped):
+    """erf of a float array that this clamps to [-6, 6] in place first."""
+    np.minimum(clamped, 6.0, out=clamped)  # NaN stays NaN
     np.maximum(clamped, -6.0, out=clamped)
     x = clamped.reshape(-1)
     sq = x * x
@@ -152,9 +156,10 @@ def erf(x):
 
 
 def normal_cdf(z):
-    """Phi(z) = (1 + erf(z / sqrt 2)) / 2, elementwise, with the affine step
-    done in place on erf's output."""
-    out = erf(np.divide(z, math.sqrt(2.0)))
+    """Phi(z) = (1 + erf(z / sqrt 2)) / 2, elementwise: z / sqrt 2 is the
+    array the kernel clamps, and the affine step runs in place on its
+    output."""
+    out = _erf_clamping(np.divide(z, math.sqrt(2.0)))
     out += 1.0
     out *= 0.5
     return out
