@@ -10,7 +10,9 @@ and gradient accumulation so that a partial accumulation window is flushed.
 import dataclasses
 import hashlib
 
-from sectsum import SynthConfig, generate_synthetic, write_corpus
+import pytest
+
+from sectsum import SynthConfig, generate_synthetic, parse_corpus, write_corpus
 from sectsum.cli import run
 
 TRAIN_DIGESTS = {
@@ -20,6 +22,16 @@ TRAIN_DIGESTS = {
         "4ccd7f757e52bc568ba5b1aad5b419df9dc5ce54e40c0e298f8b4f71d612d5f0",
     "metrics.jsonl":
         "6983f48cfb1b2339bc725a1384f87c90ca43e7742750bbbe5fd39aa1b4472189",
+}
+PREDICT_EVAL_DIGESTS = {
+    "predictions.jsonl":
+        "9c1b18af1f57633a77490c385773bba52e8d05aa4c40fb19e034e70bfbb09aa5",
+    "report.json":
+        "7f449e10ebdbe31b914f17493d51779a173cc13ab2497ea293505c69871df60e",
+    "score_vs_k.csv":
+        "f4d2ebc1c4cd21515f6f55a1301a366c63c976405c2c9ca0ca9307866b4bd994",
+    "boundary_histogram.csv":
+        "210addef5e19f3436acb71dfba1e3931e2c33aa4a0f93c95de69391b85445625",
 }
 LABEL_DIGESTS = {
     ():
@@ -36,7 +48,10 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def test_train_outputs_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def train_run(tmp_path_factory):
+    """The pinned training run: its 12-document corpus and output directory."""
+    tmp_path = tmp_path_factory.mktemp("train")
     corpus = tmp_path / "corpus.jsonl"
     assert run(["synth", "--out", str(corpus), "--docs", "12", "--seed", "3",
                 "--sections", "2", "3", "--sentences", "3", "4"]) == 0
@@ -46,8 +61,28 @@ def test_train_outputs_are_pinned(tmp_path):
                 "--epochs", "4", "--batch-size", "4", "--grad-accumulation", "2",
                 "--lr", "0.2", "--dim", "8", "--hash-buckets", "16",
                 "--layers", "1", "--heads", "2", "--seed", "1"]) == 0
+    return corpus, out
+
+
+def test_train_outputs_are_pinned(train_run):
+    _, out = train_run
     digests = {name: _sha256((out / name).read_bytes()) for name in TRAIN_DIGESTS}
     assert digests == TRAIN_DIGESTS
+
+
+def test_predict_and_eval_outputs_are_pinned(train_run, tmp_path):
+    """``predict`` with the best checkpoint over the training corpus, whose
+    documents have several sentence counts and so form several stacks, then
+    ``eval --plot-data`` on those predictions."""
+    corpus, model = train_run
+    assert len({len(doc.sentences) for doc in parse_corpus(corpus)[0]}) > 1
+    assert run(["predict", "--corpus", str(corpus), "--out", str(tmp_path),
+                "--checkpoint", str(model / "best_checkpoint.ckpt")]) == 0
+    assert run(["eval", "--corpus", str(corpus), "--out", str(tmp_path), "--plot-data",
+                "--predictions", str(tmp_path / "predictions.jsonl")]) == 0
+    digests = {name: _sha256((tmp_path / name).read_bytes())
+               for name in PREDICT_EVAL_DIGESTS}
+    assert digests == PREDICT_EVAL_DIGESTS
 
 
 def test_gradcheck_stdout_is_pinned(capsys):
