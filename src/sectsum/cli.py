@@ -13,8 +13,9 @@ All randomness flows from ``--seed``; when omitted the documented default
 seed 0 is used. Outputs are bitwise identical across runs at a fixed BLAS
 thread count (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``): the reductions
 inside matrix products, and so ``train`` checkpoints, depend on it.
-Every command runs in one process. ``predict`` scores documents of one
-sentence count together, in stacks of one forward pass each and without
+Every command runs in one process. ``predict`` makes one
+``predict_document`` call for the whole corpus, which scores documents of
+one sentence count together, in stacks of one forward pass each and without
 padding, so a document's prediction does not depend on the other documents
 of the corpus.
 """
@@ -50,7 +51,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .evaluation import evaluate_full, score_vs_k, selection_histogram, with_references
-from .inference import length_stacks, predict_document, read_predictions, write_predictions
+from .inference import predict_document, read_predictions, write_predictions
 from .oracle import SegLabelConvention, build_labels
 from .training import TrainConfig, TrainingError, fit, grad_check
 
@@ -306,13 +307,8 @@ def _cmd_predict(args):
     documents, _ = parse_corpus(args.corpus, strict=True)
     params, feature_config = load_checkpoint(args.checkpoint)
     convention = SegLabelConvention(args.seg_label)
-    by_id = {  # ids are unique
-        pred.doc_id: pred
-        for stack in length_stacks(documents, params.n_heads)
-        for pred in predict_document(stack, params, feature_config, args.k,
-                                     threshold=args.threshold, convention=convention)
-    }
-    predictions = [by_id[doc.id] for doc in documents]
+    predictions = predict_document(documents, params, feature_config, args.k,
+                                   threshold=args.threshold, convention=convention)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "predictions.jsonl"

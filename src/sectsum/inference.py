@@ -30,7 +30,6 @@ __all__ = [
     "predict_boundaries",
     "render_summary",
     "predict_document",
-    "length_stacks",
     "paired",
     "write_predictions",
     "read_predictions",
@@ -103,44 +102,36 @@ def render_summary(doc, selected):
 def predict_document(docs, params, config, k,
                      threshold=DEFAULT_BOUNDARY_THRESHOLD,
                      convention=SegLabelConvention.FIRST):
-    """Score a stack of documents of one sentence count in one forward pass
-    and apply both decision rules; returns their predictions in order.
+    """Score documents and apply both decision rules; returns their
+    predictions in the order given.
 
-    The stack is never padded, so each prediction is bit for bit the one the
-    document gets alone. Documents of different lengths raise ValueError;
-    :func:`length_stacks` groups a corpus into such stacks.
-    """
-    if len({len(doc.sentences) for doc in docs}) != 1:
-        raise ValueError("predict_document takes one or more documents of one "
-                         "sentence count")
-    enc = forward_document(docs, params, config, with_caches=False)
-    return [
-        Prediction(
-            doc_id=doc.id,
-            selected=select_top_k(summary_probs, k),
-            boundaries=predict_boundaries(boundary_probs, threshold=threshold,
-                                          convention=convention),
-            scores_sum=tuple(summary_probs.tolist()),
-            scores_seg=tuple(boundary_probs.tolist()),
-        )
-        for doc, summary_probs, boundary_probs
-        in zip(docs, enc.summary_probs, enc.boundary_probs)
-    ]
-
-
-def length_stacks(documents, n_heads):
-    """``documents`` cut into stacks for :func:`predict_document`: lists of
-    documents of one sentence count n, in corpus order, at most
+    Documents of one sentence count n are stacked in the order given, at most
     ``_STACK_ATTENTION_ENTRIES // (n_heads * n * n)`` to a stack and at least
-    one, so a stack's attention scores stay within that budget."""
-    by_length = {}
-    for doc in documents:
-        by_length.setdefault(len(doc.sentences), []).append(doc)
-    stacks = []
+    one, so a stack's attention scores stay within that budget. Each stack
+    takes one value-only forward pass and is never padded, so each prediction
+    is bit for bit the one the document gets alone.
+    """
+    by_length = {}  # sentence count -> input positions, in first-seen order
+    for i, doc in enumerate(docs):
+        by_length.setdefault(len(doc.sentences), []).append(i)
+    predictions = [None] * len(docs)
     for n, group in by_length.items():
-        size = max(1, _STACK_ATTENTION_ENTRIES // (n_heads * n * n))
-        stacks += [group[start:start + size] for start in range(0, len(group), size)]
-    return stacks
+        size = max(1, _STACK_ATTENTION_ENTRIES // (params.n_heads * n * n))
+        for start in range(0, len(group), size):
+            stack = group[start:start + size]
+            enc = forward_document([docs[i] for i in stack], params, config,
+                                   with_caches=False)
+            for i, summary_probs, boundary_probs in zip(stack, enc.summary_probs,
+                                                        enc.boundary_probs):
+                predictions[i] = Prediction(
+                    doc_id=docs[i].id,
+                    selected=select_top_k(summary_probs, k),
+                    boundaries=predict_boundaries(boundary_probs, threshold=threshold,
+                                                  convention=convention),
+                    scores_sum=tuple(summary_probs.tolist()),
+                    scores_seg=tuple(boundary_probs.tolist()),
+                )
+    return predictions
 
 
 def paired(predictions, documents):

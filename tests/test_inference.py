@@ -92,6 +92,25 @@ def _docs_of_lengths(lengths):
             for i, n in enumerate(lengths)]
 
 
+def _record_stacks(monkeypatch):
+    """Wrap ``forward_document`` as :func:`predict_document` calls it;
+    returns the ids of each call's documents. Each call must be value-only
+    and unpadded: documents of one sentence count n, one row of n scores
+    each."""
+    forward, stacks = inference.forward_document, []
+
+    def recording(docs, *args, **kwargs):
+        assert kwargs == {"with_caches": False}
+        [n] = {len(doc.sentences) for doc in docs}
+        enc = forward(docs, *args, **kwargs)
+        assert enc.summary_probs.shape == enc.boundary_probs.shape == (len(docs), n)
+        stacks.append([doc.id for doc in docs])
+        return enc
+
+    monkeypatch.setattr(inference, "forward_document", recording)
+    return stacks
+
+
 @pytest.mark.parametrize("budget, expected", [
     (None, [["d0", "d2", "d3", "d5", "d7"], ["d1", "d6"], ["d4"]]),
     # two 6-sentence documents at 2 heads: the group of five splits
@@ -99,26 +118,29 @@ def _docs_of_lengths(lengths):
 ], ids=["default", "split"])
 def test_stacked_documents_get_their_predictions_alone(small_model, monkeypatch, budget,
                                                        expected):
-    """Documents are stacked by sentence count in corpus order, and every
-    document of a stack gets bit for bit the prediction it gets alone."""
+    """Documents are stacked by sentence count in corpus order, one forward
+    pass a stack, and every document gets, in corpus order, bit for bit the
+    prediction it gets alone."""
     config, params = small_model
+    docs = _docs_of_lengths([6, 4, 6, 6, 9, 6, 4, 6])
+    alone = [predict_document([doc], params, config, k=2)[0] for doc in docs]
     if budget is not None:
         monkeypatch.setattr(inference, "_STACK_ATTENTION_ENTRIES", budget)
-    stacks = inference.length_stacks(_docs_of_lengths([6, 4, 6, 6, 9, 6, 4, 6]), params.n_heads)
-    assert [[doc.id for doc in stack] for stack in stacks] == expected
-    for stack in stacks:
-        alone = [predict_document([doc], params, config, k=2)[0] for doc in stack]
-        assert predict_document(stack, params, config, k=2) == alone
+    stacks = _record_stacks(monkeypatch)
+    assert predict_document(docs, params, config, k=2) == alone
+    assert stacks == expected
 
 
 def test_predict_document_never_pads(small_model, monkeypatch):
+    """Documents of different lengths never share a forward pass, and no
+    documents take none."""
     config, params = small_model
-    calls = []
-    monkeypatch.setattr(inference, "forward_document", lambda *a, **kw: calls.append(a))
-    for docs in (_docs_of_lengths([6, 4]), []):
-        with pytest.raises(ValueError, match="one sentence count"):
-            predict_document(docs, params, config, k=2)
-    assert calls == []
+    stacks = _record_stacks(monkeypatch)
+    assert predict_document([], params, config, k=2) == []
+    assert stacks == []
+    preds = predict_document(_docs_of_lengths([6, 4]), params, config, k=2)
+    assert stacks == [["d0"], ["d1"]]
+    assert [len(pred.scores_sum) for pred in preds] == [6, 4]
 
 
 def test_predictions_round_trip(tmp_path, small_model, tiny_corpus):

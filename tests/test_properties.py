@@ -18,12 +18,11 @@ from sectsum import (
     CUE_PHRASES, Document, FeatureConfig, LabelSet, Prediction, Sentence, SynthConfig,
     TrainConfig, TrainingError, Variant, base_features, boundary_proximity_histogram,
     brute_force_subset_sum, candidate_score, dpp_loss_and_grad, encode_forward, evaluation,
-    generate_synthetic, greedy_summary_labels, heads_forward, init_params, parse_corpus,
-    rouge_l, rouge_n, seg_f1, select_top_k, tokenize, total_loss, training, windowdiff,
-    write_corpus,
+    generate_synthetic, greedy_summary_labels, heads_forward, inference, init_params,
+    parse_corpus, rouge_l, rouge_n, seg_f1, select_top_k, tokenize, total_loss, training,
+    windowdiff, write_corpus,
 )
 from sectsum.cli import run
-from sectsum.inference import length_stacks
 from sectsum.rouge import Reference
 from sectsum.training import DEFAULT_DPP_RIDGE
 
@@ -621,17 +620,30 @@ def test_documents_of_about_50_and_200_sentences_never_share_a_stack(lengths):
 @given(st.lists(st.sampled_from([1, 3, 7, 100, 128, 200, 256, 300]), max_size=30),
        st.sampled_from([1, 2, 4]))
 @example([128] * 9 + [3, 128], 4)  # 2**18 // (4 * 128**2) = 4 to a stack
-def test_length_stacks_partition_the_corpus_within_the_attention_budget(lengths, heads):
-    """Every document lands in exactly one stack of one sentence count, each
-    length's documents keep corpus order, and a stack of n-sentence documents
-    holds at most max(1, 2**18 // (heads * n * n)) of them."""
+def test_prediction_stacks_partition_the_corpus_within_the_attention_budget(lengths, heads):
+    """``predict_document``'s forward passes take every document exactly
+    once, each pass documents of one sentence count and no padding; each
+    length's documents keep corpus order, a stack of n-sentence documents
+    holds at most max(1, 2**18 // (heads * n * n)) of them, and the
+    predictions come back in corpus order."""
     documents = [SimpleNamespace(id=i, sentences=(None,) * n) for i, n in enumerate(lengths)]
-    stacks = length_stacks(documents, heads)
+    stacks = []
+
+    def forward(docs, params, config, with_caches):
+        [n] = {len(doc.sentences) for doc in docs}
+        stacks.append(docs)
+        probs = np.full((len(docs), n), 0.5)  # one unpadded row per document
+        return SimpleNamespace(summary_probs=probs, boundary_probs=probs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "forward_document", forward)
+        preds = inference.predict_document(documents, SimpleNamespace(n_heads=heads), None, 1)
+    assert [pred.doc_id for pred in preds] == list(range(len(lengths)))
+    assert [len(pred.scores_sum) for pred in preds] == lengths
     assert sorted(doc.id for stack in stacks for doc in stack) == list(range(len(lengths)))
     for n in set(lengths):
         in_stacks = [doc.id for stack in stacks for doc in stack if len(doc.sentences) == n]
         assert in_stacks == [i for i, m in enumerate(lengths) if m == n]
     for stack in stacks:
         n = len(stack[0].sentences)
-        assert all(len(doc.sentences) == n for doc in stack)
         assert 1 <= len(stack) <= max(1, 2 ** 18 // (heads * n * n))
