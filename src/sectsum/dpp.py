@@ -73,12 +73,13 @@ def _chol_logdet(matrix):
 
 def _ridged_logdet(minor, ridge, real):
     """Factor ``minor`` plus the ridge on the diagonal entries that ``real``
-    marks; the ridge escalates tenfold (up to 1e-4) on failure, a zero ridge
-    never. A stack is factored at ``ridge`` as one; if any matrix fails,
+    marks; on failure the ridge escalates to ``ridge * 10.0 ** k`` for
+    k = 1, 2, ..., capped at 1e-4 and tried there once, a zero ridge never
+    (powers, not repeated products, so 1e-8 reaches exactly 1e-5). A stack is factored at ``ridge`` as one; if any matrix fails,
     each escalates on its own, exactly as it would alone. Returns the
     factor, the log det and the ridge of each matrix."""
     shift = np.eye(minor.shape[-1]) * real[..., None, :]
-    eps = ridge
+    eps, steps = ridge, 0
     while True:
         try:
             return *_chol_logdet(minor + eps * shift), np.full(minor.shape[:-2], eps)
@@ -91,7 +92,8 @@ def _ridged_logdet(minor, ridge, real):
                 raise SingularMinorError(
                     f"singular subset minor (|Y| = {int(real.sum())}, ridge = {eps:g})"
                 ) from None
-            eps = min(eps * 10.0, _MAX_RIDGE)
+            steps += 1
+            eps = min(ridge * 10.0 ** steps, _MAX_RIDGE)
 
 
 @dataclass(frozen=True)

@@ -215,9 +215,10 @@ def primal_dpp_loss_and_grad(hidden, quality, subset, ridge):
 
 def primal_ridge(hidden, quality, subset, ridge):
     """The ridge the subset minor L_Y of the primal kernel takes: ``ridge``,
-    raised tenfold (up to 1e-4) until the Cholesky factorization succeeds."""
+    raised to ``ridge * 10.0 ** k`` for k = 1, 2, ... (capped at 1e-4)
+    until the Cholesky factorization succeeds."""
     minor = primal_kernel(hidden, quality)[0][np.ix_(subset, subset)]
-    eps = ridge
+    eps, steps = ridge, 0
     while True:
         try:
             pivots = np.diag(np.linalg.cholesky(minor + eps * np.eye(len(subset))))
@@ -227,7 +228,8 @@ def primal_ridge(hidden, quality, subset, ridge):
             pass
         if eps == 0.0 or eps >= 1e-4:
             raise SingularMinorError(f"singular subset minor (ridge = {eps:g})")
-        eps = min(eps * 10.0, 1e-4)
+        steps += 1
+        eps = min(ridge * 10.0 ** steps, 1e-4)
 
 
 def loop_total_loss(documents, params, config, feature_config, features=None,

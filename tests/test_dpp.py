@@ -213,12 +213,21 @@ def test_ridge_escalates_tenfold_from_the_default(monkeypatch):
     assert res.ridges.tolist() == [1e-6]
 
 
+def test_ridge_ladder_takes_powers_of_ten(monkeypatch):
+    """A minor that first factors at the fourth rung from 1e-8 reports
+    1e-5 itself, not the 9.999999999999999e-06 of three repeated tenfold
+    products."""
+    _cholesky_failing_below(monkeypatch, 5e-6)
+    res = one_document(np.eye(3), np.full(3, 0.5), [[0]], ridge=1e-8)
+    assert res.ridge_used == 1e-5
+
+
 def test_minor_that_never_factors_raises_at_the_largest_ridge(monkeypatch):
     tried = _cholesky_failing_below(monkeypatch, math.inf)
     with pytest.raises(SingularMinorError, match=r"ridge = 0\.0001\)"):
         one_document(np.eye(3), np.full(3, 0.5), [[0]], ridge=1e-8)
-    assert tried[:5] == pytest.approx([1e-8, 1e-8, 1e-7, 1e-6, 1e-5], rel=1e-6)
-    assert tried[-1] == pytest.approx(1e-4, rel=1e-6)
+    # the stack's own try, then each ridge of the ladder once, 1e-4 last
+    assert tried == pytest.approx([1e-8, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4], rel=1e-6)
 
 
 def test_duplicate_rows_with_zero_ridge_raise():
