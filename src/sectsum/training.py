@@ -476,8 +476,7 @@ class GradCheckReport:
         return lines
 
 
-def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
-               analytic=None):
+def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4):
     """Certify analytic gradients against central finite differences.
 
     Every parameter entry is perturbed by ``step`` in both directions. The
@@ -496,7 +495,7 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
     ``config.variant``) gives each term's gradient norm (0.0 for inactive
     terms) as the norm of the difference between the objective that adds
     the term and the one before. The last objective's gradient is the
-    analytic one, unless ``analytic`` supplies (possibly tampered) gradients.
+    analytic one.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
@@ -525,7 +524,7 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4,
                              with_grads=False)[0]
         fd[entries] = (values[:m] - values[m:]) / (2.0 * step)
 
-    a = grads[-1] if analytic is None else analytic.vector
+    a = grads[-1]
     with np.errstate(invalid="ignore"):
         rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-5)
     rel[~(np.isfinite(a) & np.isfinite(fd))] = np.inf

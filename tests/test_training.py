@@ -252,26 +252,36 @@ def test_grad_check_passes_per_variant(setup):
             assert norms["seg"] > 0.0 and norms["dpp"] > 0.0
 
 
-def test_grad_check_flags_injected_fault(setup):
+def _tamper_analytic_gradients(monkeypatch, tamper):
+    """Make ``backward_document``, as ``training`` calls it, apply ``tamper``
+    to the gradients it returns. The value-only probe passes never call it,
+    so only ``grad_check``'s analytic gradient changes."""
+    backward = training.backward_document
+
+    def tampered(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        tamper(grads)
+        return grads
+
+    monkeypatch.setattr(training, "backward_document", tampered)
+
+
+def test_grad_check_flags_injected_fault(setup, monkeypatch):
     docs, fconfig, params = setup
-    doc = docs[0]
-    config = TrainConfig(variant="joint")
-    honest = total_loss([doc], params, config, fconfig, with_grads=True)
-    broken = honest.grads.from_vector(honest.grads.vector)
-    broken.w_sum[...] *= 1.5  # a deliberately wrong analytic block
-    report = grad_check(params, doc, config, fconfig, analytic=broken)
+    # a deliberately wrong analytic block
+    _tamper_analytic_gradients(
+        monkeypatch, lambda grads: np.multiply(grads.w_sum, 1.5, out=grads.w_sum))
+    report = grad_check(params, docs[0], TrainConfig(variant="joint"), fconfig)
     assert not report.passed
     assert report.block_errors["head.sum.weight"] > report.tolerance
     lines = "\n".join(report.summary_lines())
     assert "FAIL" in lines
 
 
-def test_grad_check_flags_non_finite_analytic(setup):
+def test_grad_check_flags_non_finite_analytic(setup, monkeypatch):
     docs, fconfig, params = setup
-    nan_grads = params.zeros_like()
-    nan_grads.vector[...] = np.nan
-    report = grad_check(params, docs[0], TrainConfig(variant="joint"), fconfig,
-                        analytic=nan_grads)
+    _tamper_analytic_gradients(monkeypatch, lambda grads: grads.vector.fill(np.nan))
+    report = grad_check(params, docs[0], TrainConfig(variant="joint"), fconfig)
     assert not report.passed
     assert report.max_error == math.inf
     assert all(err == math.inf for err in report.block_errors.values())
