@@ -142,6 +142,14 @@ def test_evaluate_full_macro_averages_rouge():
     assert report.avg_summary_words == 2.0
 
 
+def test_evaluate_full_averages_summary_words():
+    """Summaries of 1, 2 and 6 words: the mean is 3.0, the median 2.0."""
+    docs = [make_doc(doc_id=str(i), texts=[text, "z"], section_starts=(0,), reference="z")
+            for i, text in enumerate(["a", "a b", "a b c d e f"])]
+    scored = with_references([_prediction_for(doc, (0,)) for doc in docs], docs)
+    assert evaluate_full(scored).avg_summary_words == 3.0
+
+
 def test_evaluate_full_needs_reference():
     doc = make_doc(reference=None)
     with pytest.raises(Exception, match="reference"):
