@@ -73,11 +73,11 @@ def _chol_logdet(matrix):
 
 def _ridged_logdet(minor, ridge, real):
     """Factor ``minor`` plus the ridge on the diagonal entries that ``real``
-    marks; on failure the ridge escalates to ``ridge * 10.0 ** k`` for
-    k = 1, 2, ..., capped at 1e-4 and tried there once, a zero ridge never
-    (powers, not repeated products, so 1e-8 reaches exactly 1e-5). A stack is factored at ``ridge`` as one; if any matrix fails,
-    each escalates on its own, exactly as it would alone. Returns the
-    factor, the log det and the ridge of each matrix."""
+    marks; on failure the ridge escalates to ``ridge * 10.0 ** k`` (k = 1, 2,
+    ..., so 1e-8 reaches 1e-5 exactly), up to 1e-4 and tried there once; a
+    zero ridge never escalates. A stack is factored at ``ridge`` as one; if
+    any matrix fails, each escalates on its own, exactly as it would alone.
+    Returns the factor, the log det and the ridge of each matrix."""
     shift = np.eye(minor.shape[-1]) * real[..., None, :]
     eps, steps = ridge, 0
     while True:
