@@ -336,14 +336,13 @@ def loop_base_features(doc, config):
     return out
 
 
-def loop_grad_check(params, doc, config, feature_config, step=1e-5, analytic=None):
+def loop_grad_check(params, doc, config, feature_config, step=1e-5):
     """``grad_check``'s block errors by their definition: every parameter
     entry is perturbed in place by +step and -step, one unbatched value-only
     ``total_loss`` per probe, and the block keeps its worst relative error (a
     non-finite entry counts as infinite). ``grad_check`` must equal it bit
     for bit."""
-    if analytic is None:
-        analytic = total_loss([doc], params, config, feature_config).grads
+    analytic = total_loss([doc], params, config, feature_config).grads
     probe = params.from_vector(params.vector)
     features = [base_features(doc, feature_config)]
 
