@@ -646,4 +646,5 @@ def test_prediction_stacks_partition_the_corpus_within_the_attention_budget(leng
         assert in_stacks == [i for i, m in enumerate(lengths) if m == n]
     for stack in stacks:
         n = len(stack[0].sentences)
+        assert all(len(doc.sentences) == n for doc in stack)
         assert 1 <= len(stack) <= max(1, 2 ** 18 // (heads * n * n))
