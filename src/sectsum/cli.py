@@ -74,8 +74,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("synth", parents=[], help="generate a labeled synthetic corpus",
-                       add_help=True)
+    p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
     p.add_argument("--out", required=True, help="output corpus JSONL path")
     p.add_argument("--docs", type=int, default=100, help="number of documents")
     p.add_argument("--sections", type=int, nargs=2, default=(3, 5),
@@ -129,8 +128,6 @@ def build_parser():
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--ffn-hidden", type=int, default=None)
-    p.add_argument("--eval-k", type=int, default=3,
-                   help="summary size for per-epoch validation metrics")
     p.add_argument("--threads", type=int, default=1,
                    help="at least 1; training is single-process, so it never changes the run")
     p.set_defaults(func=_cmd_train)
@@ -205,7 +202,7 @@ def _cmd_synth(args):
 def _cmd_label(args):
     if args.max_sentences is not None and args.max_sentences < 0:
         raise ValueError(f"--max-sentences must be at least 0, got {args.max_sentences}")
-    documents, skipped = parse_corpus(args.corpus, strict=True)
+    documents, _ = parse_corpus(args.corpus)
     convention = SegLabelConvention(args.seg_label)
     labeled = [
         dataclasses.replace(doc, labels=build_labels(
@@ -255,9 +252,9 @@ def _cmd_train(args):
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     config = _load_train_config(args)
-    train_docs, _ = parse_corpus(args.corpus, strict=True)
+    train_docs, _ = parse_corpus(args.corpus)
     if args.val_corpus is not None:
-        val_docs, _ = parse_corpus(args.val_corpus, strict=True)
+        val_docs, _ = parse_corpus(args.val_corpus)
     elif args.val_fraction > 0 and len(train_docs) >= 3:
         train_docs, val_docs, _ = split_corpus(
             train_docs, (1.0 - args.val_fraction, args.val_fraction, 0.0),
@@ -267,11 +264,8 @@ def _cmd_train(args):
         val_docs = []
 
     feature_config = FeatureConfig(dim=args.dim, hash_buckets=args.hash_buckets)
-    result = fit(
-        train_docs, config, feature_config=feature_config, val_docs=val_docs,
-        n_layers=args.layers, n_heads=args.heads, ffn_hidden=args.ffn_hidden,
-        eval_top_k=args.eval_k,
-    )
+    result = fit(train_docs, config, feature_config=feature_config, val_docs=val_docs,
+                 n_layers=args.layers, n_heads=args.heads, ffn_hidden=args.ffn_hidden)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -304,7 +298,7 @@ def _cmd_predict(args):
         raise ValueError(f"--k must be at least 0, got {args.k}")
     if not math.isfinite(args.threshold):
         raise ValueError(f"--threshold must be finite, got {args.threshold}")
-    documents, _ = parse_corpus(args.corpus, strict=True)
+    documents, _ = parse_corpus(args.corpus)
     params, feature_config = load_checkpoint(args.checkpoint)
     convention = SegLabelConvention(args.seg_label)
     predictions = predict_document(documents, params, feature_config, args.k,
@@ -320,7 +314,7 @@ def _cmd_predict(args):
 def _cmd_eval(args):
     if args.k_max < 1:
         raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
-    documents, _ = parse_corpus(args.corpus, strict=True)
+    documents, _ = parse_corpus(args.corpus)
     scored = with_references(read_predictions(args.predictions), documents)
     report = evaluate_full(scored)
     out = Path(args.out)
@@ -351,7 +345,7 @@ def _cmd_eval(args):
 
 
 def _cmd_analyze(args):
-    documents, _ = parse_corpus(args.corpus, strict=True)
+    documents, _ = parse_corpus(args.corpus)
     selections = []
     for doc in documents:
         if doc.labels is None:

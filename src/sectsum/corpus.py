@@ -223,8 +223,6 @@ def _int_list(value, name):
 
 
 def _record_to_doc(record):
-    if not isinstance(record, dict):
-        raise CorpusError("record must be a JSON object")
     for key in ("id", "sentences", "section_starts"):
         if key not in record:
             raise CorpusError(f"record missing required key {key!r}")
@@ -257,41 +255,41 @@ def _record_to_doc(record):
     return doc
 
 
-def parse_corpus(path, strict=True):
-    """Read a JSONL corpus.
-
-    Parameters
-    ----------
-    path : str or Path
-        JSON Lines file, one document per line. Blank lines are ignored.
-    strict : bool
-        If True, any malformed line, or one whose document id an earlier
-        line already used, raises :class:`CorpusError` naming the line
-        number. If False, such lines are skipped and counted.
-
-    Returns
-    -------
-    (documents, skipped) : (list of Document, int)
-    """
-    documents = []
-    skipped = 0
-    first_line = {}  # document id -> line number
+def _read_jsonl(path, build, key):
+    """``build(record)`` for each non-blank line of the JSON Lines file
+    ``path``, in file order. A line that is not a UTF-8 JSON object, that
+    ``build`` rejects, or whose ``key(item)`` an earlier line already gave,
+    raises :class:`CorpusError` naming its line number."""
+    items = []
+    first_line = {}  # key -> line number
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                doc = _record_to_doc(json.loads(line.decode("utf-8")))
-                if doc.id in first_line:
-                    raise CorpusError(
-                        f"document id {doc.id!r} repeats line {first_line[doc.id]}")
-                first_line[doc.id] = line_no
-                documents.append(doc)
-            except (CorpusError, ValueError, RecursionError) as exc:
-                if strict:
-                    raise CorpusError(f"line {line_no}: {exc}") from exc
-                skipped += 1
-    return documents, skipped
+                record = json.loads(line.decode("utf-8"))
+                if not isinstance(record, dict):
+                    raise CorpusError("record must be a JSON object")
+                item = build(record)
+            except (CorpusError, KeyError, TypeError, ValueError, RecursionError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise CorpusError(f"line {line_no}: {detail}") from exc
+            item_key = key(item)
+            if item_key in first_line:
+                raise CorpusError(f"line {line_no}: document id {item_key!r} repeats "
+                                  f"line {first_line[item_key]}")
+            first_line[item_key] = line_no
+            items.append(item)
+    return items
+
+
+def parse_corpus(path):
+    """Documents of a JSONL corpus, one per non-blank line. A malformed line,
+    or one that repeats an earlier line's document id, raises
+    :class:`CorpusError` naming the line. Returns ``(documents, 0)``: the 0
+    was a lenient mode's skipped-line count, and goes once
+    ``perfbench/tracing.py`` stops reading it (ROADMAP item 1)."""
+    return _read_jsonl(path, _record_to_doc, lambda doc: doc.id), 0
 
 
 def write_corpus(documents, path):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusError, _atomic_write, _int_list
+from .corpus import CorpusError, _atomic_write, _int_list, _read_jsonl
 from .encoder import forward_document
 from .oracle import SegLabelConvention
 
@@ -177,38 +177,26 @@ def _distinct_indices(value, name):
     return indices
 
 
+def _record_to_prediction(record):
+    if not isinstance(record["id"], str):
+        raise CorpusError(f"id must be a string, got {record['id']!r}")
+    record["id"].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
+    pred = Prediction(
+        doc_id=record["id"],
+        selected=_distinct_indices(record["selected"], "selected"),
+        boundaries=_distinct_indices(record["boundaries"], "boundaries"),
+        scores_sum=tuple(record["scores_sum"]),
+        scores_seg=tuple(record["scores_seg"]),
+    )
+    # JSON booleans parse as bool, which math.isfinite would accept
+    if not all(type(v) in (int, float) and math.isfinite(v)
+               for v in pred.scores_sum + pred.scores_seg):
+        raise CorpusError("non-finite or non-numeric score in prediction record")
+    return pred
+
+
 def read_predictions(path):
     """Read prediction JSONL back into :class:`Prediction` objects. A record
     that repeats an earlier record's id, or an index within its ``selected``
     or ``boundaries``, raises :class:`CorpusError`."""
-    predictions = []
-    first_line = {}  # document id -> line number
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record["id"], str):
-                    raise CorpusError(f"id must be a string, got {record['id']!r}")
-                record["id"].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
-                pred = Prediction(
-                    doc_id=record["id"],
-                    selected=_distinct_indices(record["selected"], "selected"),
-                    boundaries=_distinct_indices(record["boundaries"], "boundaries"),
-                    scores_sum=tuple(record["scores_sum"]),
-                    scores_seg=tuple(record["scores_seg"]),
-                )
-            except (CorpusError, KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise CorpusError(f"line {line_no}: bad prediction record: {exc}") from exc
-            # JSON booleans parse as bool, which math.isfinite would accept
-            if not all(type(v) in (int, float) and math.isfinite(v)
-                       for v in pred.scores_sum + pred.scores_seg):
-                raise CorpusError(f"line {line_no}: non-finite or non-numeric score "
-                                  "in prediction record")
-            if pred.doc_id in first_line:
-                raise CorpusError(f"line {line_no}: document id {pred.doc_id!r} repeats "
-                                  f"line {first_line[pred.doc_id]}")
-            first_line[pred.doc_id] = line_no
-            predictions.append(pred)
-    return predictions
+    return _read_jsonl(path, _record_to_prediction, lambda pred: pred.doc_id)

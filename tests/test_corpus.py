@@ -13,6 +13,7 @@ from sectsum import (
     boundary_proximity_histogram,
     generate_synthetic,
     parse_corpus,
+    read_predictions,
     relabel_boundaries,
     split_corpus,
     tokenize,
@@ -91,8 +92,6 @@ def test_parse_corpus_reports_line_numbers(tmp_path):
                      + b"[" * 100_000 + b"]" * 100_000 + b"\n")
     with pytest.raises(CorpusError, match="line 2"):
         parse_corpus(path)
-    docs, skipped = parse_corpus(path, strict=False)
-    assert len(docs) == 1 and skipped == 3
 
 
 def test_parse_corpus_rejects_repeated_ids(tmp_path):
@@ -102,8 +101,6 @@ def test_parse_corpus_rejects_repeated_ids(tmp_path):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     with pytest.raises(CorpusError, match="line 3: document id 'a' repeats line 1"):
         parse_corpus(path)
-    docs, skipped = parse_corpus(path, strict=False)
-    assert [d.sentences[0].text for d in docs] == ["x y", "z"] and skipped == 1
 
 
 @pytest.mark.parametrize("field", ["id", "sentences", "reference_summary"])
@@ -116,8 +113,41 @@ def test_parse_corpus_rejects_lone_surrogates(tmp_path, field):
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(CorpusError, match="line 2: .*surrogates not allowed"):
         parse_corpus(path)
-    docs, skipped = parse_corpus(path, strict=False)
-    assert [d.id for d in docs] == ["ok"] and skipped == 1
+
+
+# One record of each JSON Lines format; both go through corpus._read_jsonl.
+_READERS = pytest.mark.parametrize("read, record", [
+    (lambda path: parse_corpus(path)[0],
+     {"id": "a", "sentences": ["x y", "z w"], "section_starts": [0]}),
+    (read_predictions,
+     {"id": "a", "selected": [0], "boundaries": [0], "scores_sum": [0.5, 0.25],
+      "scores_seg": [0.5, 0.25]}),
+], ids=["corpus", "predictions"])
+
+
+@_READERS
+def test_blank_lines_between_records_change_nothing(tmp_path, read, record):
+    lines = [json.dumps({**record, "id": doc_id}) for doc_id in ("a", "b", "c")]
+    plain = tmp_path / "plain.jsonl"
+    plain.write_text("".join(line + "\n" for line in lines))
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + "\n \t\n\n".join(lines) + "\n  \n")
+    items = read(plain)
+    assert len(items) == 3
+    assert read(spaced) == items
+
+
+@_READERS
+def test_errors_after_blank_lines_name_the_physical_line(tmp_path, read, record):
+    good = json.dumps(record) + "\n\n \t\n"
+    path = tmp_path / "bad.jsonl"
+    for bad, message in (("nonsense", "line 4: "),
+                         (json.dumps({**record, "id": 5}), "line 4: .*id"),
+                         ("[1, 2]", "line 4: record must be a JSON object"),
+                         (json.dumps(record), "line 4: document id 'a' repeats line 1$")):
+        path.write_text(good + bad + "\n")
+        with pytest.raises(CorpusError, match=message):
+            read(path)
 
 
 def test_atomic_write_changes_the_target_only_on_success(tmp_path):
@@ -171,8 +201,6 @@ def test_parse_corpus_rejects_booleans(tmp_path, field, value):
                     + "\n" + json.dumps(record) + "\n")
     with pytest.raises(CorpusError, match=f"line 2: .*{field}"):
         parse_corpus(path)
-    docs, skipped = parse_corpus(path, strict=False)
-    assert [d.id for d in docs] == ["ok"] and skipped == 1
 
 
 def test_split_corpus_sizes_and_disjointness(tiny_corpus):

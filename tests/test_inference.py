@@ -173,7 +173,7 @@ def test_read_predictions_reports_line(tmp_path):
     with pytest.raises(CorpusError, match="line 2"):
         read_predictions(path)
     path.write_text('{"selected": [0]}\n')
-    with pytest.raises(CorpusError, match="line 1"):
+    with pytest.raises(CorpusError, match="line 1: missing key 'id'"):
         read_predictions(path)
 
 
