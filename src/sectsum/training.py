@@ -8,7 +8,7 @@ Three variants share one architecture and differ only in the loss:
   ground-truth subset is the labeled summary sentences.
 
 Batch losses and gradients are plain means over the documents in the batch.
-Training is deterministic for a fixed seed when run single-threaded.
+Training is deterministic for a fixed seed at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ _BCE_CLAMP = 1e-7
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+
+_VAL_TOP_K = 3  # summary size of the per-epoch validation ROUGE-1
 
 # Perturbed parameter rows per batched value pass in grad_check (both signs
 # of 128 entries). At the default gradcheck model, peak memory grows by about
@@ -325,15 +327,14 @@ class FitResult:
     history: list = field(default_factory=list)
 
 
-def _validation_metrics(val_docs, params, config, feature_config, features,
-                        eval_top_k):
+def _validation_metrics(val_docs, params, config, feature_config, features):
     loss = total_loss(val_docs, params, config, feature_config,
                       features=features, with_grads=False)
     rouge_scores = []
     seg_scores = []
     for doc, (summary_probs, boundary_probs) in zip(val_docs, loss.head_probs):
         if doc.reference_summary:
-            picked = inference.select_top_k(summary_probs, eval_top_k)
+            picked = inference.select_top_k(summary_probs, _VAL_TOP_K)
             rouge_scores.append(rouge_n(doc.summary_tokens(picked),
                                         tokenize(doc.reference_summary), 1).f1)
         hyp = inference.predict_boundaries(boundary_probs)
@@ -347,7 +348,7 @@ def _validation_metrics(val_docs, params, config, feature_config, features,
 
 
 def fit(train_docs, config, feature_config=None, val_docs=(),
-        n_layers=2, n_heads=4, ffn_hidden=None, eval_top_k=3):
+        n_layers=2, n_heads=4, ffn_hidden=None):
     """Train a model with Adam and linear warmup.
 
     Parameters
@@ -360,12 +361,11 @@ def fit(train_docs, config, feature_config=None, val_docs=(),
     val_docs : list of Document
         Optional labeled validation documents; per-epoch metrics are logged
         against them and the best-validation-loss parameters are retained.
+        Validation ROUGE-1 takes the top ``_VAL_TOP_K`` (3) summary scores;
+        validation boundaries use ``inference.DEFAULT_BOUNDARY_THRESHOLD``.
     n_layers, n_heads, ffn_hidden
         Architecture knobs; the parameters are initialized from the config
         seed.
-    eval_top_k
-        Summary size for the per-epoch validation ROUGE-1; validation
-        boundaries use ``inference.DEFAULT_BOUNDARY_THRESHOLD``.
 
     Returns
     -------
@@ -428,7 +428,7 @@ def fit(train_docs, config, feature_config=None, val_docs=(),
                   "val_loss": None, "val_rouge1_f": None, "val_seg_f1": None}
         if val_docs:
             record.update(_validation_metrics(
-                val_docs, params, config, feature_config, val_features, eval_top_k))
+                val_docs, params, config, feature_config, val_features))
         history.append(record)
         key = record["val_loss"] if val_docs else record["train_loss"]
         if key < best_key:
