@@ -1,0 +1,110 @@
+"""One-line mutants of ``src/sectsum``, each with the test that kills it.
+
+Run from anywhere:
+
+    python tests/mutants.py
+
+Every killing test first runs on an unmutated copy of ``src`` and ``tests``
+in a temporary directory, and must pass there. Then each mutant is applied to
+its own fresh copy and only its killing test runs. The script exits 1 if a
+killing test fails on the unmutated copy, if a mutant's line is no longer
+found exactly once, or if any mutant survives; so a later edit cannot quietly
+weaken the test that guards a line. pytest does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/sectsum, original text, mutated text, killing test)
+MUTANTS = [
+    ("evaluation.py",
+     "count = int((pseudo >= observed).sum())",
+     "count = int((pseudo > observed).sum())",
+     "tests/test_evaluation.py::test_approx_randomization_identical_scores"),
+    # WindowDiff's window rounds half up
+    ("evaluation.py",
+     "k = max(1, math.floor(n / (2.0 * n_segments) + 0.5))",
+     "k = max(1, math.floor(n / (2.0 * n_segments)))",
+     "tests/test_properties.py::test_windowdiff_matches_the_window_scan"),
+    ("inference.py",
+     "if len(set(indices)) != len(indices):",
+     "if False:",
+     "tests/test_cli.py::test_prediction_that_does_not_fit_its_document_exits_2"),
+    ("encoder.py",
+     "if not np.isfinite(arr).all():",
+     "if False:",
+     "tests/test_encoder.py::test_checkpoint_rejects_corruption"),
+    ("oracle.py",
+     "limit = n if max_sentences is None else min(max_sentences, n)",
+     "limit = n if max_sentences is None else min(max_sentences + 1, n)",
+     "tests/test_oracle.py::test_max_sentences_caps_selection"),
+    ("inference.py",
+     "hits = np.flatnonzero(scores >= threshold)",
+     "hits = np.flatnonzero(scores > threshold)",
+     "tests/test_inference.py::test_score_exactly_at_the_threshold_is_a_boundary"),
+    ("evaluation.py",
+     "avg_summary_words=float(np.mean(words)),",
+     "avg_summary_words=float(np.median(words)),",
+     "tests/test_evaluation.py::test_evaluate_full_averages_summary_words"),
+    ("dpp.py",
+     "eps = min(ridge * 10.0 ** steps, _MAX_RIDGE)",
+     "eps = min(ridge * 100.0 ** steps, _MAX_RIDGE)",
+     "tests/test_dpp.py::test_minor_that_never_factors_raises_at_the_largest_ridge"),
+    # the JSON Lines reader's repeated-id check
+    ("corpus.py",
+     "if item_key in first_line:",
+     "if False:",
+     "tests/test_corpus.py::test_parse_corpus_rejects_repeated_ids"),
+]
+
+
+def _copy(directory):
+    """A copy of the package and its tests; returns its root."""
+    copy = Path(directory) / "repo"
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, copy / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", copy)
+    return copy
+
+
+def _pytest(copy, tests):
+    """pytest on ``tests``, importing ``sectsum`` from the copy."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def main():
+    with tempfile.TemporaryDirectory() as directory:
+        copy = _copy(directory)
+        baseline = _pytest(copy, sorted({test for *_, test in MUTANTS}))
+        if baseline.returncode != 0:
+            print(baseline.stdout, baseline.stderr, "a killing test fails on the unmutated code")
+            return 1
+    survivors = 0
+    for name, original, mutated, test in MUTANTS:
+        with tempfile.TemporaryDirectory() as directory:
+            copy = _copy(directory)
+            path = copy / "src" / "sectsum" / name
+            text = path.read_text(encoding="utf-8")
+            if text.count(original) != 1:
+                print(f"stale mutant: {original!r} is not found once in {name}")
+                return 1
+            path.write_text(text.replace(original, mutated), encoding="utf-8")
+            killed = _pytest(copy, [test]).returncode != 0
+        survivors += not killed
+        print(f"{'killed' if killed else 'SURVIVED'}: {name} {original!r} -> {mutated!r} "
+              f"[{test}]")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
