@@ -39,6 +39,36 @@ LABEL_DIGESTS = {
     ("--max-sentences", "3", "--seg-label", "last"):
         "038ee2ce25f3757ceaa47f59075e33625045957abe033c76839377ca2603962c",
 }
+# the written corpus of generate_synthetic, per config: acceptance 6's mix of
+# near-duplicates, impostors and weak salient sentences; every salient
+# sentence duplicated at boundary bias 0 and 1; one-sentence sections, which
+# leave no interior slot; and one 40-section document of 10 sentences each
+SYNTH_CONFIGS = {
+    "acceptance-6-mix": SynthConfig(
+        n_documents=8, salience_boundary_bias=0.9, sections_per_document=(4, 6),
+        weak_salient_rate=0.5, duplicate_rate=0.9, impostor_rate=0.6, rng_seed=11),
+    "all-duplicated-bias-0": SynthConfig(
+        n_documents=8, salience_boundary_bias=0.0, duplicate_rate=1.0, rng_seed=12),
+    "all-duplicated-bias-1": SynthConfig(
+        n_documents=8, salience_boundary_bias=1.0, duplicate_rate=1.0, rng_seed=13),
+    "one-sentence-sections": SynthConfig(
+        n_documents=8, sentences_per_section=(1, 1), impostor_rate=0.6, rng_seed=14),
+    "40x10": SynthConfig(
+        n_documents=1, sections_per_document=(40, 40), sentences_per_section=(10, 10),
+        impostor_rate=0.6, rng_seed=15),
+}
+SYNTH_DIGESTS = {
+    "acceptance-6-mix":
+        "67b6c4d4f8bf95eb4f07b1d425db16266a7866676612c1f96ae492e88960cec7",
+    "all-duplicated-bias-0":
+        "d875b36e0ba9b004f096f8bb9fe2809bf77e509e963e073103cd8cb8a04441b2",
+    "all-duplicated-bias-1":
+        "24c3691c21bc348ac4d438b024932a9e192ecf4d44b9931a9ccdfb70e724d3ec",
+    "one-sentence-sections":
+        "e8fb1c7f8c28afeb3cf6985b854f605f46d87d09f5c0a1dd96498ba5427f5f11",
+    "40x10":
+        "d51421b60dec179a3a3d1d8026fdf98791035d282b96e1997fcaaab3c2143884",
+}
 GRADCHECK_STDOUT_DIGEST = (
     "5ce4096b1b55b474d8ead8e4b8ad57741f9e3d7e9887ec51f8d31a53d551db0c"
 )
@@ -111,3 +141,11 @@ def test_label_outputs_are_pinned(tmp_path):
         assert run(["label", "--corpus", str(corpus), "--out", str(out), *flags]) == 0
         digests[flags] = _sha256(out.read_bytes())
     assert digests == LABEL_DIGESTS
+
+
+def test_synth_outputs_are_pinned(tmp_path):
+    digests = {}
+    for name, config in SYNTH_CONFIGS.items():
+        write_corpus(generate_synthetic(config), tmp_path / f"{name}.jsonl")
+        digests[name] = _sha256((tmp_path / f"{name}.jsonl").read_bytes())
+    assert digests == SYNTH_DIGESTS
