@@ -21,10 +21,9 @@ import numpy as np
 
 from . import evaluation, inference
 from .corpus import CorpusError, tokenize
-from .dpp import DEFAULT_DPP_RIDGE, SingularMinorError, ZeroNormError, dpp_loss_and_grad
+from .dpp import DEFAULT_DPP_RIDGE, dpp_loss_and_grad
 from .encoder import (
     FeatureConfig,
-    NumericsError,
     _cut,
     base_features,
     backward_document,
@@ -175,12 +174,12 @@ def total_loss(documents, params, config, feature_config, features=None,
                with_grads=True):
     """Variant-dependent loss over a batch of labeled documents.
 
-    The batch runs as stacks of documents of similar length (see
+    The batch runs once, as stacks of documents of similar length (see
     :func:`_stacks`), each through :func:`_stack_loss`; only a gradient pass
-    keeps activation caches. If any document fails (a non-finite activation
-    or loss, a zero-norm sentence, a singular minor), the batch runs again
-    one document at a time in batch order, so the error raised is the one
-    the first failing document raises alone.
+    keeps activation caches. When every stack has run, the first document
+    in batch order whose loss is not finite raises :class:`TrainingError`.
+    Any other failure (a non-finite activation, a zero-norm sentence, a
+    singular minor) is raised by the stack it happens in.
 
     Parameters
     ----------
@@ -211,44 +210,36 @@ def total_loss(documents, params, config, feature_config, features=None,
         raise ValueError(f"{len(features)} feature matrices for {len(documents)} documents")
     labels = [_doc_arrays(doc) for doc in documents]
     n_docs = len(documents)
-
-    def run(stacks):
-        grads = None  # the first stack's gradient, summed into in place
-        doc_values, doc_parts, head_probs, ridges = ([None] * n_docs for _ in range(4))
-        for stack in stacks:
-            values, parts, row_ridges, (p_sum, p_seg), stack_grads = _stack_loss(
-                [documents[i] for i in stack], [features[i] for i in stack],
-                [labels[i] for i in stack], params, config, with_grads)
-            for row, i in enumerate(stack):
-                n = len(documents[i])
-                doc_values[i] = float(values[row])
-                doc_parts[i] = {k: float(v[row]) for k, v in parts.items()}
-                head_probs[i] = (p_sum[row, :n], p_seg[row, :n])
-                ridges[i] = None if np.isnan(row_ridges[row]) else float(row_ridges[row])
-            if grads is None:
-                grads = stack_grads
-            else:
-                grads.vector[...] += stack_grads.vector
-        if with_grads:
-            grads.vector[...] /= n_docs
-        repulsion = config.variant is Variant.FULL and config.beta > 0.0
-        return BatchLoss(
-            value=sum(doc_values) / n_docs,
-            parts={k: sum(p[k] for p in doc_parts) / n_docs for k in ("sum", "seg", "dpp")},
-            grads=grads,
-            dpp_skipped=ridges.count(None) if repulsion else 0,
-            head_probs=head_probs,
-            ridges=ridges,
-        )
-
-    alone = [[i] for i in range(n_docs)]
-    stacks = _stacks([len(doc) for doc in documents])
-    try:
-        return run(stacks)
-    except (NumericsError, ZeroNormError, SingularMinorError, TrainingError):
-        if stacks == alone:
-            raise
-    return run(alone)
+    grads = None  # the first stack's gradient, summed into in place
+    doc_values, doc_parts, head_probs, ridges = ([None] * n_docs for _ in range(4))
+    for stack in _stacks([len(doc) for doc in documents]):
+        values, parts, row_ridges, (p_sum, p_seg), stack_grads = _stack_loss(
+            [documents[i] for i in stack], [features[i] for i in stack],
+            [labels[i] for i in stack], params, config, with_grads)
+        for row, i in enumerate(stack):
+            n = len(documents[i])
+            doc_values[i] = float(values[row])
+            doc_parts[i] = {k: float(v[row]) for k, v in parts.items()}
+            head_probs[i] = (p_sum[row, :n], p_seg[row, :n])
+            ridges[i] = None if np.isnan(row_ridges[row]) else float(row_ridges[row])
+        if grads is None:
+            grads = stack_grads
+        else:
+            grads.vector[...] += stack_grads.vector
+    for doc, value in zip(documents, doc_values):
+        if not math.isfinite(value):
+            raise TrainingError(f"non-finite loss on document {doc.id!r}")
+    if with_grads:
+        grads.vector[...] /= n_docs
+    repulsion = config.variant is Variant.FULL and config.beta > 0.0
+    return BatchLoss(
+        value=sum(doc_values) / n_docs,
+        parts={k: sum(p[k] for p in doc_parts) / n_docs for k in ("sum", "seg", "dpp")},
+        grads=grads,
+        dpp_skipped=ridges.count(None) if repulsion else 0,
+        head_probs=head_probs,
+        ridges=ridges,
+    )
 
 
 def _stack_loss(docs, features, labels, params, config, with_grads):
@@ -263,8 +254,7 @@ def _stack_loss(docs, features, labels, params, config, with_grads):
     Returns per-row values, parts (``dpp`` unscaled by beta), ridges (NaN
     where the repulsion term did not run) and ``(summary_probs,
     boundary_probs)``, and the stack's summed gradient (None without
-    gradients). A non-finite loss raises for the stack's first such
-    document."""
+    gradients). A non-finite value is returned as it is."""
     enc = forward_document(docs, params, None, features, with_caches=with_grads)
     p_sum, p_seg = enc.summary_probs, enc.boundary_probs
     n_rows, n = p_sum.shape
@@ -294,11 +284,6 @@ def _stack_loss(docs, features, labels, params, config, with_grads):
                 d_hidden[live] = config.beta * rep.d_hidden
                 d_sum[live] += config.beta * rep.d_quality
     values = parts["sum"] + parts["seg"] + config.beta * parts["dpp"]
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        # with one document broadcast against parameter rows, a row is no document
-        doc = docs[bad[0] if len(docs) > 1 else 0]
-        raise TrainingError(f"non-finite loss on document {doc.id!r}")
     grads = None
     if with_grads:
         grads = backward_document(enc, params, d_hidden=d_hidden, d_summary=d_sum,

@@ -61,6 +61,21 @@ MUTANTS = [
      "if item_key in first_line:",
      "if False:",
      "tests/test_corpus.py::test_parse_corpus_rejects_repeated_ids"),
+    # total_loss's batch-order check for a non-finite document loss
+    ("training.py",
+     "if not math.isfinite(value):",
+     "if False:",
+     "tests/test_properties.py::test_stacked_loss_matches_the_document_loop"),
+    # impostors replace only strictly interior sentences
+    ("corpus.py",
+     "for pi in range(1, len(sec) - 1):",
+     "for pi in range(0, len(sec) - 1):",
+     "tests/test_determinism_pin.py::test_synth_outputs_are_pinned"),
+    # a near-duplicate never lands on its section's first slot
+    ("corpus.py",
+     "target.insert(int(rng.integers(1, len(target))), (\"dup\", tokens))",
+     "target.insert(int(rng.integers(0, len(target))), (\"dup\", tokens))",
+     "tests/test_determinism_pin.py::test_synth_outputs_are_pinned"),
 ]
 
 

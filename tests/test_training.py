@@ -288,6 +288,19 @@ def test_grad_check_flags_non_finite_analytic(setup, monkeypatch):
     assert "FAIL" in "\n".join(report.summary_lines())
 
 
+def test_grad_check_reports_a_non_finite_loss_as_an_infinite_error(setup):
+    """A NaN summary label makes every probe loss and the analytic gradient
+    NaN; the report fails with an infinite error instead of raising."""
+    docs, fconfig, params = setup
+    labels = docs[0].labels
+    doc = dataclasses.replace(docs[0], labels=dataclasses.replace(
+        labels, summary_labels=(float("nan"),) + labels.summary_labels[1:]))
+    report = grad_check(params, doc, TrainConfig(variant="full", beta=0.1), fconfig)
+    assert not report.passed
+    assert report.max_error == math.inf
+    assert "FAIL" in report.summary_lines()[-1]
+
+
 @pytest.mark.parametrize("variant, beta", [("base", 0.0), ("joint", 0.0), ("full", 0.1)])
 def test_grad_check_matches_the_loop_reference(setup, variant, beta):
     """Block errors and per-term norms equal their definitions exactly; the
