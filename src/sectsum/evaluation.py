@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import CorpusError, tokenize
 from .inference import paired, ranking
-from .rouge import Reference, RougeScore, RunningOverlap, _score, rouge_l, rouge_n
+from .rouge import Reference, RougeScore, _score, rouge_l, rouge_n
 
 __all__ = [
     "EvalReport",
@@ -206,28 +206,79 @@ def evaluate_full(scored):
     )
 
 
+def _join(counts, reference_counts, grams):
+    """Add ``grams`` to ``counts``, a selection's counts of the reference
+    n-grams; returns the clipped overlap they add, one per n-gram still below
+    its reference count."""
+    added = 0
+    for g in grams:
+        if g in reference_counts:
+            c = counts.get(g, 0)
+            if c < reference_counts[g]:
+                added += 1
+            counts[g] = c + 1
+    return added
+
+
+def _top_k_rows(doc, order, reference):
+    """ROUGE-1, ROUGE-2 and ROUGE-L F1 and the word count of the summary of
+    ``order[:k]`` (sentence indices in rank order) for k = 1..len(order), the
+    floats :func:`rouge_n` and :func:`rouge_l` give, in one pass over
+    ``order``.
+
+    The selection reads in document order. A sentence joining between
+    selected ``a < i < b`` (both with tokens) adds its unigrams and bigrams
+    and the junction bigrams (last(a), first(i)) and (last(i), first(b)),
+    and removes (last(a), first(b)). The LCS row after each selected
+    sentence is kept, and a joining sentence reruns the rows from the one
+    just before it."""
+    ref1, ref2, n_ref = reference.ngrams(1), reference.ngrams(2), len(reference.tokens)
+    counts1, counts2 = {}, {}
+    overlap1 = overlap2 = size = 0
+    # selected sentences with tokens, in document order, and the LCS row after each
+    spans, lcs_rows = [], []
+    rows = []
+    for i in order:
+        tokens = doc.sentences[i].tokens
+        if tokens:
+            p = bisect(spans, i)
+            # a missing neighbour is None, and no reference bigram holds None
+            before = doc.sentences[spans[p - 1]].tokens[-1] if p else None
+            after = doc.sentences[spans[p]].tokens[0] if p < len(spans) else None
+            overlap1 += _join(counts1, ref1, tokens)
+            overlap2 += _join(counts2, ref2, [(before, tokens[0]), *zip(tokens, tokens[1:]),
+                                              (tokens[-1], after)])
+            broken = (before, after)
+            if broken in ref2:
+                counts2[broken] -= 1
+                if counts2[broken] < ref2[broken]:
+                    overlap2 -= 1
+            size += len(tokens)
+            v = lcs_rows[p - 1] if p else None
+            spans.insert(p, i)
+            lcs_rows.insert(p, None)
+            for q in range(p, len(spans)):
+                v = lcs_rows[q] = reference.lcs_row(doc.sentences[spans[q]].tokens, v)
+        lcs = n_ref - lcs_rows[-1].bit_count() if lcs_rows else 0
+        rows.append((_score(overlap1, size, n_ref).f1,
+                     _score(overlap2, max(size - 1, 0), max(n_ref - 1, 0)).f1,
+                     _score(lcs, size, n_ref).f1, size))
+    return rows
+
+
 def score_vs_k(scored, k_max):
     """Mean top-k ROUGE F1 and summary length for k = 1..k_max (at least 1)
     over the triples of :func:`with_references`, ranking each document's
-    sentences by ``scores_sum``. ROUGE-1/2 come from running clipped counts
-    over the top ``k_max`` sentences as each ranked one joins; ROUGE-L is
-    rescored per k against the reference's cached bitmasks. Past a
-    document's length its rows repeat the full-document score."""
+    sentences by ``scores_sum``. Each document is swept once: its top
+    ``k_max`` sentences join the selection in rank order, and ROUGE-1/2/L at
+    each k are read from running counts and resumed LCS rows
+    (:func:`_top_k_rows`). Past a document's length, k reads its last row."""
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    table = []  # per document, its (ROUGE-1, ROUGE-2, ROUGE-L, words) at each k
-    for pred, doc, reference in scored:
-        order = ranking(pred.scores_sum)[:k_max].tolist()
-        top = sorted(order)  # the sweep never reads past these, in document order
-        state = RunningOverlap(reference, [doc.sentences[i].tokens for i in top])
-        rows = []
-        for k, i in enumerate(order, 1):
-            state.add(top.index(i))
-            r1, r2 = state.scores()
-            rl = rouge_l(doc.summary_tokens(order[:k]), reference)
-            rows.append((r1.f1, r2.f1, rl.f1, state.n_tokens))
-        table.append(rows + rows[-1:] * (k_max - len(rows)))
+    # per document, its (ROUGE-1, ROUGE-2, ROUGE-L, words) at k = 1..min(k_max, n)
+    table = [_top_k_rows(doc, ranking(pred.scores_sum)[:k_max].tolist(), reference)
+             for pred, doc, reference in scored]
     names = ("rouge1_f", "rouge2_f", "rougeL_f", "avg_words")
-    return [{"k": k, **{name: float(np.mean([rows[k - 1][m] for rows in table]))
+    return [{"k": k, **{name: float(np.mean([rows[min(k, len(rows)) - 1][m] for rows in table]))
                         for m, name in enumerate(names)}}
             for k in range(1, k_max + 1)]

@@ -6,9 +6,12 @@ standard recall-oriented overlap definition. ROUGE-L uses the exact
 bit-parallel LCS of Allison & Dix (1986) and Hyyrö (2004), one integer
 bitmask over the reference updated once per system token it holds: O(|sys|
 * ceil(|ref| / 64)) word operations instead of a |sys| x |ref| table.
-A :class:`Reference` counts a reference once for every score against it; a
-:class:`RunningOverlap` keeps the ROUGE-1/2 counts of a growing selection in
-integer arrays and scores every candidate sentence in one array pass.
+A :class:`Reference` counts a reference once for every score against it, and
+its LCS row resumes from any earlier row (:meth:`Reference.lcs_row`), so a
+selection that grows in the middle reruns only the tokens after the change.
+A :class:`RunningOverlap` keeps the ROUGE-1/2 counts of the oracle's growing
+selection in integer arrays and scores every candidate sentence in one array
+pass.
 """
 
 from __future__ import annotations
@@ -68,22 +71,29 @@ class Reference:
             masks[y] = masks.get(y, 0) | (1 << j)
         return masks
 
-    def lcs(self, system_tokens):
-        """Length of the longest common subsequence of ``system_tokens`` and
-        the reference.
+    def lcs_row(self, system_tokens, v=None):
+        """The LCS table row over the reference after ``system_tokens``,
+        resumed from row ``v`` (None: the empty system's row, every bit set).
 
         Bit-parallel and exact (Allison & Dix 1986; Hyyrö 2004): ``v`` is one
         row of the LCS table over the reference, bit j clear where the row
-        steps up at j, and each system token ``x`` updates it with
-        ``u = v & mask[x]``, ``v = (v + u) | (v - u)``.
+        steps up at j, so the LCS length is the reference length minus the set
+        bits. Each system token ``x`` updates it with ``u = v & mask[x]``,
+        ``v = (v + u) | (v - u)``.
         """
         masks, full = self.masks, (1 << len(self.tokens)) - 1
-        v = full
+        if v is None:
+            v = full
         for x in system_tokens:
             if x in masks:  # any other token leaves the row as it is
                 u = v & masks[x]
                 v = ((v + u) | (v - u)) & full
-        return len(self.tokens) - v.bit_count()
+        return v
+
+    def lcs(self, system_tokens):
+        """Length of the longest common subsequence of ``system_tokens`` and
+        the reference, from :meth:`lcs_row`."""
+        return len(self.tokens) - self.lcs_row(system_tokens).bit_count()
 
 
 def rouge_n(system_tokens, reference, n):
@@ -129,11 +139,13 @@ def _f1(overlap, n_system, n_reference):
 
 
 class RunningOverlap:
-    """Clipped ROUGE-1/2 counts of a growing selection of a document's
-    sentences (token sequences) against a :class:`Reference`. The selection
-    reads in document order: a sentence landing between selected ``a < i <
-    b`` adds its n-grams and the junction bigrams (last(a), first(i)) and
-    (last(i), first(b)), and removes (last(a), first(b)).
+    """The greedy oracle's scorer: clipped ROUGE-1/2 counts of a growing
+    selection of a document's sentences (token sequences) against a
+    :class:`Reference`, where :meth:`joined` scores every open candidate at
+    once. The selection reads in document order: a sentence landing between
+    selected ``a < i < b`` adds its n-grams and the junction bigrams
+    (last(a), first(i)) and (last(i), first(b)), and removes (last(a),
+    first(b)).
 
     Reference unigrams get ids 0..u-1 and bigrams u+1..u+b; id u is any other
     n-gram or a missing neighbour. ``_counts`` is the sentence x n-gram count
@@ -195,14 +207,6 @@ class RunningOverlap:
         overlap2 = self._n_bigrams - int(room[u + 1:].sum()) + clipped[:, u + 1:].sum(1)
         size = self.n_tokens + self._lengths[candidates]
         return (_f1(overlap1, size, self.n_reference), _f1(overlap2, size - 1, self._n_bigrams))
-
-    def scores(self):
-        """ROUGE-1 and ROUGE-2 of the selection, the floats :func:`rouge_n`
-        gives: per n-gram, clipped overlap is reference count minus room."""
-        u, room, size, n_ref = self._u, np.maximum(self.room, 0), self.n_tokens, self.n_reference
-        return (_score(n_ref - int(room[:u].sum()), size, n_ref),
-                _score(self._n_bigrams - int(room[u + 1:].sum()), max(size - 1, 0),
-                       self._n_bigrams))
 
     def add(self, i):
         """Add sentence ``i`` (not selected) to the selection."""

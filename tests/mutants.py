@@ -76,6 +76,26 @@ MUTANTS = [
      "target.insert(int(rng.integers(1, len(target))), (\"dup\", tokens))",
      "target.insert(int(rng.integers(0, len(target))), (\"dup\", tokens))",
      "tests/test_determinism_pin.py::test_synth_outputs_are_pinned"),
+    # the score-vs-k sweep: a joining sentence removes the junction it breaks
+    ("evaluation.py",
+     "overlap2 -= 1",
+     "pass",
+     "tests/test_evaluation.py::test_score_vs_k_sentence_between_two_picks_breaks_their_junction"),
+    # ... reruns the LCS rows from the cached row just before it
+    ("evaluation.py",
+     "v = lcs_rows[p - 1] if p else None",
+     "v = None",
+     "tests/test_evaluation.py::test_score_vs_k_rows_match_the_per_k_loop"),
+    # ... clips its unigram and bigram counts at the reference count
+    ("evaluation.py",
+     "if c < reference_counts[g]:",
+     "if c <= reference_counts[g]:",
+     "tests/test_evaluation.py::test_score_vs_k_rows_match_the_per_k_loop"),
+    # ... and adds the junction with the next selected sentence
+    ("evaluation.py",
+     "(tokens[-1], after)])",
+     "])",
+     "tests/test_properties.py::test_score_vs_k_matches_the_per_k_rescoring"),
 ]
 
 

@@ -192,6 +192,22 @@ def test_score_vs_k_rows_match_the_per_k_loop():
         loop_score_vs_k(predictions, docs, k_max)
 
 
+def test_score_vs_k_sentence_between_two_picks_breaks_their_junction():
+    """Sentences "a b", "x", "c d" ranked 0, 2, 1 against the reference "b c".
+    k = 2 reads "a b c d": the junction bigram (b, c) matches, so ROUGE-2 is
+    P 1/3, R 1, F 1/2. At k = 3 "x" lands between them, "a b x c d" has no
+    reference bigram, and ROUGE-2 falls to 0. ROUGE-1 and ROUGE-L are P 1/2,
+    R 1/2 (F 1/2) at k = 1, then P 2/4 (F 2/3) and P 2/5 (F 4/7) with R 1.
+    k = 4 is past the document and reads k = 3."""
+    doc = make_doc(texts=("a b", "x", "c d"), section_starts=(0,), reference="b c")
+    scores = (0.9, 0.1, 0.5)
+    rows = evaluation.score_vs_k(with_references([Prediction(doc.id, (), (0,), scores, scores)],
+                                                 [doc]), 4)
+    expected = [(1, 1 / 2, 0.0, 1 / 2, 2), (2, 2 / 3, 1 / 2, 2 / 3, 4),
+                (3, 4 / 7, 0.0, 4 / 7, 5), (4, 4 / 7, 0.0, 4 / 7, 5)]
+    assert [tuple(row.values()) for row in rows] == [pytest.approx(row) for row in expected]
+
+
 @pytest.mark.parametrize("k_max", [0, -3])
 def test_score_vs_k_needs_k_max_at_least_1(k_max):
     doc = make_doc()
