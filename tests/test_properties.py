@@ -78,6 +78,11 @@ def test_lcs_length_matches_dynamic_program(a, b):
     assert Reference(a).lcs(b) == Reference(b).lcs(a)
     assert Reference([]).lcs(a) == Reference(a).lcs([]) == 0
     assert Reference(a).lcs(a) == len(a)
+    # the row resumed after a prefix of the system (every seventh length) is the
+    # row of one run
+    reference = Reference(b)
+    assert all(reference.lcs_row(a[j:], reference.lcs_row(a[:j])) == reference.lcs_row(a)
+               for j in range(0, len(a) + 1, 7))
 
 
 @FAST
