@@ -19,6 +19,7 @@ import math
 import re
 import zlib
 from dataclasses import dataclass, field, fields
+from itertools import pairwise
 
 import numpy as np
 
@@ -91,68 +92,86 @@ class FeatureConfig:
 # Featurization
 # ---------------------------------------------------------------------------
 
-def base_features(doc, config):
-    """Raw per-sentence features, shape (n_sentences, hash_buckets + 4).
+def base_features(docs, config):
+    """Raw per-sentence features of each document in ``docs``: a list of
+    matrices in document order, each of shape (n_sentences, hash_buckets + 4).
 
     Columns: L2-normalized hashed bag-of-words counts, then normalized
     position i/n, log(1 + token count), cosine similarity of the sentence
     TF-IDF vector to the document centroid, and a cue-lexicon indicator.
-    Both word blocks come from one sentence x word-type count matrix, built
-    by one ``np.bincount``; the hashed block is that matrix times the
-    word-type x bucket one-hot matrix, and the cue column is one search of
-    each lowercased sentence for the alternation of the lowercased phrases.
-    Deterministic: the word hash is crc32, independent of process state.
+    The corpus is featurized in one pass: one sorted vocabulary and one
+    crc32 hash per word type, the hashed block as one ``np.bincount`` of
+    (sentence, bucket) cells, and the cue column as one search of each
+    lowercased sentence for the alternation of the lowercased phrases. Only
+    the centroid column is per document, on a count matrix over the
+    document's own sorted vocabulary. So a document's matrix does not
+    depend on the other documents in ``docs``. Deterministic: the word hash
+    is crc32, independent of process state.
     """
-    n = len(doc.sentences)
-    buckets = config.hash_buckets
-    tokens = [tok for sent in doc.sentences for tok in sent.tokens]
-    lengths = [len(sent.tokens) for sent in doc.sentences]
+    sentences = [sent for doc in docs for sent in doc.sentences]
+    counts = [len(doc.sentences) for doc in docs]
+    lengths = np.array([len(sent.tokens) for sent in sentences], dtype=np.intp)
+    tokens = [tok for sent in sentences for tok in sent.tokens]
     vocab = sorted(set(tokens))
     column = {tok: j for j, tok in enumerate(vocab)}
-    cells = np.repeat(np.arange(n) * len(vocab), lengths) + np.fromiter(
-        map(column.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-    tf = np.bincount(cells, minlength=n * len(vocab)).reshape(n, len(vocab)).astype(float)
+    word = np.fromiter(map(column.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    n_all, buckets = len(sentences), config.hash_buckets
+    doc_bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+    token_bounds = np.concatenate(([0], np.cumsum(lengths)))[doc_bounds]
+    row = np.repeat(np.arange(n_all), lengths)  # each token's sentence
+    doc_start = np.repeat(doc_bounds[:-1], counts)  # each sentence's document's first row
 
-    out = np.zeros((n, buckets + N_SCALAR_FEATURES))
-    word_bucket = np.zeros((len(vocab), buckets))
-    word_bucket[np.arange(len(vocab)),
-                [zlib.crc32(tok.encode("utf-8")) % buckets for tok in vocab]] = 1.0
-    # The counts are integers, so the product and every sum of squares are
-    # exact, and these norms equal a per-row np.linalg.norm bit for bit.
+    out = np.zeros((n_all, buckets + N_SCALAR_FEATURES))
+    bucket = np.array([zlib.crc32(tok.encode("utf-8")) % buckets for tok in vocab],
+                      dtype=np.intp)
+    # The counts are integers, so every sum of squares is exact, and these
+    # norms equal a per-row np.linalg.norm bit for bit.
     hashed = out[:, :buckets]
-    hashed[...] = tf @ word_bucket
+    hashed[...] = np.bincount(row * buckets + bucket[word],
+                              minlength=n_all * buckets).reshape(n_all, buckets)
     norms = np.sqrt((hashed * hashed).sum(axis=1))
     hashed /= np.where(norms > 0, norms, 1.0)[:, None]
 
-    out[:, buckets] = np.arange(n) / n
-    out[:, buckets + 1] = [math.log1p(length) for length in lengths]
-    out[:, buckets + 2] = _centroid_similarity(tf)
+    out[:, buckets] = (np.arange(n_all) - doc_start) / np.repeat(counts, counts)
+    present, which = np.unique(lengths, return_inverse=True)
+    out[:, buckets + 1] = np.array([math.log1p(k) for k in present.tolist()])[which]
     if config.cue_lexicon:  # an empty alternation would match every sentence
         cue = re.compile("|".join(re.escape(phrase.lower()) for phrase in config.cue_lexicon))
-        out[:, buckets + 3] = [cue.search(sent.text.lower()) is not None
-                               for sent in doc.sentences]
-    return out
+        out[:, buckets + 3] = [cue.search(sent.text.lower()) is not None for sent in sentences]
+
+    # Each token's cell in its document's sentence x word-type count matrix,
+    # whose columns are the document's word types in sorted order.
+    doc_tokens = np.diff(token_bounds)
+    doc_of = np.repeat(np.arange(len(counts)), doc_tokens)
+    _, first, col = np.unique(doc_of * len(vocab) + word, return_index=True,
+                              return_inverse=True)
+    widths = np.bincount(doc_of[first], minlength=len(counts))
+    col -= np.repeat(np.cumsum(widths) - widths, doc_tokens)
+    cells = (row - doc_start[row]) * widths[doc_of] + col
+    matrices = [out[s0:s1] for s0, s1 in pairwise(doc_bounds.tolist())]
+    for matrix, (t0, t1), v in zip(matrices, pairwise(token_bounds.tolist()), widths.tolist()):
+        tf = np.bincount(cells[t0:t1], minlength=len(matrix) * v).reshape(len(matrix), v)
+        matrix[:, buckets + 2] = _centroid_similarity(tf)
+    return matrices
 
 
 def _centroid_similarity(tf):
     """Cosine of each sentence's TF-IDF vector against the document centroid,
-    from the sentence x word-type count matrix ``tf``. Each norm is
-    ``sqrt(row.dot(row))``, which is what ``np.linalg.norm`` computes on a
-    row; the dot products stay per row, as a matrix product rounds
-    differently."""
+    from the sentence x word-type count matrix ``tf``. ``np.vecdot`` takes
+    each row's dot product on its own, the same BLAS dot as ``row.dot``; a
+    matrix product would round differently. Each norm is ``sqrt(row.dot(row))``,
+    which is what ``np.linalg.norm`` computes on a row."""
     n = tf.shape[0]
     df = (tf > 0).sum(axis=0)
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
     vec = tf * idf
-    centroid = vec.mean(axis=0)
+    centroid = vec.sum(axis=0) / n  # what vec.mean(axis=0) computes
     c_norm = math.sqrt(centroid.dot(centroid))
     sims = np.zeros(n)
     if c_norm == 0:
         return sims
-    for i, row in enumerate(vec):
-        v_norm = math.sqrt(row.dot(row))
-        if v_norm > 0:
-            sims[i] = float(row.dot(centroid)) / (v_norm * c_norm)
+    v_norms = np.sqrt(np.vecdot(vec, vec))
+    np.divide(np.vecdot(vec, centroid), v_norms * c_norm, out=sims, where=v_norms > 0)
     return sims
 
 
@@ -543,13 +562,13 @@ def forward_document(doc, params, config, raw_features=None, with_caches=True):
     for a record that serves values only.
     """
     if isinstance(doc, (list, tuple)):
-        raws = raw_features or [base_features(one, config) for one in doc]
+        raws = raw_features or base_features(doc, config)
         lengths = [len(raw) for raw in raws]
         raw = np.zeros((len(raws), max(lengths), raws[0].shape[1]))
         for stacked, one in zip(raw, raws):
             stacked[:len(one)] = one
     else:
-        raw = base_features(doc, config) if raw_features is None else raw_features
+        raw = base_features([doc], config)[0] if raw_features is None else raw_features
         lengths = None
     hidden, caches = encode_forward(raw @ params.w_proj, params, lengths, with_caches)
     summary_probs, boundary_probs = heads_forward(hidden, params)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusError, _atomic_write, _int_list, _read_jsonl
-from .encoder import forward_document
+from .encoder import base_features, forward_document
 from .oracle import SegLabelConvention
 
 __all__ = [
@@ -108,9 +108,11 @@ def predict_document(docs, params, config, k,
     Documents of one sentence count n are stacked in the order given, at most
     ``_STACK_ATTENTION_ENTRIES // (n_heads * n * n)`` to a stack and at least
     one, so a stack's attention scores stay within that budget. Each stack
-    takes one value-only forward pass and is never padded, so each prediction
-    is bit for bit the one the document gets alone.
+    takes one value-only forward pass and is never padded, and the corpus is
+    featurized in one :func:`base_features` call, so each prediction is bit
+    for bit the one the document gets alone.
     """
+    features = base_features(docs, config)
     by_length = {}  # sentence count -> input positions, in first-seen order
     for i, doc in enumerate(docs):
         by_length.setdefault(len(doc.sentences), []).append(i)
@@ -120,7 +122,7 @@ def predict_document(docs, params, config, k,
         for start in range(0, len(group), size):
             stack = group[start:start + size]
             enc = forward_document([docs[i] for i in stack], params, config,
-                                   with_caches=False)
+                                   [features[i] for i in stack], with_caches=False)
             for i, summary_probs, boundary_probs in zip(stack, enc.summary_probs,
                                                         enc.boundary_probs):
                 predictions[i] = Prediction(

@@ -191,7 +191,7 @@ def total_loss(documents, params, config, feature_config, features=None,
     feature_config : FeatureConfig
     features : list of arrays or None
         The documents' :func:`base_features` matrices in document order;
-        computed per document when None.
+        computed in one call when None.
     with_grads : bool
         Skip the backward pass when False (evaluation only). The repulsion
         term's subset minor gets the ridge ``DEFAULT_DPP_RIDGE`` either way.
@@ -205,7 +205,7 @@ def total_loss(documents, params, config, feature_config, features=None,
     if params.vector.ndim != 1:
         raise ValueError("total_loss takes one parameter row, not a batch")
     if features is None:
-        features = [base_features(doc, feature_config) for doc in documents]
+        features = base_features(documents, feature_config)
     if len(features) != len(documents):
         raise ValueError(f"{len(features)} feature matrices for {len(documents)} documents")
     labels = [_doc_arrays(doc) for doc in documents]
@@ -366,8 +366,8 @@ def fit(train_docs, config, feature_config=None, val_docs=(),
     feature_config = feature_config or FeatureConfig()
     params = init_params(feature_config, n_layers=n_layers, n_heads=n_heads,
                          ffn_hidden=ffn_hidden, rng_seed=config.rng_seed)
-    train_features = [base_features(doc, feature_config) for doc in train_docs]
-    val_features = [base_features(doc, feature_config) for doc in val_docs]
+    train_features = base_features(train_docs, feature_config)
+    val_features = base_features(val_docs, feature_config)
     rng = np.random.default_rng(config.rng_seed)
     n = len(train_docs)
     batches_per_epoch = math.ceil(n / config.batch_size)
@@ -486,7 +486,7 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
-    features, labels = [base_features(doc, feature_config)], [_doc_arrays(doc)]
+    features, labels = base_features([doc], feature_config), [_doc_arrays(doc)]
     variants = list(Variant)
     grads = [_stack_loss([doc], features, labels, params, replace(config, variant=variant),
                          with_grads=True)[-1].vector

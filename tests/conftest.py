@@ -344,7 +344,7 @@ def loop_grad_check(params, doc, config, feature_config, step=1e-5):
     for bit."""
     analytic = total_loss([doc], params, config, feature_config).grads
     probe = params.from_vector(params.vector)
-    features = [base_features(doc, feature_config)]
+    features = base_features([doc], feature_config)
 
     def loss_at():
         return total_loss([doc], probe, config, feature_config, features=features,

@@ -96,6 +96,20 @@ MUTANTS = [
      "(tokens[-1], after)])",
      "])",
      "tests/test_properties.py::test_score_vs_k_matches_the_per_k_rescoring"),
+    # a token-less sentence's zero TF-IDF row keeps a zero centroid similarity
+    ("encoder.py",
+     "out=sims, where=v_norms > 0)",
+     "out=sims, where=v_norms >= 0)",
+     "tests/test_properties.py::test_base_features_match_the_loop_reference"),
+    # a stack takes a document exactly _MAX_PADDING times as long as its first
+    ("training.py",
+     "if stacks and lengths[i] <= _MAX_PADDING * lengths[stacks[-1][0]]:",
+     "if stacks and lengths[i] < _MAX_PADDING * lengths[stacks[-1][0]]:",
+     "tests/test_properties.py::test_a_batch_of_synth_default_lengths_is_one_stack"),
+    ("corpus.py",
+     "if self.vocabulary_size < 30:",
+     "if self.vocabulary_size <= 30:",
+     "tests/test_corpus.py::test_synth_config_accepts_a_vocabulary_of_exactly_30_words"),
 ]
 
 

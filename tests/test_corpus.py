@@ -227,6 +227,12 @@ def test_synth_config_validation():
         SynthConfig(n_documents=0)
 
 
+def test_synth_config_accepts_a_vocabulary_of_exactly_30_words():
+    assert SynthConfig(vocabulary_size=30).vocabulary_size == 30
+    with pytest.raises(ValueError, match="vocabulary_size"):
+        SynthConfig(vocabulary_size=29)
+
+
 def test_generate_synthetic_structure():
     config = SynthConfig(n_documents=20, rng_seed=3)
     docs = generate_synthetic(config)

@@ -40,7 +40,7 @@ def test_feature_config_validation():
 def test_base_features_shape_and_normalization(tiny_corpus):
     config = FeatureConfig(dim=8, hash_buckets=16)
     doc = tiny_corpus[0]
-    feats = base_features(doc, config)
+    feats = base_features([doc], config)[0]
     n = len(doc)
     assert feats.shape == (n, config.n_features)
     bow = feats[:, :config.hash_buckets]
@@ -58,9 +58,20 @@ def test_cue_feature_flags_cue_sentences():
     config = FeatureConfig(dim=8, hash_buckets=16)
     doc = make_doc(texts=["in this section we go", "plain filler here"],
                    section_starts=(0,), reference="x")
-    feats = base_features(doc, config)
+    feats = base_features([doc], config)[0]
     cue_col = feats[:, -1]
     assert cue_col[0] == 1.0 and cue_col[1] == 0.0
+
+
+def test_vecdot_is_the_per_row_dot():
+    """The centroid column rests on ``np.vecdot`` taking each row's dot
+    product exactly as ``row.dot`` does, bit for bit, at every width."""
+    rng = np.random.default_rng(0)
+    for width in range(301):
+        m = rng.random((4, width)) * rng.integers(0, 4, size=(4, width))
+        c = m.mean(axis=0)
+        assert np.vecdot(m, m).tobytes() == np.array([row.dot(row) for row in m]).tobytes()
+        assert np.vecdot(m, c).tobytes() == np.array([row.dot(c) for row in m]).tobytes()
 
 
 def test_position_encoding_first_row_and_values():
@@ -93,7 +104,7 @@ def test_zeroed_output_projections_pass_features_through(small_model, tiny_corpu
         lp.w_ff2[:] = 0.0
         lp.b_ff2[:] = 0.0
     doc = tiny_corpus[0]
-    x = base_features(doc, config) @ params.w_proj
+    x = base_features([doc], config)[0] @ params.w_proj
     hidden, caches = encode_forward(x, params)
     np.testing.assert_array_equal(hidden, x + position_encoding(len(doc), config.dim))
     assert len(caches) == params.n_layers
@@ -165,7 +176,7 @@ def test_encode_forward_rejects_non_finite(small_model, tiny_corpus):
     config, params = small_model
     params = params.from_vector(params.vector)
     params.layers[0].w_q[0, 0] = np.nan
-    x = base_features(tiny_corpus[0], config) @ params.w_proj
+    x = base_features([tiny_corpus[0]], config)[0] @ params.w_proj
     with pytest.raises(NumericsError, match="layer 0"):
         encode_forward(x, params)
 

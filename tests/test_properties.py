@@ -461,22 +461,48 @@ feature_docs = st.builds(
              max_size=20))
 
 
+def _own_words(doc, i):
+    """``doc`` with each word that has a token suffixed "q<i>", so documents
+    renamed with distinct ``i`` share no word type."""
+    return Document.build(doc.id, [
+        " ".join(w + f"q{i}" if tokenize(w) else w for w in sent.text.split())
+        for sent in doc.sentences])
+
+
+# One to six documents, each on the shared words or renamed onto its own, so
+# a corpus mixes shared and disjoint vocabularies.
+feature_corpora = st.lists(st.tuples(feature_docs, st.booleans()), min_size=1,
+                           max_size=6).map(
+    lambda drawn: [_own_words(doc, i) if own else doc for i, (doc, own) in enumerate(drawn)])
+
+
 # Cue lexicons: none, the default, phrases with uppercase letters and regex
 # metacharacters, and one with an empty phrase, which flags every sentence.
 cue_lexicons = [(), CUE_PHRASES, ("CAFÉ", "x.y", "("), ("Naïve B", "")]
 cue_doc = Document.build("d", ["Café w1", "xzy", "f(x) w2", "naïve b"])
+# punctuation only: no word types at all, so a zero centroid
+blank_doc = Document.build("d", ["-- ...", "(", ""])
+# a token-less sentence, whose zero row must not divide by its zero norm
+gap_doc = Document.build("d", ["w1 a", "--", "w2 w1 moving on"])
 
 
 @settings(FAST, max_examples=200)
-@given(feature_docs, st.integers(4, 9), st.sampled_from(cue_lexicons))
-@example(cue_doc, 4, cue_lexicons[0])
-@example(cue_doc, 4, cue_lexicons[2])
-@example(cue_doc, 4, cue_lexicons[3])
-def test_base_features_match_the_loop_reference(doc, buckets, lexicon):
+@given(feature_corpora, st.integers(4, 9), st.sampled_from(cue_lexicons))
+@example([cue_doc], 4, cue_lexicons[0])
+@example([cue_doc], 4, cue_lexicons[2])
+@example([cue_doc], 4, cue_lexicons[3])
+@example([blank_doc, gap_doc, cue_doc], 4, cue_lexicons[1])
+def test_base_features_match_the_loop_reference(docs, buckets, lexicon):
+    """Each document's matrix from one call over the corpus equals the loop
+    reference and the document's own one-document call, bit for bit."""
     # few buckets, so distinct words collide in them
     config = FeatureConfig(dim=4, hash_buckets=buckets, cue_lexicon=lexicon)
-    assert base_features(doc, config).tobytes() == \
-        loop_base_features(doc, config).tobytes()
+    matrices = base_features(docs, config)
+    assert len(matrices) == len(docs)
+    for doc, matrix in zip(docs, matrices):
+        want = loop_base_features(doc, config)
+        assert matrix.shape == want.shape and matrix.tobytes() == want.tobytes()
+        assert matrix.tobytes() == base_features([doc], config)[0].tobytes()
 
 
 # Width 4 or 8, 1-3 layers, 1, 2 or 4 heads, 1-9 sentences, any variant.
@@ -500,7 +526,7 @@ def test_batched_forward_matches_each_row(shape):
     params = init_params(config, n_layers=layers, n_heads=heads, rng_seed=seed)
     rows = params.vector + rng.normal(0.0, 0.1, size=(5, params.vector.size))
     batch = params._on(rows)
-    raw = base_features(doc, config)
+    raw = base_features([doc], config)[0]
     train_config = TrainConfig(variant=variant, beta=0.1)
     hidden, _ = encode_forward(raw @ batch.w_proj, batch)
     probs = heads_forward(hidden, batch)
@@ -605,6 +631,7 @@ def test_training_stacks_sort_stably_and_bound_the_padding(lengths):
 @FAST
 @given(st.integers(9, 30).flatmap(lambda shortest: st.lists(
     st.integers(shortest, min(30, 3 * shortest)), min_size=1, max_size=8)))
+@example([9, 27])  # exactly three times the shortest still joins
 def test_a_batch_of_synth_default_lengths_is_one_stack(lengths):
     """Eight or fewer documents of 9 to 30 sentences, the longest at most
     three times the shortest, run as one stack."""
@@ -629,20 +656,29 @@ def test_prediction_stacks_partition_the_corpus_within_the_attention_budget(leng
     """``predict_document``'s forward passes take every document exactly
     once, each pass documents of one sentence count and no padding; each
     length's documents keep corpus order, a stack of n-sentence documents
-    holds at most max(1, 2**18 // (heads * n * n)) of them, and the
+    holds at most max(1, 2**18 // (heads * n * n)) of them, each takes its
+    own documents' matrices from one featurization of the corpus, and the
     predictions come back in corpus order."""
     documents = [SimpleNamespace(id=i, sentences=(None,) * n) for i, n in enumerate(lengths)]
     stacks = []
+    featurized = []
 
-    def forward(docs, params, config, with_caches):
+    def featurize(docs, config):
+        featurized.append(list(docs))
+        return [f"features of {doc.id}" for doc in docs]
+
+    def forward(docs, params, config, raw_features, with_caches):
         [n] = {len(doc.sentences) for doc in docs}
+        assert raw_features == [f"features of {doc.id}" for doc in docs]
         stacks.append(docs)
         probs = np.full((len(docs), n), 0.5)  # one unpadded row per document
         return SimpleNamespace(summary_probs=probs, boundary_probs=probs)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "base_features", featurize)
         patch.setattr(inference, "forward_document", forward)
         preds = inference.predict_document(documents, SimpleNamespace(n_heads=heads), None, 1)
+    assert featurized == [documents]  # the whole corpus, in one call
     assert [pred.doc_id for pred in preds] == list(range(len(lengths)))
     assert [len(pred.scores_sum) for pred in preds] == lengths
     assert sorted(doc.id for stack in stacks for doc in stack) == list(range(len(lengths)))
