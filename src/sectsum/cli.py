@@ -204,11 +204,8 @@ def _cmd_label(args):
         raise ValueError(f"--max-sentences must be at least 0, got {args.max_sentences}")
     documents, _ = parse_corpus(args.corpus)
     convention = SegLabelConvention(args.seg_label)
-    labeled = [
-        dataclasses.replace(doc, labels=build_labels(
-            doc, convention=convention, max_sentences=args.max_sentences))
-        for doc in documents
-    ]
+    labels = build_labels(documents, convention=convention, max_sentences=args.max_sentences)
+    labeled = [dataclasses.replace(doc, labels=l) for doc, l in zip(documents, labels)]
     out_path = args.corpus if args.in_place else args.out
     write_corpus(labeled, out_path)
     print(f"labeled {len(labeled)} documents -> {out_path}")

@@ -4,10 +4,17 @@ section boundary labels.
 The greedy labeler builds the extractive target for a document by repeatedly
 adding the sentence that most improves the average of unigram and bigram
 overlap F1 against the abstractive reference, stopping at the first step with
-no strict improvement. A step scores every open sentence at once: one
-integer-array pass over the document's sentence x reference-n-gram counts,
-O(sentences * reference n-gram types). Boundary labels mark either the first
-or the last sentence of every section.
+no strict improvement (the SummaRuNNer oracle; Nallapati, Zhai & Zhou, AAAI
+2017). It runs over groups of documents: sorted by scoring width W
+(reference unigram types + 1 + bigram types), a group takes documents while
+its padded count matrix, rows x W, stays within ``_GROUP_CELLS`` cells. One
+array round of :class:`sectsum.rouge.RunningOverlap` scores every open
+sentence of every open document in the group, O(open sentences * W), and
+each document takes its first maximum. Accepting a pick stays per document,
+and :func:`candidate_score` rescores every accepted pick from the tokens, so
+an incremental score that differs from it raises. A document's labels do not
+depend on the documents it is grouped with. Boundary labels mark either the
+first or the last sentence of every section.
 """
 
 from __future__ import annotations
@@ -45,6 +52,94 @@ def candidate_score(selected_indices, doc, reference):
     return 0.5 * (r1 + r2)
 
 
+# padded count cells, (rows + n) x W, a group of documents may take
+_GROUP_CELLS = 2 ** 15
+
+
+def _groups(widths, documents):
+    """Documents cut into groups, by index: sorted stably by scoring width,
+    a group takes the next document while its padded cells stay within
+    ``_GROUP_CELLS``; a document over the budget runs alone."""
+    groups, rows = [], 0
+    for i in sorted(range(len(documents)), key=widths.__getitem__):
+        n = len(documents[i].sentences)
+        if groups and (rows + n) * widths[i] <= _GROUP_CELLS:
+            groups[-1].append(i)
+            rows += n
+        else:
+            groups.append([i])
+            rows = n
+    return groups
+
+
+def _greedy_scan(documents, references, max_sentences):
+    """Greedy picks of every document of one group, one array round scoring
+    every open sentence of every open document."""
+    state = RunningOverlap(references, [[s.tokens for s in d.sentences] for d in documents])
+    live = np.full(len(documents), max_sentences != 0)  # documents still picking
+    # a sentence without tokens scores exactly the current selection
+    open_ = state.lengths > 0
+    selected = [[] for _ in documents]
+    best_scores = [0.0] * len(documents)
+    while True:
+        candidates = np.flatnonzero(open_ & live[state.doc])
+        if not len(candidates):
+            break
+        r1, r2 = state.joined(candidates)
+        scores = 0.5 * (r1 + r2)
+        docs = state.doc[candidates]
+        starts = np.flatnonzero(np.diff(docs, prepend=-1))
+        maxima = np.maximum.reduceat(scores, starts)
+        hits = np.flatnonzero(scores == np.repeat(maxima, np.diff(starts, append=len(docs))))
+        firsts = hits[np.searchsorted(hits, starts)]  # the first maximum: the lowest index
+        for d, row, best_candidate in zip(docs[starts].tolist(), candidates[firsts].tolist(),
+                                          scores[firsts].tolist()):
+            if not best_candidate > best_scores[d]:
+                live[d] = False
+                continue
+            state.add(row)
+            open_[row] = False
+            picks = selected[d]
+            picks.append(row - int(state.starts[d]))
+            # the full rescore from the tokens, independent of the array state
+            best_scores[d] = candidate_score(picks, documents[d], references[d])
+            if best_scores[d] != best_candidate:
+                raise RuntimeError(
+                    f"document {documents[d].id!r}: incremental oracle score "
+                    f"{best_candidate!r} differs from the full rescore "
+                    f"{best_scores[d]!r} after picking sentence {picks[-1]}")
+            if len(picks) == max_sentences:
+                live[d] = False
+    return selected
+
+
+def _greedy_orders(documents, max_sentences):
+    """Each document's greedy picks in order, over groups of documents."""
+    if max_sentences is not None and max_sentences < 0:
+        raise ValueError(f"max_sentences must be non-negative, got {max_sentences}")
+    for doc in documents:
+        if not doc.reference_summary:
+            raise CorpusError(f"document {doc.id!r} has no reference summary to label against")
+    # scoring width W: reference unigram types + 1 + bigram types; each group
+    # counts its references when it runs, so a corpus's are never all held
+    widths = []
+    for doc in documents:
+        tokens = tokenize(doc.reference_summary)
+        widths.append(len(set(tokens)) + 1 + len(set(zip(tokens, tokens[1:]))))
+    orders = [None] * len(documents)
+    for group in _groups(widths, documents):
+        picks = _greedy_scan([documents[i] for i in group], [
+            Reference(tokenize(documents[i].reference_summary)) for i in group], max_sentences)
+        for i, order in zip(group, picks):
+            orders[i] = tuple(order)
+    return orders
+
+
+def _summary_labels(doc, order):
+    chosen = set(order)
+    return tuple(int(i in chosen) for i in range(len(doc.sentences)))
+
+
 def greedy_summary_labels(doc, max_sentences=None):
     """Greedy extractive target for one document: ``(summary_labels,
     selection_order)``, a tuple of 0/1 per sentence and the picks in greedy
@@ -53,43 +148,11 @@ def greedy_summary_labels(doc, max_sentences=None):
 
     Ties on the score break toward the lowest sentence index; the loop stops
     as soon as no candidate strictly improves the score, so partial scores
-    along ``selection_order`` are strictly increasing. A step scores all
-    open sentences with tokens in one :meth:`sectsum.rouge.RunningOverlap.joined`
-    array pass, in the float arithmetic of :func:`candidate_score`, which
-    rescores every accepted pick and must agree exactly.
+    along ``selection_order`` are strictly increasing. This is
+    :func:`build_labels`'s scan on a group of one document.
     """
-    if max_sentences is not None and max_sentences < 0:
-        raise ValueError(f"max_sentences must be non-negative, got {max_sentences}")
-    if not doc.reference_summary:
-        raise CorpusError(f"document {doc.id!r} has no reference summary to label against")
-    reference = Reference(tokenize(doc.reference_summary))
-    n = len(doc.sentences)
-    limit = n if max_sentences is None else min(max_sentences, n)
-    state = RunningOverlap(reference, [s.tokens for s in doc.sentences])
-    # a sentence without tokens scores exactly the current selection
-    open_ = np.array([bool(s.tokens) for s in doc.sentences], dtype=bool)
-    selected, best_score = [], 0.0
-    while len(selected) < limit and open_.any():
-        candidates = np.flatnonzero(open_)
-        r1, r2 = state.joined(candidates)
-        scores = 0.5 * (r1 + r2)
-        best = int(np.argmax(scores))  # the first maximum: the lowest index
-        best_candidate = float(scores[best])
-        if not best_candidate > best_score:
-            break
-        best_idx = int(candidates[best])
-        state.add(best_idx)
-        open_[best_idx] = False
-        selected.append(best_idx)
-        best_score = candidate_score(selected, doc, reference)
-        if best_score != best_candidate:
-            raise RuntimeError(
-                f"document {doc.id!r}: incremental oracle score {best_candidate!r} "
-                f"differs from the full rescore {best_score!r} after picking "
-                f"sentence {best_idx}")
-
-    chosen = set(selected)
-    return tuple(int(i in chosen) for i in range(n)), tuple(selected)
+    order, = _greedy_orders([doc], max_sentences)
+    return _summary_labels(doc, order), order
 
 
 def boundary_labels(doc, convention=SegLabelConvention.FIRST):
@@ -113,12 +176,13 @@ def boundary_labels(doc, convention=SegLabelConvention.FIRST):
     return tuple(labels)
 
 
-def build_labels(doc, convention=SegLabelConvention.FIRST, max_sentences=None):
-    """Full :class:`LabelSet` for a document: greedy summary labels plus
-    boundary labels."""
-    summary, order = greedy_summary_labels(doc, max_sentences=max_sentences)
-    return LabelSet(
-        summary_labels=summary,
-        boundary_labels=boundary_labels(doc, convention),
-        selection_order=order,
-    )
+def build_labels(documents, convention=SegLabelConvention.FIRST, max_sentences=None):
+    """One :class:`LabelSet` per document of a corpus: greedy summary labels
+    (see :func:`greedy_summary_labels`; ``max_sentences`` caps the picks)
+    plus boundary labels. A document's labels do not depend on the rest of
+    the corpus."""
+    convention = SegLabelConvention(convention)
+    return [LabelSet(summary_labels=_summary_labels(doc, order),
+                     boundary_labels=boundary_labels(doc, convention),
+                     selection_order=order)
+            for doc, order in zip(documents, _greedy_orders(documents, max_sentences))]

@@ -10,8 +10,8 @@ A :class:`Reference` counts a reference once for every score against it, and
 its LCS row resumes from any earlier row (:meth:`Reference.lcs_row`), so a
 selection that grows in the middle reruns only the tokens after the change.
 A :class:`RunningOverlap` keeps the ROUGE-1/2 counts of the oracle's growing
-selection in integer arrays and scores every candidate sentence in one array
-pass.
+selections, one per document of a group, in integer arrays and scores every
+candidate sentence of the group in one array pass.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -46,7 +47,9 @@ def _score(overlap, n_system, n_reference):
 def _ngrams(tokens, n):
     """N-gram counts: unigrams keyed by the token itself, longer n-grams by
     tuples."""
-    return Counter(tokens if n == 1 else zip(*(tokens[i:] for i in range(n))))
+    if n == 1:
+        return Counter(tokens)
+    return Counter(zip(tokens, tokens[1:]) if n == 2 else zip(*(tokens[i:] for i in range(n))))
 
 
 class Reference:
@@ -108,9 +111,8 @@ def rouge_n(system_tokens, reference, n):
         raise ValueError(f"n must be >= 1, got {n}")
     if not isinstance(reference, Reference):
         reference = Reference(reference)
-    ref_counts = reference.ngrams(n)
-    overlap = sum(min(c, ref_counts.get(g, 0))
-                  for g, c in _ngrams(system_tokens, n).items())
+    ref_counts, counts = reference.ngrams(n), _ngrams(system_tokens, n)
+    overlap = sum(map(min, counts.values(), map(ref_counts.get, counts, repeat(0))))
     return _score(overlap, max(len(system_tokens) - n + 1, 0),
                   max(len(reference.tokens) - n + 1, 0))
 
@@ -129,94 +131,114 @@ def rouge_l(system_tokens, reference):
 
 
 def _f1(overlap, n_system, n_reference):
-    """``_score(...).f1`` elementwise over integer arrays (``n_reference`` one
-    count), in its float order; a zero denominator gives 0.0 there too."""
-    precision = np.divide(overlap, n_system, out=np.zeros(len(overlap)), where=n_system > 0)
-    recall = overlap / n_reference if n_reference else np.zeros(len(overlap))
+    """``_score(...).f1`` elementwise over integer arrays, in its float order;
+    a zero denominator gives 0.0 there too."""
+    zeros = np.zeros(len(overlap))
+    precision = np.divide(overlap, n_system, out=zeros.copy(), where=n_system > 0)
+    recall = np.divide(overlap, n_reference, out=zeros.copy(), where=n_reference > 0)
     total = precision + recall
-    return np.divide(2.0 * precision * recall, total, out=np.zeros(len(overlap)),
-                     where=total > 0)
+    return np.divide(2.0 * precision * recall, total, out=zeros, where=total > 0)
 
 
 class RunningOverlap:
-    """The greedy oracle's scorer: clipped ROUGE-1/2 counts of a growing
-    selection of a document's sentences (token sequences) against a
-    :class:`Reference`, where :meth:`joined` scores every open candidate at
-    once. The selection reads in document order: a sentence landing between
-    selected ``a < i < b`` adds its n-grams and the junction bigrams
+    """The greedy oracle's scorer for a group of documents: clipped ROUGE-1/2
+    counts of each document's growing selection of its sentences (token
+    sequences) against its :class:`Reference`, where :meth:`joined` scores
+    every open candidate of every document at once. Sentences are numbered
+    across the group, document after document (``doc`` holds each one's
+    document). A selection reads in document order: a sentence landing
+    between selected ``a < i < b`` adds its n-grams and the junction bigrams
     (last(a), first(i)) and (last(i), first(b)), and removes (last(a),
     first(b)).
 
-    Reference unigrams get ids 0..u-1 and bigrams u+1..u+b; id u is any other
-    n-gram or a missing neighbour. ``_counts`` is the sentence x n-gram count
-    matrix (one bincount), ``_pair`` maps two unigram ids to a bigram id,
-    ``_before``/``_after`` hold the ids of the tokens next to each sentence in
-    the selection, and ``room`` the reference count minus the selection's per
-    n-gram. Sentences without tokens never enter ``spans``."""
+    The columns are [reference unigrams padded to U | other | reference
+    bigrams padded to B], U and B the group's largest type counts: a
+    document's unigram types take columns 0.. in first-seen order, its
+    bigram types U+1.., and column U any other n-gram or a missing
+    neighbour. A padded column has count 0 and room 0, so it adds exactly 0
+    to an overlap. ``_counts`` is the sentence x column count matrix (one
+    bincount), ``_pair`` the (document, unigram, unigram) table of bigram
+    columns, ``_before``/``_after`` the columns of the tokens next to each
+    sentence in its document's selection, and ``room`` the document x column
+    reference count minus the selection's."""
 
-    def __init__(self, reference, sentences):
-        ids, pairs = {}, {}  # pairs: bigram id by x * (u + 1) + y
-        ref1 = [ids.setdefault(t, len(ids)) for t in reference.tokens]
-        u = len(ids)
-        ref2 = [pairs.setdefault(x * (u + 1) + y, u + 1 + len(pairs))
-                for x, y in zip(ref1, ref1[1:])]
-        width = u + 1 + len(pairs)
-        self._pair = np.full((u + 1, u + 1), u, dtype=np.intp)
-        self._pair.flat[list(pairs)] = list(pairs.values())
-        self.room = np.bincount(ref1 + ref2, minlength=width)
-        self._u, self.n_reference = u, len(reference.tokens)
-        self._n_bigrams = max(self.n_reference - 1, 0)
-        n = len(sentences)
-        self._lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-        # each sentence's token ids and then id u, so the bigrams that
-        # straddle two sentences land in column u
-        flat = np.array([ids.get(t, u) for s in sentences for t in (*s, None)], dtype=np.intp)
-        rows = np.repeat(np.arange(n), self._lengths + 1)
-        cells = np.concatenate((rows * width + flat,
-                                rows[1:] * width + self._pair[flat[:-1], flat[1:]]))
-        self._counts = np.bincount(cells, minlength=n * width).reshape(n, width)
-        self._scratch = np.empty_like(self._counts)
-        ends = np.cumsum(self._lengths + 1)
-        self._first, self._last = flat[ends - self._lengths - 1], flat[ends - 2]
+    def __init__(self, references, documents):
+        unigrams = [r.ngrams(1) for r in references]
+        bigrams = [r.ngrams(2) for r in references]
+        u = self._u = max(map(len, unigrams), default=0)
+        width = u + 1 + max(map(len, bigrams), default=0)
+        ids = [{t: j for j, t in enumerate(c)} for c in unigrams]
+        self._pair = np.full((len(references), u + 1, u + 1), u, dtype=np.intp)
+        self.room = np.zeros((len(references), width), dtype=np.int32)
+        for d, (one, two) in enumerate(zip(unigrams, bigrams)):
+            self._pair[d, [ids[d][x] for x, _ in two], [ids[d][y] for _, y in two]] = \
+                range(u + 1, u + 1 + len(two))
+            self.room[d, :len(one)] = list(one.values())
+            self.room[d, u + 1:u + 1 + len(two)] = list(two.values())
+        self.n_reference = np.array([len(r.tokens) for r in references], dtype=np.intp)
+        self._n_bigrams = np.maximum(self.n_reference - 1, 0)
+        self.n_tokens = np.zeros(len(references), dtype=np.intp)
+        self.lengths = np.array([len(s) for sentences in documents for s in sentences],
+                                 dtype=np.intp)
+        sizes = [len(sentences) for sentences in documents]
+        n = len(self.lengths)
+        self.doc = np.repeat(np.arange(len(documents)), sizes)
+        self.starts = np.cumsum([0] + sizes)  # each document's first row, then the end
+        # each sentence's token columns and then column u, so the bigrams that
+        # straddle two sentences (or two documents) land in column u
+        flat = np.array([ids[d].get(t, u) for d, sentences in enumerate(documents)
+                         for s in sentences for t in (*s, None)], dtype=np.intp)
+        rows = np.repeat(np.arange(n), self.lengths + 1)
+        cells = np.concatenate((rows * width + flat, rows[1:] * width
+                                + self._pair[self.doc[rows[1:]], flat[:-1], flat[1:]]))
+        # int32 halves the matrices a group holds; their row sums are int64
+        self._counts = np.bincount(cells, minlength=n * width).astype(np.int32).reshape(n, width)
+        self._scratch = np.empty((2, n, width), dtype=np.int32)
+        ends = np.cumsum(self.lengths + 1)
+        self._first, self._last = flat[ends - self.lengths - 1], flat[ends - 2]
         self._before, self._after = np.full((2, n), u)
-        self.spans = []  # selected sentences with tokens, in document order
-        self.n_tokens = 0
+        self._spans = [[] for _ in documents]  # selected rows of each document, in order
 
     def _junctions(self, i):
-        """Bigram ids of the two junctions sentence(s) ``i`` would make on
-        joining the selection, and of the one it would break."""
-        before, after = self._before[i], self._after[i]
-        return (self._pair[before, self._first[i]], self._pair[self._last[i], after],
-                self._pair[before, after])
+        """Bigram columns of the two junctions sentence(s) ``i`` would make on
+        joining its document's selection, and of the one it would break."""
+        pair, d, before, after = self._pair, self.doc[i], self._before[i], self._after[i]
+        return (pair[d, before, self._first[i]], pair[d, self._last[i], after],
+                pair[d, before, after])
 
     def joined(self, candidates):
         """ROUGE-1 and ROUGE-2 F1 arrays, the floats :func:`rouge_n` gives, if
-        each of ``candidates`` (an index array, with tokens, not selected)
-        joined the selection alone; one array pass, O(candidates * (u + b))."""
-        u, room, rows = self._u, self.room, np.arange(len(candidates))
-        # a fresh candidates x n-grams array per step would be mapped and unmapped
+        each of ``candidates`` (a row array, with tokens, not selected) joined
+        its document's selection alone; one array pass, O(candidates * (U + B))."""
+        u, k = self._u, len(candidates)
+        d = self.doc[candidates]
+        # a fresh candidates x columns array per step would be mapped and unmapped
         # anew; "clip" writes straight into the scratch rows, "raise" would buffer
-        delta = np.take(self._counts, candidates, axis=0, mode="clip",
-                        out=self._scratch[:len(candidates)])
+        delta = np.take(self._counts, candidates, axis=0, mode="clip", out=self._scratch[0, :k])
+        room = np.take(self.room, d, axis=0, mode="clip", out=self._scratch[1, :k])
+        rows = np.arange(k)
         # one junction per statement, so no (row, column) repeats within one
         for column, change in zip(self._junctions(candidates), (1, 1, -1)):
             delta[rows, column] += change
-        # with count changes d, sum(min(sys + d, ref)) = sum(sys) + sum(min(d, room))
+        # with count changes c, sum(min(sys + c, ref)) = sum(sys) + sum(min(c, room))
         clipped = np.minimum(delta, room, out=delta)
-        overlap1 = self.n_reference - int(room[:u].sum()) + clipped[:, :u].sum(1)
-        overlap2 = self._n_bigrams - int(room[u + 1:].sum()) + clipped[:, u + 1:].sum(1)
-        size = self.n_tokens + self._lengths[candidates]
-        return (_f1(overlap1, size, self.n_reference), _f1(overlap2, size - 1, self._n_bigrams))
+        held1 = self.n_reference - self.room[:, :u].sum(1)
+        held2 = self._n_bigrams - self.room[:, u + 1:].sum(1)
+        overlap1 = held1[d] + clipped[:, :u].sum(1)
+        overlap2 = held2[d] + clipped[:, u + 1:].sum(1)
+        size = self.n_tokens[d] + self.lengths[candidates]
+        return (_f1(overlap1, size, self.n_reference[d]),
+                _f1(overlap2, size - 1, self._n_bigrams[d]))
 
     def add(self, i):
-        """Add sentence ``i`` (not selected) to the selection."""
-        if not self._lengths[i]:
-            return
-        self.room -= self._counts[i]
+        """Add row ``i`` (with tokens, not selected) to its document's selection."""
+        d = self.doc[i]
+        self.room[d] -= self._counts[i]
         for column, change in zip(self._junctions(i), (1, 1, -1)):
-            self.room[column] -= change
-        self.n_tokens += int(self._lengths[i])
-        k = bisect(self.spans, i)
-        self._after[self.spans[k - 1] + 1 if k else 0:i] = self._first[i]
-        self._before[i + 1:self.spans[k] if k < len(self.spans) else None] = self._last[i]
-        self.spans.insert(k, i)
+            self.room[d, column] -= change
+        self.n_tokens[d] += self.lengths[i]
+        spans = self._spans[d]
+        k = bisect(spans, i)
+        self._after[spans[k - 1] + 1 if k else self.starts[d]:i] = self._first[i]
+        self._before[i + 1:spans[k] if k < len(spans) else self.starts[d + 1]] = self._last[i]
+        spans.insert(k, i)

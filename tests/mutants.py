@@ -41,9 +41,19 @@ MUTANTS = [
      "if False:",
      "tests/test_encoder.py::test_checkpoint_rejects_corruption"),
     ("oracle.py",
-     "limit = n if max_sentences is None else min(max_sentences, n)",
-     "limit = n if max_sentences is None else min(max_sentences + 1, n)",
+     "if len(picks) == max_sentences:",
+     "if len(picks) == max_sentences + 1:",
      "tests/test_oracle.py::test_max_sentences_caps_selection"),
+    # the grouped oracle takes each document's first maximum ...
+    ("oracle.py",
+     "hits[np.searchsorted(hits, starts)]",
+     "hits[np.searchsorted(hits, np.append(starts[1:], len(docs))) - 1]",
+     "tests/test_properties.py::test_grouped_oracle_labels_every_document_as_alone"),
+    # ... and looks its junction bigrams up in the candidate's own document's table
+    ("rouge.py",
+     "self._pair, self.doc[i],",
+     "self._pair, self.doc[i] - 1,",
+     "tests/test_properties.py::test_grouped_oracle_labels_every_document_as_alone"),
     ("inference.py",
      "hits = np.flatnonzero(scores >= threshold)",
      "hits = np.flatnonzero(scores > threshold)",

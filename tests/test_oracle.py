@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from sectsum import (
     candidate_score,
     generate_synthetic,
     greedy_summary_labels,
+    oracle,
     tokenize,
     rouge_n,
 )
+from sectsum.rouge import Reference
 
 from conftest import make_doc, rescoring_greedy_labels
 
@@ -128,7 +131,7 @@ def test_boundary_labels_conventions():
 
 def test_build_labels_bundle():
     doc = make_doc()
-    labels = build_labels(doc, convention=SegLabelConvention.LAST)
+    labels, = build_labels([doc], convention=SegLabelConvention.LAST)
     assert labels.summary_labels == (0, 1, 1)
     assert labels.selection_order == (2, 1)
     assert labels.boundary_labels == (0, 1, 1)  # starts (0, 2), n = 3
@@ -153,3 +156,25 @@ def test_incremental_oracle_matches_full_rescoring_on_long_documents():
         for cap in (None, 5):
             assert greedy_summary_labels(doc, max_sentences=cap) == \
                 rescoring_greedy_labels(doc, max_sentences=cap)
+
+
+def test_groups_take_documents_by_width_within_the_cell_budget():
+    """Sorted stably by scoring width, a group takes the next document while
+    its padded cells, (rows + n) x W, stay within the budget; a document over
+    the budget runs alone."""
+    docs = generate_synthetic(SynthConfig(n_documents=40, rng_seed=3))
+    references = [Reference(tokenize(d.reference_summary)) for d in docs]
+    widths = [len(r.ngrams(1)) + 1 + len(r.ngrams(2)) for r in references]
+    rows = [len(d.sentences) for d in docs]
+    counts = {}
+    for budget in (1, 600, 3000, 2 ** 15):
+        with mock.patch.object(oracle, "_GROUP_CELLS", budget):
+            groups = oracle._groups(widths, docs)
+        counts[budget] = len(groups)
+        assert [i for g in groups for i in g] == sorted(range(len(docs)), key=widths.__getitem__)
+        for g in groups:
+            assert len(g) == 1 or sum(rows[i] for i in g) * widths[g[-1]] <= budget
+        for g, following in zip(groups, groups[1:]):
+            first = following[0]
+            assert (sum(rows[i] for i in g) + rows[first]) * widths[first] > budget
+    assert counts[1] == 40 and 1 < counts[3000] < 40

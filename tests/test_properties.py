@@ -8,6 +8,7 @@ import tempfile
 from itertools import combinations, pairwise
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from hypothesis import strategies as st
 from sectsum import (
     CUE_PHRASES, Document, FeatureConfig, LabelSet, Prediction, Sentence, SynthConfig,
     TrainConfig, TrainingError, Variant, base_features, boundary_proximity_histogram,
-    brute_force_subset_sum, candidate_score, dpp_loss_and_grad, encode_forward, evaluation,
-    generate_synthetic, greedy_summary_labels, heads_forward, inference, init_params,
-    parse_corpus, rouge_l, rouge_n, seg_f1, select_top_k, tokenize, total_loss, training,
-    windowdiff, write_corpus,
+    brute_force_subset_sum, build_labels, candidate_score, dpp_loss_and_grad,
+    encode_forward, evaluation, generate_synthetic, greedy_summary_labels, heads_forward,
+    inference, init_params, oracle, parse_corpus, rouge_l, rouge_n, seg_f1, select_top_k,
+    tokenize, total_loss, training, windowdiff, write_corpus,
 )
 from sectsum.cli import run
 from sectsum.rouge import Reference
@@ -177,6 +178,47 @@ def test_greedy_oracle_properties(doc, max_sentences):
         assert order[0] == singles.index(max(singles))
     else:
         assert order == ()
+
+
+@st.composite
+def oracle_corpora(draw):
+    """One to twelve documents, each on the shared words or on its own copy
+    of them (each word suffixed "q<i>"), with token-less and repeated
+    sentences and references of zero, one or more tokens."""
+    documents = []
+    for i in range(draw(st.integers(1, 12))):
+        texts = draw(st.lists(sentence_texts, min_size=1, max_size=8))
+        texts += draw(st.lists(st.sampled_from(texts), max_size=2))
+        reference = draw(st.one_of(st.sampled_from(["...", "a", "e."]), st.lists(
+            st.sampled_from(["a", "b", "c", "e"]), min_size=2, max_size=10).map(" ".join)))
+        suffix = draw(st.sampled_from(["", f"q{i}"]))
+        own = lambda text: " ".join(w + suffix if tokenize(w) else w for w in text.split())
+        documents.append(Document.build(f"d{i}", [own(t) for t in texts], section_starts=[0],
+                                        reference_summary=own(reference)))
+    return documents
+
+
+# One group at the default budget: d1 gains the junction bigram (b, a) that
+# no other document's reference holds, and d2's two sentences tie.
+one_group = [Document.build(f"d{i}", texts, section_starts=[0], reference_summary=reference)
+             for i, (texts, reference) in enumerate([
+                 (["a b", "c"], "a b c"), (["b", "a"], "a b a"), (["a b", "a b", "c"], "a b")])]
+
+
+@settings(FAST, max_examples=200)
+@given(oracle_corpora(), st.sampled_from([None, 0, 1, 3]), st.integers(1, 800))
+@example(one_group, None, 2 ** 15)
+def test_grouped_oracle_labels_every_document_as_alone(documents, cap, budget):
+    """``build_labels`` scans the corpus in groups cut by a cell budget, here
+    small enough to split the corpus mid-way (or to leave every document
+    alone); each document still gets the rescoring definition's labels, and
+    those of its own one-document scan."""
+    with mock.patch.object(oracle, "_GROUP_CELLS", budget):
+        labels = build_labels(documents, max_sentences=cap)
+        alone = [greedy_summary_labels(doc, cap) for doc in documents]
+    for doc, label, one in zip(documents, labels, alone):
+        assert (label.summary_labels, label.selection_order) == one == \
+            rescoring_greedy_labels(doc, cap)
 
 
 def _corpus(prefix):
