@@ -350,9 +350,11 @@ def stable_sigmoid(z):
 
 
 def _softmax(scores):
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place: ``scores`` becomes the result."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _split_heads(x, n_heads):
@@ -405,7 +407,8 @@ def _layer_forward(x, lp, n_heads, key_bias=None, with_cache=True):
     qh = _split_heads(normed1 @ lp.w_q, n_heads)
     kh = _split_heads(normed1 @ lp.w_k, n_heads)
     vh = _split_heads(normed1 @ lp.w_v, n_heads)
-    scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(dk)
+    scores = qh @ kh.swapaxes(-1, -2)  # scaled, biased and normalized in place
+    scores /= math.sqrt(dk)
     if key_bias is not None:
         scores += key_bias
     attn = _softmax(scores)
@@ -459,9 +462,11 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
     grad_lp.w_o[...] += _rows(cache["merged"]).T @ _rows(d_mid)
     d_ctx = _split_heads(d_mid @ lp.w_o.T, n_heads)
     attn = cache["attn"]
-    d_attn = d_ctx @ cache["vh"].swapaxes(-1, -2)
+    # d_scores is built in d_attn's memory; the cached arrays are only read.
+    d_scores = d_ctx @ cache["vh"].swapaxes(-1, -2)
     d_vh = attn.swapaxes(-1, -2) @ d_ctx
-    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+    d_scores *= attn
     d_scores /= math.sqrt(dk)
     d_qh = d_scores @ cache["kh"]
     d_kh = d_scores.swapaxes(-1, -2) @ cache["qh"]

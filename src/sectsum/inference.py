@@ -37,9 +37,9 @@ __all__ = [
 
 DEFAULT_BOUNDARY_THRESHOLD = 0.5
 
-# Largest G * n_heads * n * n attention-score count of one prediction stack
-# of G documents of n sentences: peak memory stays bounded whatever the
-# corpus size, while short documents still share one forward pass.
+# Largest G * n_heads * n * n size of the one live attention-score array of a
+# prediction stack of G documents of n sentences: peak memory stays bounded
+# whatever the corpus size, while short documents still share one pass.
 _STACK_ATTENTION_ENTRIES = 2 ** 18
 
 

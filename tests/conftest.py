@@ -336,6 +336,64 @@ def loop_base_features(doc, config):
     return out
 
 
+def loop_encoder_forward(raw, params):
+    """The encoder of one document by its documented math, one scalar at a
+    time over Python floats: the raw features (n, F) projected by ``w_proj``,
+    plus sinusoidal positions (base 10000); per layer a pre-norm residual
+    block (layer norm with eps 1e-6, then attention with scores scaled by
+    1/sqrt(d_k) and a softmax over keys, then the output projection) and a
+    pre-norm exact-GELU feed-forward block, z * Phi(z); then the two sigmoid
+    heads, clipped to [1e-12, 1 - 1e-12]. Sums are ``math.fsum``. Returns
+    (hidden, summary probabilities, boundary probabilities) as lists."""
+    def matmul(rows, weight):
+        columns = list(zip(*weight.tolist()))
+        return [[math.fsum(a * b for a, b in zip(row, col)) for col in columns]
+                for row in rows]
+
+    def layernorm(rows, gain, bias):
+        out = []
+        for row in rows:
+            mean = math.fsum(row) / len(row)
+            inv_std = 1.0 / math.sqrt(math.fsum((v - mean) ** 2 for v in row) / len(row) + 1e-6)
+            out.append([(v - mean) * inv_std * g + b
+                        for v, g, b in zip(row, gain.tolist(), bias.tolist())])
+        return out
+
+    def sigmoid(z):
+        return min(max(1.0 / (1.0 + math.exp(-z)), 1e-12), 1.0 - 1e-12)
+
+    n, d, heads = len(raw), params.dim, params.n_heads
+    dk = d // heads
+    x = [[v + (math.sin if c % 2 == 0 else math.cos)(i / 10000.0 ** ((c - c % 2) / d))
+          for c, v in enumerate(row)]
+         for i, row in enumerate(matmul(raw.tolist(), params.w_proj))]
+    for lp in params.layers:
+        normed = layernorm(x, lp.ln1_gain, lp.ln1_bias)
+        q, k, v = (matmul(normed, w) for w in (lp.w_q, lp.w_k, lp.w_v))
+        context = [[0.0] * d for _ in range(n)]
+        for h in range(heads):
+            cols = slice(h * dk, (h + 1) * dk)
+            for i in range(n):
+                scores = [math.fsum(a * b for a, b in zip(q[i][cols], k[j][cols]))
+                          / math.sqrt(dk) for j in range(n)]
+                top = max(scores)
+                weights = [math.exp(s - top) for s in scores]
+                total = math.fsum(weights)
+                for c in range(h * dk, (h + 1) * dk):
+                    context[i][c] = math.fsum(w * v[j][c] for j, w in enumerate(weights)) / total
+        x = [[a + b for a, b in zip(row, out)] for row, out in zip(x, matmul(context, lp.w_o))]
+        z = matmul(layernorm(x, lp.ln2_gain, lp.ln2_bias), lp.w_ff1)
+        act = [[v + b for v, b in zip(row, lp.b_ff1.tolist())] for row in z]
+        act = [[v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in row] for row in act]
+        x = [[a + b + c for a, b, c in zip(row, out, lp.b_ff2.tolist())]
+             for row, out in zip(x, matmul(act, lp.w_ff2))]
+    summary = [sigmoid(math.fsum(a * b for a, b in zip(row, params.w_sum.tolist()))
+                       + float(params.b_sum[0])) for row in x]
+    boundary = [sigmoid(math.fsum(a * b for a, b in zip(row, params.w_seg.tolist()))
+                        + float(params.b_seg[0])) for row in x]
+    return x, summary, boundary
+
+
 def loop_grad_check(params, doc, config, feature_config, step=1e-5):
     """``grad_check``'s block errors by their definition: every parameter
     entry is perturbed in place by +step and -step, one unbatched value-only

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from sectsum import (
     FeatureConfig,
     ModelParams,
     NumericsError,
+    SynthConfig,
     backward_document,
     base_features,
     encode_forward,
     forward_document,
+    generate_synthetic,
     heads_forward,
     init_params,
     load_checkpoint,
@@ -23,7 +26,7 @@ from sectsum.encoder import (
     N_SCALAR_FEATURES, _block_shapes, position_encoding, stable_sigmoid,
 )
 
-from conftest import make_doc
+from conftest import loop_encoder_forward, make_doc
 
 
 def test_feature_config_validation():
@@ -172,6 +175,59 @@ def test_backward_matches_finite_differences_on_features(small_model, tiny_corpu
         assert fd == pytest.approx(grads.w_proj[i, j], rel=1e-4, abs=1e-8)
 
 
+def test_forward_document_matches_the_scalar_reference():
+    """Hidden states and both heads' probabilities equal the loop reference's
+    to 1e-12 of each array's largest magnitude, for each document alone and
+    for every document's real rows in one padded stack of all of them. (An
+    entry near zero can differ by more relative to itself: the residual sums
+    cancel.)"""
+    docs = generate_synthetic(SynthConfig(n_documents=5, sections_per_document=(3, 7),
+                                          sentences_per_section=(4, 6), rng_seed=2))
+    assert min(map(len, docs)) < 20 and max(map(len, docs)) == 40
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    params = init_params(config, n_layers=2, n_heads=2, rng_seed=7)
+    params.vector[...] += 0.3 * np.random.default_rng(7).normal(size=params.vector.shape)
+    raws = base_features(docs, config)
+    stack = forward_document(docs, params, config, raws)
+    for g, (doc, raw) in enumerate(zip(docs, raws)):
+        expected = loop_encoder_forward(raw, params)
+        alone = forward_document(doc, params, config, raw)
+        n = len(doc)
+        for got in ((alone.hidden, alone.summary_probs, alone.boundary_probs),
+                    (stack.hidden[g, :n], stack.summary_probs[g, :n],
+                     stack.boundary_probs[g, :n])):
+            for actual, reference in zip(got, expected):
+                reference = np.array(reference)
+                np.testing.assert_allclose(actual, reference, rtol=0,
+                                           atol=1e-12 * np.abs(reference).max())
+
+
+def test_attention_holds_one_score_array_per_value_pass():
+    """On one 420-sentence document, a value pass peaks below two (heads, n, n)
+    float64 arrays, its score array updated in place, and a forward pass with
+    caches plus its backward pass below four (tracemalloc peaks)."""
+    doc = generate_synthetic(SynthConfig(n_documents=1, sections_per_document=(40, 40),
+                                         sentences_per_section=(10, 10), rng_seed=1))[0]
+    assert len(doc) == 420
+    config = FeatureConfig(dim=16)
+    params = init_params(config, n_layers=1, n_heads=2)
+    raw = base_features([doc], config)[0]
+    unit = params.n_heads * len(doc) ** 2 * 8
+    upstream = np.ones(len(doc))
+    tracemalloc.start()
+    try:
+        forward_document(doc, params, config, raw, with_caches=False)
+        value_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        enc = forward_document(doc, params, config, raw)
+        backward_document(enc, params, d_summary=upstream, d_boundary=upstream)
+        gradient_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value_peak < 2 * unit, value_peak / unit
+    assert gradient_peak < 4 * unit, gradient_peak / unit
+
+
 def test_encode_forward_rejects_non_finite(small_model, tiny_corpus):
     config, params = small_model
     params = params.from_vector(params.vector)
@@ -293,6 +349,8 @@ def test_checkpoint_rejects_corruption(tmp_path, small_model):
     cases = [(f"feature_config.{key}", value, key) for key in flags for value in (False, None)]
     for key, value, match in cases + [
         ("n_layers", "1", "n_layers"),
+        # as many layers as the body has values passes the size check
+        ("n_layers", len(body) // 8, "must list"),
         ("n_heads", 0, "n_heads"),
         ("ffn_hidden", 16.0, "ffn_hidden"),
         ("feature_config.dim", True, "dim"),
