@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import CorpusError, tokenize
 from .inference import paired, ranking
-from .rouge import Reference, RougeScore, _score, rouge_l, rouge_n
+from .rouge import Reference, RougeScore, Selection, _prf, rouge_l, rouge_n
 
 __all__ = [
     "EvalReport",
@@ -47,7 +47,7 @@ def seg_f1(predicted, reference, n=None):
                 raise ValueError(f"boundary {b} out of range for n = {n}")
     if not pred and not ref:
         return RougeScore(1.0, 1.0, 1.0)
-    return _score(len(pred & ref), len(pred), len(ref))
+    return RougeScore(*_prf(len(pred & ref), len(pred), len(ref)))
 
 
 def windowdiff(predicted, reference, n):
@@ -206,63 +206,24 @@ def evaluate_full(scored):
     )
 
 
-def _join(counts, reference_counts, grams):
-    """Add ``grams`` to ``counts``, a selection's counts of the reference
-    n-grams; returns the clipped overlap they add, one per n-gram still below
-    its reference count."""
-    added = 0
-    for g in grams:
-        if g in reference_counts:
-            c = counts.get(g, 0)
-            if c < reference_counts[g]:
-                added += 1
-            counts[g] = c + 1
-    return added
-
-
 def _top_k_rows(doc, order, reference):
     """ROUGE-1, ROUGE-2 and ROUGE-L F1 and the word count of the summary of
     ``order[:k]`` (sentence indices in rank order) for k = 1..len(order), the
-    floats :func:`rouge_n` and :func:`rouge_l` give, in one pass over
-    ``order``.
-
-    The selection reads in document order. A sentence joining between
-    selected ``a < i < b`` (both with tokens) adds its unigrams and bigrams
-    and the junction bigrams (last(a), first(i)) and (last(i), first(b)),
-    and removes (last(a), first(b)). The LCS row after each selected
-    sentence is kept, and a joining sentence reruns the rows from the one
-    just before it."""
-    ref1, ref2, n_ref = reference.ngrams(1), reference.ngrams(2), len(reference.tokens)
-    counts1, counts2 = {}, {}
-    overlap1 = overlap2 = size = 0
-    # selected sentences with tokens, in document order, and the LCS row after each
-    spans, lcs_rows = [], []
-    rows = []
+    floats :func:`rouge_n` and :func:`rouge_l` give, in one pass: a
+    :class:`sectsum.rouge.Selection` keeps the ROUGE-1/2 counts, and
+    ``lcs_rows`` the LCS row after each of its ``spans``, so a joining
+    sentence reruns the rows from the one just before it."""
+    selection = Selection(reference)
+    n_ref, lcs_rows, rows = len(reference.tokens), [], []
     for i in order:
-        tokens = doc.sentences[i].tokens
-        if tokens:
-            p = bisect(spans, i)
-            # a missing neighbour is None, and no reference bigram holds None
-            before = doc.sentences[spans[p - 1]].tokens[-1] if p else None
-            after = doc.sentences[spans[p]].tokens[0] if p < len(spans) else None
-            overlap1 += _join(counts1, ref1, tokens)
-            overlap2 += _join(counts2, ref2, [(before, tokens[0]), *zip(tokens, tokens[1:]),
-                                              (tokens[-1], after)])
-            broken = (before, after)
-            if broken in ref2:
-                counts2[broken] -= 1
-                if counts2[broken] < ref2[broken]:
-                    overlap2 -= 1
-            size += len(tokens)
+        p = selection.add(i, doc.sentences[i].tokens)
+        if p is not None:
             v = lcs_rows[p - 1] if p else None
-            spans.insert(p, i)
             lcs_rows.insert(p, None)
-            for q in range(p, len(spans)):
-                v = lcs_rows[q] = reference.lcs_row(doc.sentences[spans[q]].tokens, v)
+            for q in range(p, len(lcs_rows)):
+                v = lcs_rows[q] = reference.lcs_row(selection.tokens[q], v)
         lcs = n_ref - lcs_rows[-1].bit_count() if lcs_rows else 0
-        rows.append((_score(overlap1, size, n_ref).f1,
-                     _score(overlap2, max(size - 1, 0), max(n_ref - 1, 0)).f1,
-                     _score(lcs, size, n_ref).f1, size))
+        rows.append((*selection.f1(), _prf(lcs, selection.size, n_ref)[2], selection.size))
     return rows
 
 

@@ -10,11 +10,13 @@ no strict improvement (the SummaRuNNer oracle; Nallapati, Zhai & Zhou, AAAI
 its padded count matrix, rows x W, stays within ``_GROUP_CELLS`` cells. One
 array round of :class:`sectsum.rouge.RunningOverlap` scores every open
 sentence of every open document in the group, O(open sentences * W), and
-each document takes its first maximum. Accepting a pick stays per document,
-and :func:`candidate_score` rescores every accepted pick from the tokens, so
-an incremental score that differs from it raises. A document's labels do not
-depend on the documents it is grouped with. Boundary labels mark either the
-first or the last sentence of every section.
+each document takes its first maximum. Accepting a pick stays per document:
+a :class:`sectsum.rouge.Selection` of dict counts, sharing no state with the
+arrays, rescores it (O(picks * tokens) per document), and
+:func:`candidate_score`, the from-scratch scorer the tests use, rescores each
+group's longest selection; a score that differs raises. A document's labels
+do not depend on the documents it is grouped with. Boundary labels mark
+either the first or the last sentence of every section.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import CorpusError, LabelSet, tokenize
-from .rouge import Reference, RunningOverlap, rouge_n
+from .rouge import Reference, RunningOverlap, Selection, rouge_n
 
 __all__ = [
     "SegLabelConvention",
@@ -44,8 +46,8 @@ class SegLabelConvention(str, Enum):
 
 def candidate_score(selected_indices, doc, reference):
     """Average of ROUGE-1 F and ROUGE-2 F for the candidate selection, its
-    sentences read in document order, against reference tokens or a
-    :class:`sectsum.rouge.Reference`."""
+    sentences read in document order, counted from scratch against reference
+    tokens or a :class:`sectsum.rouge.Reference`."""
     tokens = doc.summary_tokens(selected_indices)
     r1 = rouge_n(tokens, reference, 1).f1
     r2 = rouge_n(tokens, reference, 2).f1
@@ -76,6 +78,7 @@ def _greedy_scan(documents, references, max_sentences):
     """Greedy picks of every document of one group, one array round scoring
     every open sentence of every open document."""
     state = RunningOverlap(references, [[s.tokens for s in d.sentences] for d in documents])
+    selections = [Selection(r) for r in references]
     live = np.full(len(documents), max_sentences != 0)  # documents still picking
     # a sentence without tokens scores exactly the current selection
     open_ = state.lengths > 0
@@ -92,24 +95,28 @@ def _greedy_scan(documents, references, max_sentences):
         maxima = np.maximum.reduceat(scores, starts)
         hits = np.flatnonzero(scores == np.repeat(maxima, np.diff(starts, append=len(docs))))
         firsts = hits[np.searchsorted(hits, starts)]  # the first maximum: the lowest index
-        for d, row, best_candidate in zip(docs[starts].tolist(), candidates[firsts].tolist(),
-                                          scores[firsts].tolist()):
-            if not best_candidate > best_scores[d]:
+        for d, row, best, *pair in zip(docs[starts].tolist(), candidates[firsts].tolist(),
+                                       *(a[firsts].tolist() for a in (scores, r1, r2))):
+            if not best > best_scores[d]:
                 live[d] = False
                 continue
             state.add(row)
             open_[row] = False
             picks = selected[d]
             picks.append(row - int(state.starts[d]))
-            # the full rescore from the tokens, independent of the array state
-            best_scores[d] = candidate_score(picks, documents[d], references[d])
-            if best_scores[d] != best_candidate:
-                raise RuntimeError(
-                    f"document {documents[d].id!r}: incremental oracle score "
-                    f"{best_candidate!r} differs from the full rescore "
-                    f"{best_scores[d]!r} after picking sentence {picks[-1]}")
+            selections[d].add(picks[-1], documents[d].sentences[picks[-1]].tokens)
+            if selections[d].f1() != tuple(pair):
+                raise RuntimeError(f"document {documents[d].id!r}: incremental oracle scores "
+                                   f"{tuple(pair)!r} differ from the running rescore "
+                                   f"{selections[d].f1()!r} after picking sentence {picks[-1]}")
+            best_scores[d] = best
             if len(picks) == max_sentences:
                 live[d] = False
+    # an error the dicts and the arrays share: rescore the longest selection anew
+    d = max(range(len(documents)), key=lambda d: len(selected[d]))
+    if candidate_score(selected[d], documents[d], references[d]) != best_scores[d]:
+        raise RuntimeError(f"document {documents[d].id!r}: oracle score {best_scores[d]!r} "
+                           f"differs from the full rescore of picks {selected[d]}")
     return selected
 
 
@@ -121,15 +128,13 @@ def _greedy_orders(documents, max_sentences):
         if not doc.reference_summary:
             raise CorpusError(f"document {doc.id!r} has no reference summary to label against")
     # scoring width W: reference unigram types + 1 + bigram types; each group
-    # counts its references when it runs, so a corpus's are never all held
-    widths = []
-    for doc in documents:
-        tokens = tokenize(doc.reference_summary)
-        widths.append(len(set(tokens)) + 1 + len(set(zip(tokens, tokens[1:]))))
+    # counts its references when it runs, so a corpus's counts are never all held
+    tokens = [tokenize(doc.reference_summary) for doc in documents]
+    widths = [len(set(t)) + 1 + len(set(zip(t, t[1:]))) for t in tokens]
     orders = [None] * len(documents)
     for group in _groups(widths, documents):
-        picks = _greedy_scan([documents[i] for i in group], [
-            Reference(tokenize(documents[i].reference_summary)) for i in group], max_sentences)
+        picks = _greedy_scan([documents[i] for i in group],
+                             [Reference(tokens[i]) for i in group], max_sentences)
         for i, order in zip(group, picks):
             orders[i] = tuple(order)
     return orders

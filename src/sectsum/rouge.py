@@ -9,9 +9,10 @@ bitmask over the reference updated once per system token it holds: O(|sys|
 A :class:`Reference` counts a reference once for every score against it, and
 its LCS row resumes from any earlier row (:meth:`Reference.lcs_row`), so a
 selection that grows in the middle reruns only the tokens after the change.
-A :class:`RunningOverlap` keeps the ROUGE-1/2 counts of the oracle's growing
-selections, one per document of a group, in integer arrays and scores every
-candidate sentence of the group in one array pass.
+A :class:`Selection` keeps the ROUGE-1/2 counts of a growing selection of a
+document's sentences in dicts, O(tokens) per sentence added. A
+:class:`RunningOverlap` keeps them for the oracle's selections of a group of
+documents in integer arrays and scores every candidate in one array pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
-__all__ = ["RougeScore", "Reference", "RunningOverlap", "rouge_n", "rouge_l"]
+__all__ = ["RougeScore", "Reference", "Selection", "RunningOverlap", "rouge_n", "rouge_l"]
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,12 @@ class RougeScore:
     f1: float
 
 
-def _score(overlap, n_system, n_reference):
+def _prf(overlap, n_system, n_reference):
+    """A :class:`RougeScore`'s fields as a plain tuple, which is faster to build."""
     precision = overlap / n_system if n_system else 0.0
     recall = overlap / n_reference if n_reference else 0.0
     total = precision + recall
-    return RougeScore(precision, recall,
-                      2.0 * precision * recall / total if total else 0.0)
+    return precision, recall, 2.0 * precision * recall / total if total else 0.0
 
 
 def _ngrams(tokens, n):
@@ -113,8 +114,8 @@ def rouge_n(system_tokens, reference, n):
         reference = Reference(reference)
     ref_counts, counts = reference.ngrams(n), _ngrams(system_tokens, n)
     overlap = sum(map(min, counts.values(), map(ref_counts.get, counts, repeat(0))))
-    return _score(overlap, max(len(system_tokens) - n + 1, 0),
-                  max(len(reference.tokens) - n + 1, 0))
+    return RougeScore(*_prf(overlap, max(len(system_tokens) - n + 1, 0),
+                            max(len(reference.tokens) - n + 1, 0)))
 
 
 def rouge_l(system_tokens, reference):
@@ -126,12 +127,67 @@ def rouge_l(system_tokens, reference):
     """
     if not isinstance(reference, Reference):
         reference = Reference(reference)
-    return _score(reference.lcs(system_tokens), len(system_tokens),
-                  len(reference.tokens))
+    return RougeScore(*_prf(reference.lcs(system_tokens), len(system_tokens),
+                            len(reference.tokens)))
+
+
+def _join(counts, reference_counts, grams):
+    """Add ``grams`` to ``counts``, a selection's counts of the reference
+    n-grams; returns the clipped overlap they add."""
+    added = 0
+    for g in grams:
+        if g in reference_counts:
+            c = counts.get(g, 0)
+            if c < reference_counts[g]:
+                added += 1
+            counts[g] = c + 1
+    return added
+
+
+class Selection:
+    """A growing selection of a document's sentences, read in document order,
+    with its clipped ROUGE-1/2 overlap against a :class:`Reference` kept in
+    dicts. A sentence landing between selected ``a < i < b`` adds its n-grams
+    and the junction bigrams (last(a), first(i)) and (last(i), first(b)), and
+    removes (last(a), first(b)). ``spans`` holds the selected sentences with
+    tokens, in document order, and ``tokens`` their token sequences."""
+
+    def __init__(self, reference):
+        self._ref1, self._ref2 = reference.ngrams(1), reference.ngrams(2)
+        self._n_reference = len(reference.tokens)
+        self._counts1, self._counts2, self.spans, self.tokens = {}, {}, [], []
+        self.overlap1 = self.overlap2 = self.size = 0
+
+    def add(self, i, tokens):
+        """Add sentence ``i`` (not selected) with its ``tokens``; returns its
+        place in ``spans``, or None for a sentence without tokens."""
+        if not tokens:
+            return None
+        selected, ref2, counts2 = self.tokens, self._ref2, self._counts2
+        p = bisect(self.spans, i)
+        # a missing neighbour is None, and no reference bigram holds None
+        before = selected[p - 1][-1] if p else None
+        after = selected[p][0] if p < len(selected) else None
+        self.overlap1 += _join(self._counts1, self._ref1, tokens)
+        self.overlap2 += _join(counts2, ref2, [
+            (before, tokens[0]), *zip(tokens, tokens[1:]), (tokens[-1], after)])
+        if (before, after) in ref2:  # the junction it breaks
+            counts2[before, after] -= 1
+            if counts2[before, after] < ref2[before, after]:
+                self.overlap2 -= 1
+        self.size += len(tokens)
+        self.spans.insert(p, i)
+        selected.insert(p, tokens)
+        return p
+
+    def f1(self):
+        """ROUGE-1 and ROUGE-2 F1, the floats :func:`rouge_n` gives on the selection."""
+        return (_prf(self.overlap1, self.size, self._n_reference)[2],
+                _prf(self.overlap2, max(self.size - 1, 0), max(self._n_reference - 1, 0))[2])
 
 
 def _f1(overlap, n_system, n_reference):
-    """``_score(...).f1`` elementwise over integer arrays, in its float order;
+    """``_prf(...)[2]`` elementwise over integer arrays, in its float order;
     a zero denominator gives 0.0 there too."""
     zeros = np.zeros(len(overlap))
     precision = np.divide(overlap, n_system, out=zeros.copy(), where=n_system > 0)
@@ -146,10 +202,8 @@ class RunningOverlap:
     sequences) against its :class:`Reference`, where :meth:`joined` scores
     every open candidate of every document at once. Sentences are numbered
     across the group, document after document (``doc`` holds each one's
-    document). A selection reads in document order: a sentence landing
-    between selected ``a < i < b`` adds its n-grams and the junction bigrams
-    (last(a), first(i)) and (last(i), first(b)), and removes (last(a),
-    first(b)).
+    document). A selection reads in document order, its junction bigrams
+    counted as in :class:`Selection`.
 
     The columns are [reference unigrams padded to U | other | reference
     bigrams padded to B], U and B the group's largest type counts: a

@@ -92,26 +92,38 @@ MUTANTS = [
      "target.insert(int(rng.integers(1, len(target))), (\"dup\", tokens))",
      "target.insert(int(rng.integers(0, len(target))), (\"dup\", tokens))",
      "tests/test_determinism_pin.py::test_synth_outputs_are_pinned"),
-    # the score-vs-k sweep: a joining sentence removes the junction it breaks
-    ("evaluation.py",
-     "overlap2 -= 1",
+    # a Selection (the score-vs-k sweep's and the oracle's rescore): a joining
+    # sentence removes the junction it breaks ...
+    ("rouge.py",
+     "self.overlap2 -= 1",
      "pass",
      "tests/test_evaluation.py::test_score_vs_k_sentence_between_two_picks_breaks_their_junction"),
-    # ... reruns the LCS rows from the cached row just before it
+    # the score-vs-k sweep reruns the LCS rows from the cached row just before
+    # the joining sentence
     ("evaluation.py",
      "v = lcs_rows[p - 1] if p else None",
      "v = None",
      "tests/test_evaluation.py::test_score_vs_k_rows_match_the_per_k_loop"),
-    # ... clips its unigram and bigram counts at the reference count
-    ("evaluation.py",
+    # a Selection clips its unigram and bigram counts at the reference count ...
+    ("rouge.py",
      "if c < reference_counts[g]:",
      "if c <= reference_counts[g]:",
      "tests/test_evaluation.py::test_score_vs_k_rows_match_the_per_k_loop"),
     # ... and adds the junction with the next selected sentence
-    ("evaluation.py",
+    ("rouge.py",
      "(tokens[-1], after)])",
      "])",
      "tests/test_properties.py::test_score_vs_k_matches_the_per_k_rescoring"),
+    # the oracle checks each accepted pick against the running rescore
+    ("oracle.py",
+     "if selections[d].f1() != tuple(pair):",
+     "if False:",
+     "tests/test_oracle.py::test_pick_that_the_rescore_disagrees_with_raises"),
+    # ... and each group's longest selection against the from-scratch scorer
+    ("oracle.py",
+     "if candidate_score(selected[d], documents[d], references[d]) != best_scores[d]:",
+     "if False:",
+     "tests/test_oracle.py::test_pick_that_the_rescore_disagrees_with_raises"),
     # a token-less sentence's zero TF-IDF row keeps a zero centroid similarity
     ("encoder.py",
      "out=sims, where=v_norms > 0)",

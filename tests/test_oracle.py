@@ -17,7 +17,7 @@ from sectsum import (
     tokenize,
     rouge_n,
 )
-from sectsum.rouge import Reference
+from sectsum.rouge import Reference, RunningOverlap
 
 from conftest import make_doc, rescoring_greedy_labels
 
@@ -157,6 +157,28 @@ def test_incremental_oracle_matches_full_rescoring_on_long_documents():
             assert greedy_summary_labels(doc, max_sentences=cap) == \
                 rescoring_greedy_labels(doc, max_sentences=cap)
 
+
+
+def test_pick_that_the_rescore_disagrees_with_raises():
+    """Every accepted pick is rescored from dict counts apart from the array
+    state: a best candidate's ROUGE-1 moved up by one ulp in the arrays is
+    still picked, and the labeling raises, naming the document. A group's
+    longest selection is also rescored from scratch, which must agree too."""
+    joined = RunningOverlap.joined
+
+    def one_ulp_off(self, candidates):
+        r1, r2 = joined(self, candidates)
+        best = np.argmax(0.5 * (r1 + r2))
+        r1[best] = np.nextafter(r1[best], np.inf)
+        return r1, r2
+
+    with mock.patch.object(RunningOverlap, "joined", one_ulp_off):
+        with pytest.raises(RuntimeError, match="document 'doc0'.* differ from the running"):
+            build_labels([make_doc()])
+    with mock.patch.object(oracle, "candidate_score", lambda *args: np.nextafter(
+            candidate_score(*args), np.inf)):
+        with pytest.raises(RuntimeError, match="document 'doc0'.* differs from the full"):
+            build_labels([make_doc()])
 
 def test_groups_take_documents_by_width_within_the_cell_budget():
     """Sorted stably by scoring width, a group takes the next document while

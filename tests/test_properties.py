@@ -24,7 +24,7 @@ from sectsum import (
     tokenize, total_loss, training, windowdiff, write_corpus,
 )
 from sectsum.cli import run
-from sectsum.rouge import Reference
+from sectsum.rouge import Reference, Selection
 from sectsum.training import DEFAULT_DPP_RIDGE
 
 from conftest import (
@@ -319,6 +319,45 @@ def test_score_vs_k_matches_the_per_k_rescoring(sweep):
     documents, predictions, k_max = sweep
     assert evaluation.score_vs_k(evaluation.with_references(predictions, documents), k_max) == \
         loop_score_vs_k(predictions, documents, k_max)
+
+
+@st.composite
+def selection_orders(draw):
+    """A document of one- to three-token sentences on three words, some
+    punctuation-only, a reference on those words and one more (so unigrams
+    and bigrams repeat, and junction bigrams are reference bigrams), and a
+    random order of some of its sentences with tokens."""
+    texts = draw(st.lists(st.just("...") | st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                                                    max_size=3).map(" ".join),
+                          min_size=1, max_size=8))
+    reference = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=10))
+    doc = Document.build("d", texts, reference_summary=" ".join(reference))
+    order = draw(st.permutations([i for i, s in enumerate(doc.sentences) if s.tokens]))
+    return doc, order[:draw(st.integers(0, len(order)))]
+
+
+# Both examples have one-token sentences and a reference with repeated
+# unigrams and bigrams. In the first, "b" lands between "a" and "c" and makes
+# the reference bigrams (a, b) and (b, c); in the second, "c" lands between
+# "a" and "b" and breaks the reference bigram (a, b), and "a b" then makes
+# (b, a).
+@settings(FAST, max_examples=300)
+@given(selection_orders())
+@example((Document.build("d", ["a", "b", "c", "a b"], reference_summary="a b a b c"),
+          [0, 2, 1, 3]))
+@example((Document.build("d", ["a", "c", "b", "a b"], reference_summary="a b a b c"),
+          [0, 2, 1, 3]))
+def test_selection_scores_each_pick_as_rouge_n(case):
+    """After every pick, a ``Selection``'s (ROUGE-1 F1, ROUGE-2 F1) are the
+    floats ``rouge_n`` gives on the picked sentences in document order."""
+    doc, order = case
+    reference_tokens = tokenize(doc.reference_summary)
+    selection = Selection(Reference(reference_tokens))
+    for k, i in enumerate(order, 1):
+        selection.add(i, doc.sentences[i].tokens)
+        tokens = doc.summary_tokens(order[:k])
+        assert selection.f1() == (rouge_n(tokens, reference_tokens, 1).f1,
+                                  rouge_n(tokens, reference_tokens, 2).f1)
 
 
 # n <= 8 encoded sentences of width 1-4, so minors wider than that are
