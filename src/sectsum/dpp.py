@@ -53,10 +53,11 @@ class ZeroNormError(ValueError):
 def _unit_rows(hidden, quality, real):
     """Unit rows u_i = h_i / |h_i| and the norms |h_i|, over the rows that
     ``real`` marks; every other row gets norm 1 and is left as it is."""
-    norms = np.where(real, np.linalg.norm(hidden, axis=-1), 1.0)
-    if np.any(norms == 0):
+    # sqrt of the row sums of squares: what np.linalg.norm computes for real rows
+    norms = np.where(real, np.sqrt((hidden * hidden).sum(axis=-1)), 1.0)
+    if (norms == 0).any():
         raise ZeroNormError("zero-norm sentence representation; cosine undefined")
-    if np.any((quality <= 0) & real):
+    if ((quality <= 0) & real).any():
         raise ValueError("quality scores must be positive")
     return hidden / norms[..., None], norms
 
@@ -66,7 +67,7 @@ def _chol_logdet(matrix):
     raises np.linalg.LinAlgError if any one is not PD."""
     factor = np.linalg.cholesky(matrix)
     diag = np.diagonal(factor, axis1=-2, axis2=-1)
-    if np.any(diag <= 0) or not np.isfinite(diag).all():
+    if (diag <= 0).any() or not np.isfinite(diag).all():
         raise np.linalg.LinAlgError("non-positive pivot")
     return factor, 2.0 * np.log(diag).sum(axis=-1)
 
@@ -157,7 +158,7 @@ def dpp_loss_and_grad(hidden, quality, in_subset, lengths, ridge=DEFAULT_DPP_RID
 
     # Minors B_Y B_Y^T. Per-document subsets are padded to the largest |Y|
     # with identity, and the ridge goes on their real entries only.
-    if in_subset.shape != quality.shape or np.any(in_subset & ~real):
+    if in_subset.shape != quality.shape or (in_subset & ~real).any():
         raise IndexError("subset mask does not fit the stacked documents")
     sizes = in_subset.sum(axis=1)
     if not sizes.all():

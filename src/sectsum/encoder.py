@@ -339,14 +339,16 @@ def position_encoding(n, d):
 
 
 def stable_sigmoid(z):
-    """Overflow-free logistic, clipped to stay strictly inside (0, 1)."""
+    """Overflow-free logistic, clipped to stay strictly inside (0, 1):
+    1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere (NaN
+    included). Both forms run over the whole array, as 1 / d and e / d with
+    e = exp(-|z|) and d = 1 + e, and a select keeps each entry's own: every
+    bit of the two-branch formula, without its masked gathers."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    exp_z = np.exp(z[~pos])
-    out[~pos] = exp_z / (1.0 + exp_z)
-    return np.clip(out, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    e = np.exp(np.where(pos, -z, z))  # -|z|, but a NaN keeps its sign bit
+    d = 1.0 + e
+    return np.clip(np.where(pos, 1.0 / d, e / d), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
 def _softmax(scores):

@@ -30,7 +30,7 @@ from .encoder import (
     forward_document,
     init_params,
 )
-from .rouge import rouge_n
+from .rouge import Reference, rouge_n
 
 __all__ = [
     "Variant",
@@ -105,11 +105,15 @@ def bce_loss(probs, labels, lengths, with_grads=False):
     """Row means of binary cross-entropy, probabilities clamped to
     [1e-7, 1 - 1e-7], and their gradients.
 
-    ``probs`` (B, n) are rows padded to n, ``labels`` (B, n) or one row (n,)
-    shared by every row, and ``lengths`` (B,) counts each row's real
-    entries; each mean leaves the rest out. Returns the B means and their
-    (B, n) gradients with respect to ``probs``, zero on clamped and on
-    padded entries (None unless ``with_grads``)."""
+    ``probs`` (..., B, n) are rows padded to n, ``labels`` of a shape that
+    broadcasts to theirs (one row (n,) is shared by every row), and
+    ``lengths`` (B,) counts the real entries of each of the B rows; each
+    mean leaves the rest out. A leading axis stacks heads: row r of every
+    head has length r. Returns the (..., B) means and their gradients with
+    respect to ``probs``, zero on clamped and on padded entries (None unless
+    ``with_grads``). Every entry and every row's sum is computed on its own,
+    so a row's mean and gradient are bit for bit the same whatever it is
+    stacked with."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if labels.ndim == 0 or np.broadcast_shapes(probs.shape, labels.shape) != probs.shape:
@@ -143,11 +147,11 @@ class BatchLoss:
 
 
 def _doc_arrays(doc):
+    """A document's labels as one (2, n) float array: the summary labels,
+    then the boundary labels."""
     if doc.labels is None:
         raise CorpusError(f"document {doc.id!r} has no labels; label it first")
-    y_sum = np.asarray(doc.labels.summary_labels, dtype=float)
-    y_seg = np.asarray(doc.labels.boundary_labels, dtype=float)
-    return y_sum, y_seg
+    return np.array((doc.labels.summary_labels, doc.labels.boundary_labels), dtype=float)
 
 
 # No document in a stack is padded past this multiple of its own length. At 3
@@ -171,7 +175,7 @@ def _stacks(lengths):
 
 
 def total_loss(documents, params, config, feature_config, features=None,
-               with_grads=True):
+               labels=None, with_grads=True):
     """Variant-dependent loss over a batch of labeled documents.
 
     The batch runs once, as stacks of documents of similar length (see
@@ -192,6 +196,9 @@ def total_loss(documents, params, config, feature_config, features=None,
     features : list of arrays or None
         The documents' :func:`base_features` matrices in document order;
         computed in one call when None.
+    labels : list of arrays or None
+        The documents' :func:`_doc_arrays` in document order; built here
+        when None.
     with_grads : bool
         Skip the backward pass when False (evaluation only). The repulsion
         term's subset minor gets the ridge ``DEFAULT_DPP_RIDGE`` either way.
@@ -206,9 +213,11 @@ def total_loss(documents, params, config, feature_config, features=None,
         raise ValueError("total_loss takes one parameter row, not a batch")
     if features is None:
         features = base_features(documents, feature_config)
-    if len(features) != len(documents):
-        raise ValueError(f"{len(features)} feature matrices for {len(documents)} documents")
-    labels = [_doc_arrays(doc) for doc in documents]
+    if labels is None:
+        labels = [_doc_arrays(doc) for doc in documents]
+    for name, arrays in (("feature matrices", features), ("label arrays", labels)):
+        if len(arrays) != len(documents):
+            raise ValueError(f"{len(arrays)} {name} for {len(documents)} documents")
     n_docs = len(documents)
     grads = None  # the first stack's gradient, summed into in place
     doc_values, doc_parts, head_probs, ridges = ([None] * n_docs for _ in range(4))
@@ -216,12 +225,14 @@ def total_loss(documents, params, config, feature_config, features=None,
         values, parts, row_ridges, (p_sum, p_seg), stack_grads = _stack_loss(
             [documents[i] for i in stack], [features[i] for i in stack],
             [labels[i] for i in stack], params, config, with_grads)
+        values, row_ridges = values.tolist(), row_ridges.tolist()
+        parts = {k: v.tolist() for k, v in parts.items()}
         for row, i in enumerate(stack):
             n = len(documents[i])
-            doc_values[i] = float(values[row])
-            doc_parts[i] = {k: float(v[row]) for k, v in parts.items()}
+            doc_values[i] = values[row]
+            doc_parts[i] = {k: v[row] for k, v in parts.items()}
             head_probs[i] = (p_sum[row, :n], p_seg[row, :n])
-            ridges[i] = None if np.isnan(row_ridges[row]) else float(row_ridges[row])
+            ridges[i] = None if math.isnan(row_ridges[row]) else row_ridges[row]
         if grads is None:
             grads = stack_grads
         else:
@@ -251,6 +262,11 @@ def _stack_loss(docs, features, labels, params, config, with_grads):
     or, for values only, one document is broadcast against a batch of
     parameter rows (a (B, P) vector), row r then being parameter row r.
 
+    Both heads' cross-entropy terms are one :func:`bce_loss` call over the
+    stacked (2, rows, n) probabilities. When every row has a summary label,
+    the repulsion term takes the stack's arrays as they are; otherwise it
+    takes the rows that have one, and its results go back to those rows.
+
     Returns per-row values, parts (``dpp`` unscaled by beta), ridges (NaN
     where the repulsion term did not run) and ``(summary_probs,
     boundary_probs)``, and the stack's summed gradient (None without
@@ -259,30 +275,37 @@ def _stack_loss(docs, features, labels, params, config, with_grads):
     p_sum, p_seg = enc.summary_probs, enc.boundary_probs
     n_rows, n = p_sum.shape
     lengths = np.array([len(doc) for doc in docs])
-    y_sum, y_seg = np.zeros((2, len(docs), n))
-    for row, (length, (doc_sum, doc_seg)) in enumerate(zip(lengths, labels)):
-        y_sum[row, :length], y_seg[row, :length] = doc_sum, doc_seg
+    y = np.zeros((2, len(docs), n))  # summary labels, then boundary labels
+    for row, (length, doc_labels) in enumerate(zip(lengths, labels)):
+        y[:, row, :length] = doc_labels
     lengths = np.broadcast_to(lengths, n_rows)  # one document against B parameter rows
-    sum_values, d_sum = bce_loss(p_sum, y_sum, lengths, with_grads)
-    parts = {"sum": sum_values, "seg": np.zeros(n_rows), "dpp": np.zeros(n_rows)}
-    d_seg = d_hidden = None
-    if config.variant is not Variant.BASE:
-        parts["seg"], d_seg = bce_loss(p_seg, y_seg, lengths, with_grads)
+    joint = config.variant is not Variant.BASE
+    probs = np.stack((p_sum, p_seg)) if joint else p_sum[None]
+    head_values, d_heads = bce_loss(probs, y[:len(probs)], lengths, with_grads)
+    parts = {"sum": head_values[0], "seg": head_values[1] if joint else np.zeros(n_rows),
+             "dpp": np.zeros(n_rows)}
+    d_sum = d_seg = d_hidden = None
+    if with_grads:
+        d_sum, d_seg = d_heads if joint else (d_heads[0], None)
 
     ridges = np.full(n_rows, np.nan)
     if config.variant is Variant.FULL and config.beta > 0.0:
-        in_subset = np.broadcast_to(y_sum == 1.0, p_sum.shape)
-        live = np.flatnonzero(in_subset.any(axis=1))
-        if live.size:
-            rep = dpp_loss_and_grad(enc.hidden[live], p_sum[live], in_subset[live],
-                                    lengths[live], ridge=DEFAULT_DPP_RIDGE,
+        in_subset = np.broadcast_to(y[0] == 1.0, p_sum.shape)
+        has_summary = in_subset.any(axis=1)
+        whole = has_summary.all()  # then the rows are a basic slice: views, not gathers
+        rows = slice(None) if whole else np.flatnonzero(has_summary)
+        if has_summary.any():
+            rep = dpp_loss_and_grad(enc.hidden[rows], p_sum[rows], in_subset[rows],
+                                    lengths[rows], ridge=DEFAULT_DPP_RIDGE,
                                     with_grads=with_grads)
-            parts["dpp"][live] = rep.value
-            ridges[live] = rep.ridges
+            parts["dpp"][rows] = rep.value
+            ridges[rows] = rep.ridges
             if with_grads:
-                d_hidden = np.zeros_like(enc.hidden)
-                d_hidden[live] = config.beta * rep.d_hidden
-                d_sum[live] += config.beta * rep.d_quality
+                d_sum[rows] += config.beta * rep.d_quality
+                d_hidden = config.beta * rep.d_hidden
+                if not whole:  # back onto the rows it came from
+                    d_hidden, live = np.zeros_like(enc.hidden), d_hidden
+                    d_hidden[rows] = live
     values = parts["sum"] + parts["seg"] + config.beta * parts["dpp"]
     grads = None
     if with_grads:
@@ -312,19 +335,28 @@ class FitResult:
     history: list = field(default_factory=list)
 
 
-def _validation_metrics(val_docs, params, config, feature_config, features):
+def _validation_targets(val_docs):
+    """Per validation document, its reference summary as a
+    :class:`rouge.Reference` (None without one) and its boundary set: built
+    once per fit, read every epoch."""
+    return [(Reference(tokenize(doc.reference_summary)) if doc.reference_summary else None,
+             {i for i, v in enumerate(doc.labels.boundary_labels) if v == 1})
+            for doc in val_docs]
+
+
+def _validation_metrics(val_docs, params, config, feature_config, features, labels,
+                        targets):
     loss = total_loss(val_docs, params, config, feature_config,
-                      features=features, with_grads=False)
+                      features=features, labels=labels, with_grads=False)
     rouge_scores = []
     seg_scores = []
-    for doc, (summary_probs, boundary_probs) in zip(val_docs, loss.head_probs):
-        if doc.reference_summary:
+    for doc, (summary_probs, boundary_probs), (reference, ref_boundaries) in zip(
+            val_docs, loss.head_probs, targets):
+        if reference is not None:
             picked = inference.select_top_k(summary_probs, _VAL_TOP_K)
-            rouge_scores.append(rouge_n(doc.summary_tokens(picked),
-                                        tokenize(doc.reference_summary), 1).f1)
+            rouge_scores.append(rouge_n(doc.summary_tokens(picked), reference, 1).f1)
         hyp = inference.predict_boundaries(boundary_probs)
-        ref = {i for i, v in enumerate(doc.labels.boundary_labels) if v == 1}
-        seg_scores.append(evaluation.seg_f1(hyp, ref).f1)
+        seg_scores.append(evaluation.seg_f1(hyp, ref_boundaries).f1)
     return {
         "val_loss": loss.value,
         "val_rouge1_f": float(np.mean(rouge_scores)) if rouge_scores else None,
@@ -361,8 +393,10 @@ def fit(train_docs, config, feature_config=None, val_docs=(),
     """
     if not train_docs:
         raise CorpusError("no training documents")
-    for doc in [*train_docs, *val_docs]:
-        _doc_arrays(doc)  # a missing label stops the run before its first step
+    # built once, as the features are; a missing label stops the run here
+    train_labels = [_doc_arrays(doc) for doc in train_docs]
+    val_labels = [_doc_arrays(doc) for doc in val_docs]
+    val_targets = _validation_targets(val_docs)
     feature_config = feature_config or FeatureConfig()
     params = init_params(feature_config, n_layers=n_layers, n_heads=n_heads,
                          ffn_hidden=ffn_hidden, rng_seed=config.rng_seed)
@@ -390,7 +424,8 @@ def fit(train_docs, config, feature_config=None, val_docs=(),
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             result = total_loss([train_docs[i] for i in batch], params, config,
-                                feature_config, [train_features[i] for i in batch])
+                                feature_config, [train_features[i] for i in batch],
+                                [train_labels[i] for i in batch])
             epoch_losses.append(result.value)
             pending += result.grads.vector
             pending_count += 1
@@ -401,8 +436,10 @@ def fit(train_docs, config, feature_config=None, val_docs=(),
                 rate = learning_rate_at(update, total_updates,
                                         config.learning_rate,
                                         config.warmup_fraction)
-                adam_m = _ADAM_BETA1 * adam_m + (1.0 - _ADAM_BETA1) * grad
-                adam_v = _ADAM_BETA2 * adam_v + (1.0 - _ADAM_BETA2) * grad * grad
+                adam_m *= _ADAM_BETA1  # the moments update in place
+                adam_m += (1.0 - _ADAM_BETA1) * grad
+                adam_v *= _ADAM_BETA2
+                adam_v += (1.0 - _ADAM_BETA2) * grad * grad
                 m_hat = adam_m / (1.0 - _ADAM_BETA1 ** update)
                 v_hat = adam_v / (1.0 - _ADAM_BETA2 ** update)
                 theta -= rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
@@ -413,7 +450,8 @@ def fit(train_docs, config, feature_config=None, val_docs=(),
                   "val_loss": None, "val_rouge1_f": None, "val_seg_f1": None}
         if val_docs:
             record.update(_validation_metrics(
-                val_docs, params, config, feature_config, val_features))
+                val_docs, params, config, feature_config, val_features, val_labels,
+                val_targets))
         history.append(record)
         key = record["val_loss"] if val_docs else record["train_loss"]
         if key < best_key:

@@ -295,6 +295,19 @@ def reference_bce(probs, labels):
     return value, np.where((probs < 1e-7) | (probs > 1.0 - 1e-7), 0.0, grad)
 
 
+def masked_sigmoid(z):
+    """The logistic as two masked branches: 1 / (1 + exp(-z)) gathered from
+    and scattered back to the entries z >= 0, exp(z) / (1 + exp(z)) on the
+    rest, then clipped to [1e-12, 1 - 1e-12]."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    exp_z = np.exp(z[~pos])
+    out[~pos] = exp_z / (1.0 + exp_z)
+    return np.clip(out, 1e-12, 1.0 - 1e-12)
+
+
 def loop_base_features(doc, config):
     """``base_features`` by its definition: every token occurrence is hashed
     into its crc32 bucket and each row normalized on its own, and the

@@ -82,6 +82,11 @@ MUTANTS = [
      "if not math.isfinite(value):",
      "if False:",
      "tests/test_properties.py::test_stacked_loss_matches_the_document_loop"),
+    # a stack takes the repulsion term whole only when every row has a summary
+    ("training.py",
+     "whole = has_summary.all()",
+     "whole = has_summary.any()",
+     "tests/test_properties.py::test_stacked_loss_matches_the_document_loop"),
     # impostors replace only strictly interior sentences
     ("corpus.py",
      "for pi in range(1, len(sec) - 1):",

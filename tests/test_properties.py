@@ -4,6 +4,7 @@ against its unbatched rows, and of the stacked training loss against the
 one-document-at-a-time loop."""
 
 import dataclasses
+import math
 import tempfile
 from itertools import combinations, pairwise
 from pathlib import Path
@@ -24,13 +25,14 @@ from sectsum import (
     tokenize, total_loss, training, windowdiff, write_corpus,
 )
 from sectsum.cli import run
+from sectsum.encoder import stable_sigmoid
 from sectsum.rouge import Reference, Selection
 from sectsum.training import DEFAULT_DPP_RIDGE
 
 from conftest import (
     counter_rouge_n, dp_lcs_length, loop_base_features, loop_boundary_proximity_histogram,
-    loop_score_vs_k, loop_total_loss, loop_windowdiff, primal_dpp_loss_and_grad,
-    one_document, primal_kernel, rescoring_greedy_labels, subset_masks,
+    loop_score_vs_k, loop_total_loss, loop_windowdiff, masked_sigmoid,
+    primal_dpp_loss_and_grad, one_document, primal_kernel, rescoring_greedy_labels, subset_masks,
 )
 
 # derandomize: the same examples on every run, and no example database on disk
@@ -530,6 +532,60 @@ def test_bce_gradient_matches_central_differences(rows):
         assert grads[b, j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
+# Two heads' cross-entropy rows, stacked: 1-4 rows per head padded to width
+# 1-8, each row's length shared by both heads, the entries as above.
+two_head_stacks = st.integers(1, 8).flatmap(lambda n: st.integers(1, 4).flatmap(
+    lambda g: st.tuples(
+        st.lists(st.integers(1, n), min_size=g, max_size=g),
+        st.lists(st.lists(st.tuples(st.floats(0.01, 0.99) | clamped_probs, st.integers(0, 1)),
+                          min_size=n, max_size=n), min_size=2 * g, max_size=2 * g))))
+
+
+@FAST
+@given(two_head_stacks)
+def test_two_head_bce_stack_matches_each_head_bit_for_bit(stack):
+    """One ``bce_loss`` call over a (2, G, n) stack of both heads gives each
+    head's means and gradients bit for bit as a call on that head alone,
+    padded and clamped entries included; so does one document's label row
+    broadcast against every row of probabilities."""
+    lengths, entries = stack
+    lengths = np.array(lengths)
+    g, n = len(lengths), len(entries[0])
+    probs = np.array([[p for p, _ in row] for row in entries]).reshape(2, g, n)
+    labels = np.array([[y for _, y in row] for row in entries], dtype=float).reshape(2, g, n)
+    shared = np.broadcast_to(lengths[0], g)
+    for head_labels, head_lengths in ((labels, lengths), (labels[:, :1], shared)):
+        values, grads = training.bce_loss(probs, head_labels, head_lengths, with_grads=True)
+        assert values.shape == (2, g) and grads.shape == (2, g, n)
+        for head in range(2):
+            alone, alone_grads = training.bce_loss(probs[head], head_labels[head],
+                                                   head_lengths, with_grads=True)
+            assert values[head].tobytes() == alone.tobytes()
+            assert grads[head].tobytes() == alone_grads.tobytes()
+
+
+# Logits: any float64, and the values where the two forms of the logistic
+# meet an edge: signed zeros, infinities, NaN of either sign, |z| at and past
+# exp's underflow (745.13) and overflow (709.78), and subnormals.
+sigmoid_edges = st.sampled_from([
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 709.79, -709.79, 745.0, -745.0,
+    745.2, -745.2, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 36.8, -36.8])
+sigmoid_inputs = st.lists(st.floats(allow_subnormal=True) | sigmoid_edges, min_size=1,
+                          max_size=40)
+
+
+@FAST
+@given(sigmoid_inputs, st.integers(1, 3))
+@example([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 745.0, -746.0, 5e-324,
+          -5e-324], 2)
+def test_stable_sigmoid_is_the_two_branch_formula_bit_for_bit(values, rows):
+    """``stable_sigmoid`` computes both forms over the whole array and
+    selects; every output bit, NaN sign and payload included, is the one the
+    gathered two-branch formula gives, in one row or several."""
+    z = np.array(values * rows).reshape(rows, -1)
+    assert stable_sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
 # Words with case, unicode, inner and pure punctuation, regex metacharacters
 # ("xzy" matches an unescaped "x.y") and cue-phrase words; the w-words widen
 # the vocabulary so TF-IDF rows get long.
@@ -651,6 +707,9 @@ stack_models = st.tuples(st.sampled_from([4, 8]), st.integers(1, 2),
 
 @settings(FAST, max_examples=100)
 @given(stack_batches, stack_models, st.sets(st.integers(0, 7), min_size=1, max_size=3))
+# one stack of a document with a summary and one without: the repulsion term
+# runs on the first row only
+@example([(6, "all", 1), (7, "none", 2)], (4, 1, 0, Variant.FULL), {0})
 def test_stacked_loss_matches_the_document_loop(specs, model, poisoned):
     """``total_loss`` runs a batch as padded stacks with the dual repulsion
     term; the reference runs each document alone with the primal one. Value,
