@@ -7,7 +7,7 @@ difference certification of the gradients).
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 schema-invalid inputs), 3 numeric failure (non-finite losses, singular
-factorizations).
+factorizations), 4 out of memory.
 
 All randomness flows from ``--seed``; when omitted the documented default
 seed 0 is used. Outputs are bitwise identical across runs at a fixed BLAS
@@ -415,6 +415,10 @@ def run(argv=None):
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"out of memory in {args.command}" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
+        return 4
 
 
 def main():

@@ -398,13 +398,13 @@ def _layernorm_backward(d_out, cache, gain):
     return d_x, d_gain, d_bias
 
 
-def _layer_forward(x, lp, n_heads, key_bias=None, with_cache=True):
-    """One layer over ``x`` (..., n, d); leading axes batch parameter rows or
-    stacked documents. ``key_bias`` (G, 1, 1, n) is added to the attention
-    scores: -inf on a stacked document's padded keys. The activation cache
-    is None unless ``with_cache``."""
-    d = x.shape[-1]
-    dk = d // n_heads
+def _attention_half(x, lp, n_heads, key_bias, cache):
+    """Layer ``lp``'s attention sublayer, x + attn(LN(x)), over ``x``
+    (..., n, d); leading axes batch parameter rows or stacked documents.
+    ``key_bias`` (G, 1, 1, n) is added to the attention scores: -inf on a
+    stacked document's padded keys. ``cache`` (a dict, or None) takes the
+    activations the backward pass reads."""
+    dk = x.shape[-1] // n_heads
     normed1, ln1_cache = _layernorm_forward(x, lp.ln1_gain, lp.ln1_bias)
     qh = _split_heads(normed1 @ lp.w_q, n_heads)
     kh = _split_heads(normed1 @ lp.w_k, n_heads)
@@ -416,6 +416,16 @@ def _layer_forward(x, lp, n_heads, key_bias=None, with_cache=True):
     attn = _softmax(scores)
     merged = _merge_heads(attn @ vh)
     mid = x + merged @ lp.w_o
+    if cache is not None:
+        cache.update(ln1=ln1_cache, normed1=normed1, qh=qh, kh=kh, vh=vh, attn=attn,
+                     merged=merged)
+    return mid
+
+
+def _feed_forward_half(mid, lp, cache):
+    """Layer ``lp``'s feed-forward sublayer, mid + FFN(LN(mid)), over the
+    attention sublayer's output ``mid``. ``cache`` (a dict, or None) takes
+    the activations the backward pass reads."""
     normed2, ln2_cache = _layernorm_forward(mid, lp.ln2_gain, lp.ln2_bias)
     z = normed2 @ lp.w_ff1
     z += lp.b_ff1[..., None, :]
@@ -424,15 +434,38 @@ def _layer_forward(x, lp, n_heads, key_bias=None, with_cache=True):
     out = act @ lp.w_ff2
     out += mid
     out += lp.b_ff2[..., None, :]
-    if not with_cache:
-        return out, None
-    cache = {
-        "ln1": ln1_cache, "ln2": ln2_cache,
-        "normed1": normed1, "normed2": normed2,
-        "qh": qh, "kh": kh, "vh": vh, "attn": attn, "merged": merged,
-        "z": z, "cdf": cdf, "act": act,
-    }
-    return out, cache
+    if cache is not None:
+        cache.update(ln2=ln2_cache, normed2=normed2, z=z, cdf=cdf, act=act)
+    return out
+
+
+def _resume(x, params, start=0, key_bias=None, caches=None, inputs=None):
+    """Run the stack's sublayers from ``start`` on over ``x``, the input of
+    sublayer ``start``, and return the last one's output. Sublayer 2i is
+    layer i's attention half and 2i + 1 its feed-forward half, the order of
+    their weights in the parameter vector; at ``start`` = 2 * n_layers ``x``
+    is returned as it is. A list ``caches`` gains one activation cache per
+    layer (``start`` must then be 0), a list ``inputs`` the input of each
+    sublayer run, then the output. Raises :class:`NumericsError` if a layer
+    output is non-finite."""
+    given = x
+    for sublayer in range(start, 2 * params.n_layers):
+        i, half = divmod(sublayer, 2)
+        if inputs is not None:
+            inputs.append(x)
+        if caches is not None and half == 0:
+            caches.append({})
+        cache = None if caches is None else caches[-1]
+        if half == 0:
+            x = _attention_half(x, params.layers[i], params.n_heads, key_bias, cache)
+        else:
+            x = _feed_forward_half(x, params.layers[i], cache)
+            if not np.isfinite(x).all():
+                raise NumericsError(f"non-finite values in layer {i} output "
+                                    f"(max |input| = {np.abs(given).max():.3e})")
+    if inputs is not None:
+        inputs.append(x)
+    return x
 
 
 def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
@@ -493,8 +526,9 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
 @dataclass(frozen=True)
 class EncodedDocument:
     """One document's forward activations, or a padded stack's; built only
-    by :func:`forward_document`. ``layer_caches`` is None unless the record
-    was made for :func:`backward_document`."""
+    by :func:`forward_document` and :func:`_resume_document`.
+    ``layer_caches`` is None unless the record was made for
+    :func:`backward_document`."""
 
     base_features: np.ndarray
     hidden: np.ndarray
@@ -526,18 +560,8 @@ def encode_forward(features, params, lengths=None, with_caches=True):
     if lengths is not None and min(lengths) < n:
         key_bias = np.where(np.arange(n) < np.asarray(lengths)[:, None], 0.0, -np.inf)
         key_bias = key_bias[:, None, None, :]
-    x = features + position_encoding(n, d)
     caches = [] if with_caches else None
-    for i, lp in enumerate(params.layers):
-        x, cache = _layer_forward(x, lp, params.n_heads, key_bias, with_caches)
-        if not np.isfinite(x).all():
-            raise NumericsError(
-                f"non-finite values in layer {i} output "
-                f"(max |input| = {np.abs(features).max():.3e})"
-            )
-        if with_caches:
-            caches.append(cache)
-    return x, caches
+    return _resume(features + position_encoding(n, d), params, 0, key_bias, caches), caches
 
 
 def heads_forward(hidden, params):
@@ -581,6 +605,40 @@ def forward_document(doc, params, config, raw_features=None, with_caches=True):
     summary_probs, boundary_probs = heads_forward(hidden, params)
     return EncodedDocument(base_features=raw, hidden=hidden, layer_caches=caches,
                            summary_probs=summary_probs, boundary_probs=boundary_probs)
+
+
+def _sublayer_inputs(enc, params):
+    """The input of each sublayer (see :func:`_resume`) of the unpadded
+    record ``enc`` made under ``params``, then its hidden states, from one
+    more value pass: what :func:`_resume_document` resumes from. A cache
+    that kept them would add two arrays per layer to every gradient pass."""
+    inputs = []
+    n, d = enc.hidden.shape[-2:]
+    _resume(enc.base_features @ params.w_proj + position_encoding(n, d), params, inputs=inputs)
+    return inputs
+
+
+def _resume_document(enc, inputs, params, entry):
+    """The value-only record :func:`forward_document` gives for the unpadded
+    record ``enc`` under a batch of parameter rows ``params`` that equal
+    ``enc``'s parameters before vector entry ``entry``. The pass starts at
+    the stage that holds ``entry``: the projection, a sublayer (see
+    :func:`_resume`) or the heads, a later stage from its input in
+    ``inputs`` (:func:`_sublayer_inputs` of ``enc``). Every layer op is
+    row-independent, so each row is bit for bit the one a full pass
+    gives."""
+    ends = np.cumsum([math.prod(shape) for _, shape in params._shapes()])
+    # the first entry of each sublayer (six blocks: w_q ... ln1_bias, then
+    # ln2_gain ... b_ff2) and of the heads
+    firsts = ends[:-4:len(fields(LayerParams)) // 2]
+    start = int(np.searchsorted(firsts, entry, side="right")) - 1
+    if start < 0:  # the projection
+        hidden = encode_forward(enc.base_features @ params.w_proj, params, with_caches=False)[0]
+    else:
+        hidden = _resume(inputs[start], params, start)
+    probs = heads_forward(hidden, params)
+    hidden = np.broadcast_to(hidden, probs[0].shape + hidden.shape[-1:])  # one row per probe
+    return EncodedDocument(enc.base_features, hidden, None, *probs)
 
 
 def backward_document(enc, params, d_hidden=None, d_summary=None, d_boundary=None):

@@ -40,6 +40,7 @@ DEFAULT_BOUNDARY_THRESHOLD = 0.5
 # Largest G * n_heads * n * n size of the one live attention-score array of a
 # prediction stack of G documents of n sentences: peak memory stays bounded
 # whatever the corpus size, while short documents still share one pass.
+# training.grad_check caps the G parameter rows of a probe chunk by it too.
 _STACK_ATTENTION_ENTRIES = 2 ** 18
 
 

@@ -25,6 +25,8 @@ from .dpp import DEFAULT_DPP_RIDGE, dpp_loss_and_grad
 from .encoder import (
     FeatureConfig,
     _cut,
+    _resume_document,
+    _sublayer_inputs,
     base_features,
     backward_document,
     forward_document,
@@ -55,10 +57,12 @@ _ADAM_EPS = 1e-8
 _VAL_TOP_K = 3  # summary size of the per-epoch validation ROUGE-1
 
 # Perturbed parameter rows per batched value pass in grad_check (both signs
-# of 128 entries). At the default gradcheck model, peak memory grows by about
-# 7 KB per row: the rows and one layer's activations, as a value pass keeps
-# no activation caches. Fewer, larger passes pay GELU's per-call costs less
-# often.
+# of 128 entries), fewer where a chunk's attention scores, rows x heads x n^2,
+# would pass inference._STACK_ATTENTION_ENTRIES, but never fewer than one +/-
+# pair. At the default gradcheck model (1,314 entries) peak memory grows by
+# about 16 KB per row: the 10.5 KB row and its activations from the sublayer
+# the chunk resumes at, as a value pass keeps no activation caches. Fewer,
+# larger passes pay GELU's per-call costs less often.
 _PROBE_ROWS = 256
 
 
@@ -222,9 +226,10 @@ def total_loss(documents, params, config, feature_config, features=None,
     grads = None  # the first stack's gradient, summed into in place
     doc_values, doc_parts, head_probs, ridges = ([None] * n_docs for _ in range(4))
     for stack in _stacks([len(doc) for doc in documents]):
+        enc = forward_document([documents[i] for i in stack], params, None,
+                               [features[i] for i in stack], with_caches=with_grads)
         values, parts, row_ridges, (p_sum, p_seg), stack_grads = _stack_loss(
-            [documents[i] for i in stack], [features[i] for i in stack],
-            [labels[i] for i in stack], params, config, with_grads)
+            enc, [labels[i] for i in stack], params, config, with_grads)
         values, row_ridges = values.tolist(), row_ridges.tolist()
         parts = {k: v.tolist() for k, v in parts.items()}
         for row, i in enumerate(stack):
@@ -253,14 +258,14 @@ def total_loss(documents, params, config, feature_config, features=None,
     )
 
 
-def _stack_loss(docs, features, labels, params, config, with_grads):
-    """The loss of one stack: the :func:`base_features` matrices
-    ``features`` of ``docs`` padded to the longest and taken through one
-    forward pass, the cross-entropy terms against ``labels``
-    (:func:`_doc_arrays` of each document), one repulsion term and, with
-    gradients, one backward pass. Row r of the activations is document r;
-    or, for values only, one document is broadcast against a batch of
-    parameter rows (a (B, P) vector), row r then being parameter row r.
+def _stack_loss(enc, labels, params, config, with_grads):
+    """The loss of one stack, the :func:`forward_document` record ``enc``
+    of its documents (with caches when ``with_grads``): the cross-entropy
+    terms against ``labels`` (:func:`_doc_arrays` of each document), one
+    repulsion term and, with gradients, one backward pass, which only reads
+    ``enc``. Row r of the activations is document r; or, for values only,
+    one document is broadcast against a batch of parameter rows (a (B, P)
+    vector), row r then being parameter row r.
 
     Both heads' cross-entropy terms are one :func:`bce_loss` call over the
     stacked (2, rows, n) probabilities. When every row has a summary label,
@@ -271,11 +276,10 @@ def _stack_loss(docs, features, labels, params, config, with_grads):
     where the repulsion term did not run) and ``(summary_probs,
     boundary_probs)``, and the stack's summed gradient (None without
     gradients). A non-finite value is returned as it is."""
-    enc = forward_document(docs, params, None, features, with_caches=with_grads)
     p_sum, p_seg = enc.summary_probs, enc.boundary_probs
     n_rows, n = p_sum.shape
-    lengths = np.array([len(doc) for doc in docs])
-    y = np.zeros((2, len(docs), n))  # summary labels, then boundary labels
+    lengths = np.array([doc_labels.shape[1] for doc_labels in labels])
+    y = np.zeros((2, len(labels), n))  # summary labels, then boundary labels
     for row, (length, doc_labels) in enumerate(zip(lengths, labels)):
         y[:, row, :length] = doc_labels
     lengths = np.broadcast_to(lengths, n_rows)  # one document against B parameter rows
@@ -508,25 +512,31 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4):
     non-finite analytic or finite-difference entry counts as an infinite
     error.
 
-    The perturbed parameter rows are built ``_PROBE_ROWS`` at a time, and
-    each chunk is one value-only :func:`_stack_loss` pass, the document
-    broadcast against the chunk's rows; every loss is bitwise the one
-    :func:`total_loss` gives on that row.
+    The document is featurized and encoded once, with caches. One gradient
+    pass of :func:`_stack_loss` per cumulative objective (base, joint, full,
+    up to ``config.variant``) reads that record and gives each term's
+    gradient norm (0.0 for inactive terms) as the norm of the difference
+    between the objective that adds the term and the one before. The last
+    objective's gradient is the analytic one.
 
-    The document is featurized once. One gradient pass of
-    :func:`_stack_loss` per cumulative objective (base, joint, full, up to
-    ``config.variant``) gives each term's gradient norm (0.0 for inactive
-    terms) as the norm of the difference between the objective that adds
-    the term and the one before. The last objective's gradient is the
-    analytic one.
+    The perturbed parameter rows are built ``_PROBE_ROWS`` at a time (fewer
+    on a long document, see there), and each chunk is one value-only
+    :func:`_stack_loss` pass, the document broadcast against the chunk's
+    rows. The vector holds the weights in forward order, so a chunk's rows
+    equal the unperturbed ones before its first entry, and its pass resumes
+    at the sublayer (or the heads) that entry belongs to, from that
+    sublayer's unperturbed input, recorded once per call by one more value
+    pass (:func:`encoder._resume_document`). Every loss is bitwise the one
+    :func:`total_loss` gives on that row.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     features, labels = base_features([doc], feature_config), [_doc_arrays(doc)]
+    enc = forward_document([doc], params, None, features)
     variants = list(Variant)
-    grads = [_stack_loss([doc], features, labels, params, replace(config, variant=variant),
+    grads = [_stack_loss(enc, labels, params, replace(config, variant=variant),
                          with_grads=True)[-1].vector
              for variant in variants[:variants.index(config.variant) + 1]]
     norms = {"sum": float(np.linalg.norm(grads[0])), "seg": 0.0, "dpp": 0.0}
@@ -534,7 +544,9 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4):
         norms[term] = float(np.linalg.norm(upper - lower))
     theta = params.vector
     fd = np.empty_like(theta)
-    half = _PROBE_ROWS // 2
+    inputs = _sublayer_inputs(enc, params)
+    scores_per_row = params.n_heads * len(doc) ** 2
+    half = max(1, min(_PROBE_ROWS, inference._STACK_ATTENTION_ENTRIES // scores_per_row) // 2)
     buffer = np.empty((2 * half, theta.size))  # reused: one chunk of rows is live at a time
     for start in range(0, theta.size, half):
         entries = np.arange(start, min(start + half, theta.size))
@@ -543,8 +555,9 @@ def grad_check(params, doc, config, feature_config, step=1e-5, tolerance=1e-4):
         rows[...] = theta
         rows[np.arange(m), entries] = theta[entries] + step
         rows[np.arange(m, 2 * m), entries] = theta[entries] - step
-        values = _stack_loss([doc], features, labels, params._on(rows), config,
-                             with_grads=False)[0]
+        probes = params._on(rows)
+        values = _stack_loss(_resume_document(enc, inputs, probes, start), labels, probes,
+                             config, with_grads=False)[0]
         fd[entries] = (values[:m] - values[m:]) / (2.0 * step)
 
     a = grads[-1]

@@ -139,6 +139,17 @@ MUTANTS = [
      "if stacks and lengths[i] <= _MAX_PADDING * lengths[stacks[-1][0]]:",
      "if stacks and lengths[i] < _MAX_PADDING * lengths[stacks[-1][0]]:",
      "tests/test_properties.py::test_a_batch_of_synth_default_lengths_is_one_stack"),
+    # a finite-difference probe chunk resumes at the sublayer of its first
+    # entry, not one sublayer late ...
+    ("encoder.py",
+     "start = int(np.searchsorted(firsts, entry, side=\"right\")) - 1",
+     "start = int(np.searchsorted(firsts, entry, side=\"right\"))",
+     "tests/test_properties.py::test_resumed_probe_chunks_match_the_loop_reference"),
+    # ... and a resumed feed-forward half takes its attention half's output
+    ("encoder.py",
+     "hidden = _resume(inputs[start], params, start)",
+     "hidden = _resume(inputs[start - start % 2], params, start)",
+     "tests/test_properties.py::test_resumed_probe_chunks_match_the_loop_reference"),
     ("corpus.py",
      "if self.vocabulary_size < 30:",
      "if self.vocabulary_size <= 30:",

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from sectsum import (
-    CorpusError, FeatureConfig, Prediction, corpus, evaluation,
+    CorpusError, FeatureConfig, Prediction, cli, corpus, evaluation,
     inference, init_params, parse_corpus, read_predictions, save_checkpoint,
     training, write_predictions,
 )
@@ -257,6 +257,28 @@ def test_predict_non_finite_head_logit_exits_3(tmp_path, labeled_corpus, capsys)
     assert run(["predict", "--corpus", str(labeled_corpus), "--checkpoint",
                 str(checkpoint), "--out", str(out)]) == 3
     assert "non-finite head logit" in capsys.readouterr().err
+    assert not (out / "predictions.jsonl").exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 720. MiB for an array")
+
+
+def test_out_of_memory_exits_4(tmp_path, labeled_corpus, monkeypatch, capsys):
+    """An allocation failure in any stage exits 4 with one stderr line that
+    names the command, and leaves no output file."""
+    monkeypatch.setattr(cli, "grad_check", _out_of_memory)
+    assert run(["gradcheck"]) == 4
+    assert capsys.readouterr().err == \
+        "out of memory in gradcheck: Unable to allocate 720. MiB for an array\n"
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    checkpoint, out = tmp_path / "model.ckpt", tmp_path / "pred"
+    save_checkpoint(checkpoint, init_params(config, n_layers=1, n_heads=2), config)
+    monkeypatch.setattr(inference, "forward_document", _out_of_memory)
+    assert run(["predict", "--corpus", str(labeled_corpus), "--checkpoint",
+                str(checkpoint), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "out of memory in predict: Unable to allocate 720. MiB for an array"]
     assert not (out / "predictions.jsonl").exists()
 
 

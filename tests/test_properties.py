@@ -20,7 +20,7 @@ from sectsum import (
     CUE_PHRASES, Document, FeatureConfig, LabelSet, Prediction, Sentence, SynthConfig,
     TrainConfig, TrainingError, Variant, base_features, boundary_proximity_histogram,
     brute_force_subset_sum, build_labels, candidate_score, dpp_loss_and_grad,
-    encode_forward, evaluation, generate_synthetic, greedy_summary_labels, heads_forward,
+    encode_forward, evaluation, forward_document, generate_synthetic, grad_check, greedy_summary_labels, heads_forward,
     inference, init_params, oracle, parse_corpus, rouge_l, rouge_n, seg_f1, select_top_k,
     tokenize, total_loss, training, windowdiff, write_corpus,
 )
@@ -31,7 +31,8 @@ from sectsum.training import DEFAULT_DPP_RIDGE
 
 from conftest import (
     counter_rouge_n, dp_lcs_length, loop_base_features, loop_boundary_proximity_histogram,
-    loop_score_vs_k, loop_total_loss, loop_windowdiff, masked_sigmoid,
+    loop_grad_check, loop_score_vs_k, loop_term_grad_norms, loop_total_loss, loop_windowdiff,
+    masked_sigmoid,
     primal_dpp_loss_and_grad, one_document, primal_kernel, rescoring_greedy_labels, subset_masks,
 )
 
@@ -667,8 +668,9 @@ def test_batched_forward_matches_each_row(shape):
     train_config = TrainConfig(variant=variant, beta=0.1)
     hidden, _ = encode_forward(raw @ batch.w_proj, batch)
     probs = heads_forward(hidden, batch)
-    values = training._stack_loss([doc], [raw], [training._doc_arrays(doc)], batch,
-                                  train_config, with_grads=False)[0]
+    enc = forward_document([doc], batch, None, [raw], with_caches=False)
+    values = training._stack_loss(enc, [training._doc_arrays(doc)], batch, train_config,
+                                  with_grads=False)[0]
     assert hidden.shape == (5, n, dim) and values.shape == (5,)
     for b, row in enumerate(rows):
         one = params.from_vector(row)
@@ -678,6 +680,40 @@ def test_batched_forward_matches_each_row(shape):
             assert one_probs.tobytes() == batch_probs[b].tobytes()
         value = total_loss([doc], one, train_config, config, with_grads=False).value
         assert np.float64(value).tobytes() == values[b].tobytes()
+
+
+# Width 4 or 8, 0-3 layers, every head count that divides the width, 1-6
+# sentences, any variant, and 1 or 3 probed entries per chunk.
+probe_shapes = st.tuples(
+    st.sampled_from([4, 8]).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.sampled_from([h for h in (1, 2, 4, 8)
+                                                               if dim % h == 0]))),
+    st.integers(0, 3), st.integers(1, 6), st.integers(0, 2 ** 16),
+    st.sampled_from(list(Variant)), st.sampled_from([2, 6]))
+
+
+@settings(FAST, max_examples=25)
+@given(probe_shapes)
+@example(((4, 2), 1, 3, 0, Variant.FULL, 6))  # small: a broken resume fails it first
+def test_resumed_probe_chunks_match_the_loop_reference(shape):
+    """With a handful of probed entries per chunk, chunks start inside every
+    sublayer, at the heads, and run across sublayer boundaries; each resumes
+    at the sublayer of its first entry, yet every block error equals the
+    one-probe-at-a-time reference bit for bit, and each term's gradient norm,
+    from one shared cached forward, equals its ``total_loss`` definition."""
+    (dim, heads), layers, n, seed, variant, probe_rows = shape
+    rng = np.random.default_rng(seed)
+    doc = Document.build("d", [f"w{rng.integers(6)} w{rng.integers(6)} w{i}" for i in range(n)],
+                         labels=LabelSet(tuple(int(b) for b in rng.integers(0, 2, n)),
+                                         (1,) + (0,) * (n - 1)))
+    config = FeatureConfig(dim=dim, hash_buckets=dim)
+    params = init_params(config, n_layers=layers, n_heads=heads, rng_seed=seed)
+    train_config = TrainConfig(variant=variant, beta=0.1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_PROBE_ROWS", probe_rows)
+        report = grad_check(params, doc, train_config, config)
+    assert report.block_errors == loop_grad_check(params, doc, train_config, config)
+    assert report.term_grad_norms == loop_term_grad_norms(params, doc, train_config, config)
 
 
 def _stack_document(index, n, labels, seed):

@@ -362,6 +362,30 @@ def test_grad_check_ridge_escalation_inside_a_chunk(monkeypatch):
     assert report.block_errors == loop_grad_check(params, doc, config, fconfig)
 
 
+def test_grad_check_caps_the_rows_of_a_chunk(monkeypatch):
+    """A 105-sentence document at one head: 2**18 attention scores, what a
+    prediction stack may hold, fit 23 rows of 105**2, so each chunk probes
+    11 entries (22 rows) instead of 128; the report still equals the
+    one-probe-at-a-time reference bit for bit."""
+    doc = generate_synthetic(SynthConfig(n_documents=1, sections_per_document=(10, 10),
+                                         sentences_per_section=(10, 10), rng_seed=0))[0]
+    fconfig = FeatureConfig(dim=4, hash_buckets=4)
+    params = init_params(fconfig, n_layers=1, n_heads=1, rng_seed=0)
+    config = TrainConfig(variant="full", beta=0.1)
+    rows = []
+    stack_loss = training._stack_loss
+
+    def spy(enc, labels, params, config, with_grads):
+        if not with_grads:
+            rows.append(enc.summary_probs.shape[0])
+        return stack_loss(enc, labels, params, config, with_grads)
+
+    monkeypatch.setattr(training, "_stack_loss", spy)
+    report = grad_check(params, doc, config, fconfig)
+    assert len(doc) == 105 and max(rows) == 22 and sum(rows) == 2 * params.vector.size
+    assert report.block_errors == loop_grad_check(params, doc, config, fconfig)
+
+
 def test_grad_check_report_lines(setup):
     docs, fconfig, params = setup
     report = grad_check(params, docs[0], TrainConfig(variant="base"), fconfig)
