@@ -14,6 +14,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -49,6 +50,9 @@ N_SCALAR_FEATURES = 4
 
 _LN_EPS = 1e-6
 _PROB_FLOOR = 1e-12
+# The softmax backward runs over blocks of query rows of at most this many
+# attention scores (256 KB), so its one temporary is a block, not an n x n array.
+_SOFTMAX_BLOCK_ENTRIES = 2 ** 15
 
 CHECKPOINT_FORMAT = "sectsum-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -500,9 +504,17 @@ def _layer_backward(d_out, cache, lp, n_heads, grad_lp):
     # d_scores is built in d_attn's memory; the cached arrays are only read.
     d_scores = d_ctx @ cache["vh"].swapaxes(-1, -2)
     d_vh = attn.swapaxes(-1, -2) @ d_ctx
-    d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
-    d_scores *= attn
-    d_scores /= math.sqrt(dk)
+    # The softmax backward in blocks of query rows, through row views of both
+    # C-contiguous arrays; each row's sum is still one reduction over the same
+    # row, so no bit moves.
+    n = attn.shape[-1]
+    rows, attn_rows = d_scores.reshape(-1, n), attn.reshape(-1, n)
+    step = max(1, _SOFTMAX_BLOCK_ENTRIES // n)
+    for start in range(0, len(rows), step):
+        block, a = rows[start:start + step], attn_rows[start:start + step]
+        block -= (block * a).sum(axis=-1, keepdims=True)
+        block *= a
+        block /= math.sqrt(dk)
     d_qh = d_scores @ cache["kh"]
     d_kh = d_scores.swapaxes(-1, -2) @ cache["qh"]
     d_q = _merge_heads(d_qh)
@@ -605,6 +617,19 @@ def forward_document(doc, params, config, raw_features=None, with_caches=True):
     summary_probs, boundary_probs = heads_forward(hidden, params)
     return EncodedDocument(base_features=raw, hidden=hidden, layer_caches=caches,
                            summary_probs=summary_probs, boundary_probs=boundary_probs)
+
+
+@contextlib.contextmanager
+def _naming_stack(docs):
+    """Re-raise a :class:`MemoryError` from the ``with`` body with the stack
+    ``docs`` named: its document count, its first document's id and the
+    sentence count it is padded to."""
+    try:
+        yield
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        raise MemoryError(f"a stack of {len(docs)} from document {docs[0].id!r}, padded to "
+                          f"{max(map(len, docs))} sentences{detail}") from exc
 
 
 def _sublayer_inputs(enc, params):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusError, _atomic_write, _int_list, _read_jsonl
-from .encoder import base_features, forward_document
+from .encoder import _naming_stack, base_features, forward_document
 from .oracle import SegLabelConvention
 
 __all__ = [
@@ -111,7 +111,8 @@ def predict_document(docs, params, config, k,
     one, so a stack's attention scores stay within that budget. Each stack
     takes one value-only forward pass and is never padded, and the corpus is
     featurized in one :func:`base_features` call, so each prediction is bit
-    for bit the one the document gets alone.
+    for bit the one the document gets alone. A :class:`MemoryError` names the
+    stack it is raised in.
     """
     features = base_features(docs, config)
     by_length = {}  # sentence count -> input positions, in first-seen order
@@ -122,8 +123,10 @@ def predict_document(docs, params, config, k,
         size = max(1, _STACK_ATTENTION_ENTRIES // (params.n_heads * n * n))
         for start in range(0, len(group), size):
             stack = group[start:start + size]
-            enc = forward_document([docs[i] for i in stack], params, config,
-                                   [features[i] for i in stack], with_caches=False)
+            stack_docs = [docs[i] for i in stack]
+            with _naming_stack(stack_docs):
+                enc = forward_document(stack_docs, params, config,
+                                       [features[i] for i in stack], with_caches=False)
             for i, summary_probs, boundary_probs in zip(stack, enc.summary_probs,
                                                         enc.boundary_probs):
                 predictions[i] = Prediction(

@@ -25,6 +25,7 @@ from .dpp import DEFAULT_DPP_RIDGE, dpp_loss_and_grad
 from .encoder import (
     FeatureConfig,
     _cut,
+    _naming_stack,
     _resume_document,
     _sublayer_inputs,
     base_features,
@@ -187,7 +188,8 @@ def total_loss(documents, params, config, feature_config, features=None,
     keeps activation caches. When every stack has run, the first document
     in batch order whose loss is not finite raises :class:`TrainingError`.
     Any other failure (a non-finite activation, a zero-norm sentence, a
-    singular minor) is raised by the stack it happens in.
+    singular minor) is raised by the stack it happens in; a
+    :class:`MemoryError` names that stack.
 
     Parameters
     ----------
@@ -226,10 +228,12 @@ def total_loss(documents, params, config, feature_config, features=None,
     grads = None  # the first stack's gradient, summed into in place
     doc_values, doc_parts, head_probs, ridges = ([None] * n_docs for _ in range(4))
     for stack in _stacks([len(doc) for doc in documents]):
-        enc = forward_document([documents[i] for i in stack], params, None,
-                               [features[i] for i in stack], with_caches=with_grads)
-        values, parts, row_ridges, (p_sum, p_seg), stack_grads = _stack_loss(
-            enc, [labels[i] for i in stack], params, config, with_grads)
+        stack_docs = [documents[i] for i in stack]
+        with _naming_stack(stack_docs):
+            enc = forward_document(stack_docs, params, None, [features[i] for i in stack],
+                                   with_caches=with_grads)
+            values, parts, row_ridges, (p_sum, p_seg), stack_grads = _stack_loss(
+                enc, [labels[i] for i in stack], params, config, with_grads)
         values, row_ridges = values.tolist(), row_ridges.tolist()
         parts = {k: v.tolist() for k, v in parts.items()}
         for row, i in enumerate(stack):

@@ -266,7 +266,8 @@ def _out_of_memory(*args, **kwargs):
 
 def test_out_of_memory_exits_4(tmp_path, labeled_corpus, monkeypatch, capsys):
     """An allocation failure in any stage exits 4 with one stderr line that
-    names the command, and leaves no output file."""
+    names the command, and the stack when it fails in a stack's pass, and
+    leaves no output file."""
     monkeypatch.setattr(cli, "grad_check", _out_of_memory)
     assert run(["gradcheck"]) == 4
     assert capsys.readouterr().err == \
@@ -278,8 +279,15 @@ def test_out_of_memory_exits_4(tmp_path, labeled_corpus, monkeypatch, capsys):
     assert run(["predict", "--corpus", str(labeled_corpus), "--checkpoint",
                 str(checkpoint), "--out", str(out)]) == 4
     assert capsys.readouterr().err.splitlines() == [
-        "out of memory in predict: Unable to allocate 720. MiB for an array"]
+        "out of memory in predict: a stack of 3 from document 'synth-5-0000', "
+        "padded to 7 sentences: Unable to allocate 720. MiB for an array"]
     assert not (out / "predictions.jsonl").exists()
+    monkeypatch.setattr(training, "forward_document", _out_of_memory)
+    assert _train(tmp_path, labeled_corpus, tmp_path / "run") == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "out of memory in train: a stack of 6 from document 'synth-5-0005', "
+        "padded to 12 sentences: Unable to allocate 720. MiB for an array"]
+    assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
 
 
 def test_predict_and_eval_pipeline(tmp_path, labeled_corpus):

@@ -22,6 +22,7 @@ from sectsum import (
     load_checkpoint,
     save_checkpoint,
 )
+from sectsum import encoder
 from sectsum.encoder import (
     N_SCALAR_FEATURES, _block_shapes, position_encoding, stable_sigmoid,
 )
@@ -205,7 +206,9 @@ def test_forward_document_matches_the_scalar_reference():
 def test_attention_holds_one_score_array_per_value_pass():
     """On one 420-sentence document, a value pass peaks below two (heads, n, n)
     float64 arrays, its score array updated in place, and a forward pass with
-    caches plus its backward pass below four (tracemalloc peaks)."""
+    caches plus its backward pass below three: the cached attention and its
+    gradient, plus the other caches and the softmax backward's temporary,
+    which is one block of query rows (tracemalloc peaks)."""
     doc = generate_synthetic(SynthConfig(n_documents=1, sections_per_document=(40, 40),
                                          sentences_per_section=(10, 10), rng_seed=1))[0]
     assert len(doc) == 420
@@ -225,7 +228,41 @@ def test_attention_holds_one_score_array_per_value_pass():
     finally:
         tracemalloc.stop()
     assert value_peak < 2 * unit, value_peak / unit
-    assert gradient_peak < 4 * unit, gradient_peak / unit
+    assert gradient_peak < 3 * unit, gradient_peak / unit
+
+
+def test_softmax_backward_row_blocks_move_no_bit(monkeypatch):
+    """The gradients and every layer's d_x are bit for bit the same with one
+    query row per softmax-backward block, with blocks that end inside a head,
+    and with the default blocks; on a padded stack of documents of different
+    lengths and on one document of about 200 sentences, which the default
+    splits into three blocks."""
+    stack = generate_synthetic(SynthConfig(n_documents=4, sections_per_document=(3, 7),
+                                           sentences_per_section=(4, 6), rng_seed=2))
+    assert len(set(map(len, stack))) > 1
+    long_doc = generate_synthetic(SynthConfig(n_documents=1, sections_per_document=(20, 20),
+                                              sentences_per_section=(10, 10), rng_seed=1))[0]
+    config = FeatureConfig(dim=8, hash_buckets=16)
+    params = init_params(config, n_layers=2, n_heads=2, rng_seed=7)
+    default = encoder._SOFTMAX_BLOCK_ENTRIES
+    rows = params.n_heads * len(long_doc)
+    assert 190 <= len(long_doc) <= 210 and -(-rows // (default // len(long_doc))) == 3
+    d_xs = []
+    layer_backward = encoder._layer_backward
+    monkeypatch.setattr(encoder, "_layer_backward",
+                        lambda *args: d_xs.append(layer_backward(*args)) or d_xs[-1])
+    for docs, lengths in ((stack, [len(doc) for doc in stack]), (long_doc, len(long_doc))):
+        enc = forward_document(docs, params, config)
+        n = enc.hidden.shape[-2]
+        upstream = (np.arange(n) < np.array(lengths)[..., None]).astype(float)  # 0 when padded
+        assert (2 ** 12 // n) % n != 0  # so blocks of 2^12 entries end inside a head
+        results = []
+        for entries in (1, 2 ** 12, default):
+            monkeypatch.setattr(encoder, "_SOFTMAX_BLOCK_ENTRIES", entries)
+            d_xs.clear()
+            grads = backward_document(enc, params, d_summary=upstream, d_boundary=upstream)
+            results.append([grads.vector.tobytes()] + [d_x.tobytes() for d_x in d_xs])
+        assert results[0] == results[1] == results[2]
 
 
 def test_encode_forward_rejects_non_finite(small_model, tiny_corpus):
