@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -387,9 +388,15 @@ def _cmd_gradcheck(args):
     return 0 if report.passed else 3
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parsing keeps no state on it."""
+    return build_parser()
+
+
 def run(argv=None):
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

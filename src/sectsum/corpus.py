@@ -19,6 +19,7 @@ import json
 import math
 import os
 import string
+import sys
 import uuid
 from dataclasses import dataclass, replace
 
@@ -82,13 +83,13 @@ def _atomic_write(path, mode="w", **open_args):
 def tokenize(text):
     """Lowercase, split on whitespace, strip surrounding punctuation.
 
-    Tokens that are pure punctuation are dropped.
+    Tokens that are pure punctuation are dropped; the rest are interned.
     """
     tokens = []
     for raw in text.lower().split():
         tok = raw.strip(string.punctuation)
         if tok:
-            tokens.append(tok)
+            tokens.append(sys.intern(tok))
     return tokens
 
 

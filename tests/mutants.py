@@ -77,6 +77,11 @@ MUTANTS = [
      "if item_key in first_line:",
      "if False:",
      "tests/test_corpus.py::test_parse_corpus_rejects_repeated_ids"),
+    # tokens are interned: one string per word type
+    ("corpus.py",
+     "tokens.append(sys.intern(tok))",
+     "tokens.append(tok)",
+     "tests/test_corpus.py::test_tokens_are_one_string_per_word_type"),
     # total_loss's batch-order check for a non-finite document loss
     ("training.py",
      "if not math.isfinite(value):",

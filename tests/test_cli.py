@@ -630,6 +630,26 @@ def test_invalid_number_exits_1_on_an_empty_corpus(tmp_path, capsys, argv):
     assert not (tmp_path / "pred").exists() and not (tmp_path / "l.jsonl").exists()
 
 
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    """``run`` builds its parser once and reuses it: a usage error on the
+    label command's exclusive group leaves nothing that the commands after
+    it see."""
+    build = cli.build_parser
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "labeled.jsonl"
+        assert run(["label", "--corpus", str(corpus), "--out", str(out), "--in-place"]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        _synth(corpus, docs=2)
+        assert run(["label", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert run(["label", "--corpus", str(corpus), "--in-place"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "COMMAND" in capsys.readouterr().out
