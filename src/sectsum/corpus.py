@@ -361,6 +361,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.vocabulary_size < 30:
             raise ValueError("vocabulary_size must be at least 30")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 # Internal generator constants. Salient sentences mix globally shared marker
@@ -374,8 +376,102 @@ _WEAK_MARKERS = 1
 _IMPOSTOR_MARKERS = 2
 
 
-def _pick(rng, seq):
-    return seq[int(rng.integers(len(seq)))]
+# Each cue phrase as the interned tokens ``tokenize`` gives its text.
+_CUE_TOKENS = tuple([sys.intern(word) for word in phrase.split()] for phrase in CUE_PHRASES)
+
+# 64-bit outputs fetched from the bit generator at a time. A small fetch keeps
+# a one-document corpus (``gradcheck``'s probe) cheap.
+_RAW_CHUNK = 256
+
+
+def _raw_outputs(bit_generator):
+    """The bit generator's 64-bit outputs, one at a time, fetched in chunks."""
+    while True:
+        yield from bit_generator.random_raw(_RAW_CHUNK).tolist()
+
+
+class _Draws:
+    """The ``Generator`` calls that :func:`generate_synthetic` makes, in plain
+    Python over the raw outputs of ``np.random.default_rng(seed)``'s PCG64.
+
+    Each call returns the value, and consumes the outputs, that the same call
+    on ``np.random.default_rng(seed)`` does (numpy 2's algorithms: O'Neill,
+    *PCG*, 2014; Lemire, *Fast Random Integer Generation in an Interval*,
+    2019). A call that numpy serves by another algorithm raises ValueError.
+    """
+
+    def __init__(self, seed):
+        self._next64 = _raw_outputs(np.random.default_rng(seed).bit_generator).__next__
+        self._half = None  # the high half of the last 64-bit output split in two
+
+    def _next32(self):
+        """PCG64's 32-bit draw: the low half of a 64-bit output, whose high
+        half is kept for the next 32-bit draw."""
+        half = self._half
+        if half is None:
+            word = self._next64()
+            low, self._half = word & 0xFFFFFFFF, word >> 32
+            return low
+        self._half = None
+        return half
+
+    def _bounded(self, top):
+        """A uniform integer in [0, top] by Lemire's method on 32-bit draws;
+        ``top`` 0 takes no draw."""
+        if not 0 <= top < 0xFFFFFFFF:
+            raise ValueError(f"no exact draw over {top + 1} values; 1 to 2**32 - 1 are drawn")
+        if top == 0:
+            return 0
+        span = top + 1
+        product = self._next32() * span
+        if product & 0xFFFFFFFF < span:
+            threshold = (0xFFFFFFFF - top) % span  # 2**32 mod span
+            while product & 0xFFFFFFFF < threshold:
+                product = self._next32() * span
+        return product >> 32
+
+    def random(self):
+        """``Generator.random()``: the top 53 bits of a 64-bit output, times 2**-53."""
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def integers(self, low, high=None):
+        """``Generator.integers(low, high)``: uniform over [low, high), or
+        over [0, low) without ``high``."""
+        if high is None:
+            low, high = 0, low
+        return low + self._bounded(high - low - 1)
+
+    def shuffle(self, items):
+        """``Generator.shuffle`` of a list, in place: Fisher-Yates from the
+        back, each index a 32-bit draw masked to its bound's bit length and
+        drawn again while above the bound."""
+        for i in range(len(items) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            items[i], items[j] = items[j], items[i]
+
+    def choice(self, seq, size):
+        """``Generator.choice(seq, size, replace=False)`` as a list: Floyd's
+        algorithm picks the indices, then a Fisher-Yates pass orders them,
+        both drawing by Lemire's method."""
+        n = len(seq)
+        if not 0 <= size <= n:
+            raise ValueError(f"cannot take {size} distinct items of {n}")
+        if n > 10000 and size > n // 50:
+            raise ValueError(f"numpy takes {size} of {n} by a tail shuffle; no exact draw")
+        picked, seen = [], set()
+        for j in range(n - size, n):
+            val = self._bounded(j)
+            if val in seen:  # j is new: every earlier draw is below it
+                val = j
+            seen.add(val)
+            picked.append(val)
+        for i in range(size - 1, 0, -1):
+            j = self._bounded(i)
+            picked[i], picked[j] = picked[j], picked[i]
+        return [seq[i] for i in picked]
 
 
 def generate_synthetic(config):
@@ -387,37 +483,44 @@ def generate_synthetic(config):
     of each salient sentence follows ``salience_boundary_bias``. Byte-identical
     output for identical configs.
 
+    The draws go through :class:`_Draws`, which gives the values numpy's
+    ``Generator(PCG64)`` gives bit for bit, so the output rests on PCG64's raw
+    outputs and its seeding only, not on numpy's sampling code. Each sentence
+    is built from the interned tokens its text joins, as ``tokenize`` of that
+    text gives them.
+
     Returns a list of :class:`Document` with planted labels attached
     (boundary labels use the section-first convention).
     """
-    rng = np.random.default_rng(config.rng_seed)
-    words = [f"w{j:03d}" for j in range(config.vocabulary_size)]
+    draws = _Draws(config.rng_seed)
+    words = [sys.intern(f"w{j:03d}") for j in range(config.vocabulary_size)]
     n_markers = max(6, config.vocabulary_size // 20)
     markers = words[:n_markers]
     filler = words[n_markers:]
+    n_filler = len(filler)
     sec_lo, sec_hi = config.sections_per_document
     sent_lo, sent_hi = config.sentences_per_section
 
     documents = []
     for doc_i in range(config.n_documents):
-        topic = list(rng.choice(filler, size=_TOPIC_WORDS_PER_DOC, replace=False))
-        n_sections = int(rng.integers(sec_lo, sec_hi + 1))
+        topic = draws.choice(filler, _TOPIC_WORDS_PER_DOC)
+        n_sections = draws.integers(sec_lo, sec_hi + 1)
         sections = []  # each a list of (kind, tokens) sentences
         for _ in range(n_sections):
-            n_sents = int(rng.integers(sent_lo, sent_hi + 1))
-            weak = rng.random() < config.weak_salient_rate
-            tokens = list(rng.choice(markers, size=_WEAK_MARKERS if weak else _STRONG_MARKERS,
-                                     replace=False))
-            tokens += list(rng.choice(topic, size=3, replace=False))
-            tokens += [_pick(rng, filler) for _ in range(2 if weak else 1)]
-            rng.shuffle(tokens)
-            body = [("filler", [_pick(rng, topic) if rng.random() < 0.25 else _pick(rng, filler)
-                                for _ in range(int(rng.integers(4, 9)))])
+            n_sents = draws.integers(sent_lo, sent_hi + 1)
+            weak = draws.random() < config.weak_salient_rate
+            tokens = draws.choice(markers, _WEAK_MARKERS if weak else _STRONG_MARKERS)
+            tokens += draws.choice(topic, 3)
+            tokens += [filler[draws.integers(n_filler)] for _ in range(2 if weak else 1)]
+            draws.shuffle(tokens)
+            body = [("filler", [topic[draws.integers(len(topic))]
+                                if draws.random() < 0.25 else filler[draws.integers(n_filler)]
+                                for _ in range(draws.integers(4, 9))])
                     for _ in range(n_sents - 1)]
-            if rng.random() < config.salience_boundary_bias:
-                slot = 0 if rng.random() < 0.5 else n_sents - 1
+            if draws.random() < config.salience_boundary_bias:
+                slot = 0 if draws.random() < 0.5 else n_sents - 1
             else:
-                slot = int(rng.integers(0, n_sents))
+                slot = draws.integers(0, n_sents)
             body.insert(slot, ("salient", tokens))
             sections.append(body)
 
@@ -435,18 +538,18 @@ def generate_synthetic(config):
             for pi, (kind, _) in enumerate(sec) if kind == "salient"
         ]
         for si, pi in salient_positions:
-            if rng.random() >= config.duplicate_rate:
+            if draws.random() >= config.duplicate_rate:
                 continue
             candidates = [
                 t for t in range(si + 1, n_sections) if len(sections[t]) >= 2
             ]
             if not candidates:
                 continue
-            target = sections[_pick(rng, candidates)]
+            target = sections[candidates[draws.integers(len(candidates))]]
             tokens = list(sections[si][pi][1])
-            swap_at = int(rng.integers(len(tokens)))  # drawn before the filler word
-            tokens[swap_at] = _pick(rng, filler)
-            target.insert(int(rng.integers(1, len(target))), ("dup", tokens))
+            swap_at = draws.integers(len(tokens))  # drawn before the filler word
+            tokens[swap_at] = filler[draws.integers(n_filler)]
+            target.insert(draws.integers(1, len(target)), ("dup", tokens))
 
         # Lexical impostors: strictly interior filler sentences that pick up
         # marker words. They look salient to a content-only ranker but sit
@@ -455,29 +558,30 @@ def generate_synthetic(config):
             for sec in sections:
                 for pi in range(1, len(sec) - 1):
                     kind, tokens = sec[pi]
-                    if kind == "filler" and rng.random() < config.impostor_rate:
-                        chosen = rng.choice(len(markers), size=_IMPOSTOR_MARKERS, replace=False)
-                        sec[pi] = ("impostor", [markers[m] for m in chosen]
+                    if kind == "filler" and draws.random() < config.impostor_rate:
+                        sec[pi] = ("impostor", draws.choice(markers, _IMPOSTOR_MARKERS)
                                    + tokens[_IMPOSTOR_MARKERS:])
 
         for sec in sections:
             kind, tokens = sec[0]
-            sec[0] = (kind, _pick(rng, CUE_PHRASES).split() + tokens)
+            sec[0] = (kind, _CUE_TOKENS[draws.integers(len(_CUE_TOKENS))] + tokens)
 
-        flat = [(pi == 0, kind, " ".join(tokens))
+        flat = [(pi == 0, kind, tokens)
                 for sec in sections for pi, (kind, tokens) in enumerate(sec)]
-        texts = [text for _, _, text in flat]
+        sentences = tuple(Sentence(" ".join(tokens), tuple(tokens)) for _, _, tokens in flat)
         summary = tuple(int(kind == "salient") for _, kind, _ in flat)
         boundary = tuple(int(first) for first, _, _ in flat)
         selection_order = tuple(i for i, flag in enumerate(summary) if flag)
-        documents.append(Document.build(
-            f"synth-{config.rng_seed}-{doc_i:04d}",
-            texts,
-            section_starts=[i for i, flag in enumerate(boundary) if flag],
-            reference_summary=" ".join(texts[i] for i in selection_order),
+        doc = Document(
+            id=f"synth-{config.rng_seed}-{doc_i:04d}",
+            sentences=sentences,
+            section_starts=tuple(i for i, flag in enumerate(boundary) if flag),
+            reference_summary=" ".join(sentences[i].text for i in selection_order),
             labels=LabelSet(summary_labels=summary, boundary_labels=boundary,
                             selection_order=selection_order),
-        ))
+        )
+        doc.validate()
+        documents.append(doc)
     return documents
 
 

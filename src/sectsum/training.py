@@ -102,6 +102,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "grad_accumulation"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.variant is not Variant.FULL:
             self.beta = 0.0
 

@@ -99,8 +99,8 @@ MUTANTS = [
      "tests/test_determinism_pin.py::test_synth_outputs_are_pinned"),
     # a near-duplicate never lands on its section's first slot
     ("corpus.py",
-     "target.insert(int(rng.integers(1, len(target))), (\"dup\", tokens))",
-     "target.insert(int(rng.integers(0, len(target))), (\"dup\", tokens))",
+     "target.insert(draws.integers(1, len(target)), (\"dup\", tokens))",
+     "target.insert(draws.integers(0, len(target)), (\"dup\", tokens))",
      "tests/test_determinism_pin.py::test_synth_outputs_are_pinned"),
     # a Selection (the score-vs-k sweep's and the oracle's rescore): a joining
     # sentence removes the junction it breaks ...
@@ -161,6 +161,26 @@ MUTANTS = [
      "for start in range(0, len(rows), step):",
      "for start in range(0, len(rows) - step, step):",
      "tests/test_encoder.py::test_softmax_backward_row_blocks_move_no_bit"),
+    # the synth sampler takes a 64-bit output's low half first ...
+    ("corpus.py",
+     "low, self._half = word & 0xFFFFFFFF, word >> 32",
+     "low, self._half = word >> 32, word & 0xFFFFFFFF",
+     "tests/test_properties.py::test_synth_sampler_draws_what_numpy_generator_draws"),
+    # ... draws again only below Lemire's threshold, 0 for a power-of-two span ...
+    ("corpus.py",
+     "while product & 0xFFFFFFFF < threshold:",
+     "while product & 0xFFFFFFFF <= threshold:",
+     "tests/test_properties.py::test_synth_sampler_draws_what_numpy_generator_draws"),
+    # ... and takes j when Floyd's algorithm draws an index twice
+    ("corpus.py",
+     "val = j",
+     "pass",
+     "tests/test_properties.py::test_synth_sampler_draws_what_numpy_generator_draws"),
+    # a synth sentence's cue words are the interned strings tokenize gives
+    ("corpus.py",
+     "_CUE_TOKENS = tuple([sys.intern(word) for word in phrase.split()] for phrase in CUE_PHRASES)",
+     "_CUE_TOKENS = tuple(phrase.split() for phrase in CUE_PHRASES)",
+     "tests/test_corpus.py::test_synth_sentences_hold_the_interned_tokens_of_their_text"),
     ("corpus.py",
      "if self.vocabulary_size < 30:",
      "if self.vocabulary_size <= 30:",

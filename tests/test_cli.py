@@ -630,6 +630,29 @@ def test_invalid_number_exits_1_on_an_empty_corpus(tmp_path, capsys, argv):
     assert not (tmp_path / "pred").exists() and not (tmp_path / "l.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "gradcheck", "train", "train-config"])
+def test_negative_seed_is_refused_by_name_before_any_input_is_read(
+        tmp_path, labeled_corpus, capsys, monkeypatch, command):
+    """``--seed -1``, or a training config file's ``"rng_seed": -1``, exits 1
+    with a message that names the seed, before any corpus is read or any
+    output written."""
+    reads = []
+    monkeypatch.setattr(cli, "parse_corpus", lambda path: reads.append(path) or parse_corpus(path))
+    config = tmp_path / "config.json"
+    config.write_text('{"rng_seed": -1}')
+    out = tmp_path / "out"
+    train = ["train", "--corpus", str(labeled_corpus), "--out", str(out)]
+    argv = {
+        "synth": ["synth", "--out", str(out), "--seed", "-1"],
+        "gradcheck": ["gradcheck", "--seed", "-1"],
+        "train": train + ["--seed", "-1"],
+        "train-config": train + ["--config", str(config)],
+    }[command]
+    assert run(argv) == 1
+    assert "invalid arguments: rng_seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not reads and not out.exists()
+
+
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     """``run`` builds its parser once and reuses it: a usage error on the
     label command's exclusive group leaves nothing that the commands after

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from sectsum import (
 from sectsum.corpus import _atomic_write
 
 from conftest import make_doc
+from test_determinism_pin import SYNTH_CONFIGS
 
 
 def test_tokenize_lowercases_and_strips_punctuation():
@@ -320,6 +322,20 @@ def test_generate_synthetic_deterministic():
     assert generate_synthetic(config) == generate_synthetic(config)
     other = SynthConfig(n_documents=6, rng_seed=43)
     assert generate_synthetic(config) != generate_synthetic(other)
+
+
+@pytest.mark.parametrize("case", [*SYNTH_CONFIGS, 30, 2000])
+def test_synth_sentences_hold_the_interned_tokens_of_their_text(case):
+    """``generate_synthetic`` builds each sentence from the tokens it joins
+    into the text, without ``tokenize``: they must be the tokens ``tokenize``
+    gives that text, each the interned string of its word. The cases are the
+    pinned synth configs and vocabularies of 30 and 2,000 words."""
+    config = SYNTH_CONFIGS.get(case) or SynthConfig(
+        n_documents=6, vocabulary_size=case, impostor_rate=0.5, rng_seed=case)
+    for doc in generate_synthetic(config):
+        for sentence in doc.sentences:
+            assert sentence.tokens == tuple(tokenize(sentence.text))
+            assert all(tok is sys.intern(tok) for tok in sentence.tokens)
 
 
 def test_relabel_boundaries_replaces_only_seg_labels(tiny_corpus):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from sectsum import (
     CUE_PHRASES, Document, FeatureConfig, LabelSet, Prediction, Sentence, SynthConfig,
     TrainConfig, TrainingError, Variant, base_features, boundary_proximity_histogram,
-    brute_force_subset_sum, build_labels, candidate_score, dpp_loss_and_grad,
+    brute_force_subset_sum, build_labels, candidate_score, corpus, dpp_loss_and_grad,
     encode_forward, evaluation, forward_document, generate_synthetic, grad_check, greedy_summary_labels, heads_forward,
     inference, init_params, oracle, parse_corpus, rouge_l, rouge_n, seg_f1, select_top_k,
     tokenize, total_loss, training, windowdiff, write_corpus,
@@ -296,6 +296,70 @@ def test_write_parse_write_reproduces_the_bytes(documents):
         assert skipped == 0 and parsed == documents
         write_corpus(parsed, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+# Sequences of the four kinds of call that generate_synthetic makes: random;
+# integers over [0, n) (a power-of-two n has a zero rejection threshold, which
+# a draw often meets exactly) and over [lo, hi) (one value takes no draw);
+# choice without replacement (small populations repeat draws in Floyd's loop);
+# and shuffle.
+sampler_calls = st.lists(st.one_of(
+    st.just(("random",)),
+    st.tuples(st.just("integers"), st.one_of(
+        st.integers(1, 2 ** 31), st.sampled_from([2 ** k for k in range(32)]))),
+    st.tuples(st.just("integers"), st.integers(0, 50), st.integers(1, 9)).map(
+        lambda call: (call[0], call[1], call[1] + call[2])),
+    st.integers(3, 114).flatmap(lambda n: st.tuples(
+        st.just("choice"), st.just(n), st.integers(1, min(7, n)))),
+    st.tuples(st.just("shuffle"), st.integers(0, 11)),
+), max_size=200)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, corpus._RAW_CHUNK])
+@settings(FAST, max_examples=40)
+@given(st.integers(0, 2 ** 64), sampler_calls)
+@example(0, [("integers", 2 ** 31)] * 8 + [("choice", 3, 3)] * 8 + [("shuffle", 11)])
+def test_synth_sampler_draws_what_numpy_generator_draws(chunk, seed, calls):
+    """``corpus._Draws`` gives, call for call, the values of the same calls on
+    ``np.random.default_rng(seed)``, whatever the raw outputs fetched at a
+    time (chunks of 1 and 3 end inside a buffered 32-bit half). The synth
+    pins in ``tests/test_determinism_pin.py`` rest on this sampler and on
+    PCG64's raw outputs, not on numpy's sampling code; so if a numpy release
+    changes ``Generator``'s algorithms, this test marks the divergence while
+    the pins still hold."""
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(corpus, "_RAW_CHUNK", chunk):
+        draws = corpus._Draws(seed)
+        for name, *args in calls:
+            if name == "random":
+                assert draws.random() == rng.random()
+            elif name == "integers":
+                assert draws.integers(*args) == rng.integers(*args)
+            elif name == "choice":
+                population = list(range(100, 100 + args[0]))
+                assert draws.choice(population, args[1]) == \
+                    rng.choice(population, args[1], replace=False).tolist()
+            else:
+                ours, theirs = list(range(args[0])), list(range(args[0]))
+                draws.shuffle(ours)
+                rng.shuffle(theirs)
+                assert ours == theirs
+        assert draws.integers(2 ** 31) == rng.integers(2 ** 31)  # the buffered half too
+        assert draws.random() == rng.random()
+
+
+def test_synth_sampler_refuses_what_it_does_not_reproduce():
+    """numpy draws from 2**32 values by a plain 32-bit draw, and takes more
+    than a fiftieth of a population over 10,000 by a tail shuffle; the
+    sampler raises on both, and on an empty range, rather than differ."""
+    draws = corpus._Draws(0)
+    for args in ((2 ** 32,), (0, 2 ** 32 + 5), (5, 5)):
+        with pytest.raises(ValueError):
+            draws.integers(*args)
+    with pytest.raises(ValueError, match="tail shuffle"):
+        draws.choice(range(10001), 201)
+    assert draws.choice(range(10001), 200) == \
+        np.random.default_rng(0).choice(10001, 200, replace=False).tolist()
 
 
 @st.composite
